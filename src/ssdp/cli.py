@@ -27,6 +27,7 @@ from .config import load_model
 from .dp import (
     ConvergenceError,
     TerminalValue,
+    _check_alpha,
     solve_finite,
     solve_infinite,
     track_action_convergence,
@@ -51,16 +52,9 @@ EXIT_CONFIG = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_VERIFICATION = 4
 
-BRUTE_FORCE_GRID_CAP = 201
-
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
-
-
-def _check_alpha_arg(alpha: float) -> None:
-    if not (0.0 <= alpha < 1.0):
-        raise ModelError("alpha must lie in [0,1)")
 
 
 def _parse_schedule(text: str) -> list[float]:
@@ -95,7 +89,7 @@ def _finish(out_dir: Path, manifest: RunManifest) -> None:
 
 
 def cmd_solve(args) -> int:
-    _check_alpha_arg(args.alpha)
+    _check_alpha(args.alpha)
     if args.horizon is not None and args.horizon < 1:
         raise ModelError("horizon must be at least 1")
     model = load_model(args.config)
@@ -111,6 +105,7 @@ def cmd_solve(args) -> int:
             sidecar = out / "value_meta.json"
             write_solve_sidecar(sidecar, result.solve)
             manifest.add_output(sidecar)
+            manifest.extra["certified_error_bound"] = result.solve.certified_error_bound
             cert = result.k_convexity
             manifest.add_check(
                 "k_convex",
@@ -431,11 +426,6 @@ def _suite_action_convergence(model, args, manifest, out):
 
 
 def _suite_brute_force(model, args, manifest, out):
-    if model.grid.n > BRUTE_FORCE_GRID_CAP:
-        raise ModelError(
-            f"grid too large for exhaustive oracle: {model.grid.n} points "
-            f"(cap {BRUTE_FORCE_GRID_CAP})"
-        )
     report = policy.brute_force_sS_check(model, args.alpha, tol=args.tol)
     return [
         (
@@ -447,7 +437,7 @@ def _suite_brute_force(model, args, manifest, out):
 
 
 def cmd_verify(args) -> int:
-    _check_alpha_arg(args.alpha)
+    _check_alpha(args.alpha)
     model = load_model(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -6,14 +6,16 @@ The Bellman update is computed through the order-up-to decomposition
     g(x_j)  = c_bar * x_j + E h(x_j - D) + alpha * E v(x_j - D),
 
 which is algebraically identical to minimizing c(x, a) + alpha E v(x')
-over feasible orders but costs O(n * atoms) per sweep instead of O(n^2).
+over feasible orders.  The minimization then costs O(n) per sweep instead of
+O(n^2); the expectation E v is a dense n x n matrix-vector product, so a
+sweep as a whole is O(n^2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -217,7 +219,11 @@ def solve_finite(
 
 @dataclass(eq=False)
 class SolveReport:
-    """Converged infinite-horizon solve: value, policy, and diagnostics."""
+    """Converged infinite-horizon solve: value, policy, and diagnostics.
+
+    ``residual`` is sup |T v - v| of the returned value ``v``;
+    ``certified_error_bound`` bounds sup |v - v_alpha| at the stop.
+    """
 
     value: ValueTable
     policy: PolicyTable
@@ -227,6 +233,7 @@ class SolveReport:
     alpha: float
     tol: float
     clamp_events: int
+    certified_error_bound: float
 
 
 def _iteration_cap(alpha: float, tol: float) -> int:
@@ -238,12 +245,52 @@ def _iteration_cap(alpha: float, tol: float) -> int:
     return 10 * math.ceil(math.log(target) / math.log(alpha)) + 100
 
 
-def _stop_threshold(alpha: float, tol: float) -> float:
+def _iterate(
+    update: Callable[[np.ndarray], np.ndarray],
+    n: int,
+    alpha: float,
+    tol: float,
+    max_iterations: Optional[int],
+    what: str,
+) -> tuple[np.ndarray, int, float]:
+    """Iterate ``v <- update(v)`` from v = 0 until the error is certified <= tol/2.
+
+    ``update`` must be monotone and satisfy T(v + c) = T v + alpha c for
+    constants c, as the Bellman and the stationary-policy operators do.  Then
+    the fixed point lies between the MacQueen-Porteus bounds
+    T v + alpha/(1-alpha) min(T v - v) and T v + alpha/(1-alpha) max(T v - v).
+    Iteration stops when that bracket is at most tol/2 wide and returns its
+    lower end.  The sup-norm contraction rule stays as a second test, because
+    a chain that does not mix (zero demand) does not contract in span; it
+    returns T v.  Iterates from 0 increase monotonically, so either result
+    lies below the fixed point and satisfies T v >= v.
+
+    Returns (value, sweeps, certified error bound).  Raises ConvergenceError
+    past ``max_iterations`` sweeps (default: ``_iteration_cap``).
+    """
+    if not tol > 0:
+        raise ModelError("tol must be positive")
+    cap = max_iterations if max_iterations is not None else _iteration_cap(alpha, tol)
+    scale = alpha / (1.0 - alpha)
     # Contraction bound: residual r guarantees sup-error <= alpha r / (1 - alpha),
     # so stopping at tol (1 - alpha) / (2 alpha) certifies error <= tol / 2.
-    if alpha == 0.0:
-        return tol
-    return tol * (1.0 - alpha) / (2.0 * alpha)
+    threshold = tol if alpha == 0.0 else tol * (1.0 - alpha) / (2.0 * alpha)
+    v = np.zeros(n)
+    residual = math.inf
+    for sweeps in range(1, cap + 1):
+        tv = update(v)
+        diff = tv - v
+        lo, hi = float(diff.min()), float(diff.max())
+        if scale * (hi - lo) <= tol / 2:
+            return tv + scale * lo, sweeps, scale * (hi - lo)
+        residual = max(hi, -lo)
+        if residual <= threshold:
+            return tv, sweeps, scale * residual
+        v = tv
+    raise ConvergenceError(
+        f"{what}: residual {residual:.3e} after {cap} sweeps "
+        f"(threshold {threshold:.3e}, alpha={alpha})"
+    )
 
 
 def solve_infinite(
@@ -254,35 +301,19 @@ def solve_infinite(
     max_iterations: Optional[int] = None,
     workspace: Optional[Workspace] = None,
 ) -> SolveReport:
-    """Value iteration from v = 0 with a certified stopping rule.
+    """Value iteration from v = 0, certified to lie within tol/2 below v_alpha.
 
-    Iterates until the sup-norm residual falls below tol (1-alpha)/(2 alpha)
-    (plain tol at alpha = 0), which bounds the distance to the fixed point
-    by tol via the contraction estimate.  Raises ConvergenceError past the
-    iteration cap.
+    Stops on the MacQueen-Porteus span bound, or on the sup-norm contraction
+    bound where the span does not contract (see ``_iterate``).  The greedy
+    policy and the residual come from one more Bellman sweep of the returned
+    value.  Raises ConvergenceError past the iteration cap.
     """
     _check_alpha(alpha)
-    if not tol > 0:
-        raise ModelError("tol must be positive")
     ws = workspace or Workspace(model)
-    cap = max_iterations if max_iterations is not None else _iteration_cap(alpha, tol)
-    threshold = _stop_threshold(alpha, tol)
-    v = np.zeros(ws.n)
-    residual = math.inf
-    iterations = 0
-    while iterations < cap:
-        nv = ws.value_update(v, alpha)
-        iterations += 1
-        residual = float(np.max(np.abs(nv - v)))
-        v = nv
-        if residual <= threshold:
-            break
-    else:
-        raise ConvergenceError(
-            f"value iteration: residual {residual:.3e} after {iterations} sweeps "
-            f"(threshold {threshold:.3e}, alpha={alpha})"
-        )
-    _, chosen, sets = ws.policy_update(v, alpha, eps_act)
+    v, iterations, bound = _iterate(
+        lambda u: ws.value_update(u, alpha), ws.n, alpha, tol, max_iterations, "value iteration"
+    )
+    tv, chosen, sets = ws.policy_update(v, alpha, eps_act)
     value = ValueTable(grid=model.grid, values=v, tag=f"v_alpha[a={alpha},tol={tol}]")
     policy = PolicyTable(grid=model.grid, chosen=chosen, action_sets=sets)
     sizes = np.array(
@@ -295,11 +326,12 @@ def solve_infinite(
         value=value,
         policy=policy,
         iterations=iterations,
-        residual=residual,
+        residual=float(np.max(np.abs(tv - v))),
         bound_set_sizes=sizes,
         alpha=alpha,
         tol=tol,
         clamp_events=ws.kernel.clamp_events,
+        certified_error_bound=bound,
     )
 
 
@@ -330,28 +362,24 @@ def policy_evaluation(
     max_iterations: Optional[int] = None,
     workspace: Optional[Workspace] = None,
 ) -> ValueTable:
-    """Fixed point of the stationary policy's affine operator (same stopping rule)."""
+    """Value of a stationary policy, certified to lie within tol/2 below it.
+
+    Iterates the policy's affine operator v -> c + alpha P v from v = 0 with
+    the same stopping rules as ``solve_infinite``.
+    """
     _check_alpha(alpha)
     ws = workspace or Workspace(model)
     steps = policy_order_steps(model, policy)
-    idx = np.arange(ws.n)
-    j = idx + steps
+    j = np.arange(ws.n) + steps
     c_vec = model.order_cost(steps * ws.grid.step) + ws.cost.eh[j]
-    cap = max_iterations if max_iterations is not None else _iteration_cap(alpha, tol)
-    threshold = _stop_threshold(alpha, tol)
-    v = np.zeros(ws.n)
-    iterations = 0
-    while iterations < cap:
-        nv = c_vec + alpha * ws.kernel.expect(v)[j] if alpha else c_vec
-        iterations += 1
-        residual = float(np.max(np.abs(nv - v)))
-        v = nv
-        if residual <= threshold:
-            break
-    else:
-        raise ConvergenceError(
-            f"policy evaluation: iteration cap {cap} reached (alpha={alpha}, tol={tol})"
-        )
+    v, _, _ = _iterate(
+        lambda u: c_vec + alpha * ws.kernel.expect(u)[j],
+        ws.n,
+        alpha,
+        tol,
+        max_iterations,
+        "policy evaluation",
+    )
     return ValueTable(grid=model.grid, values=v, tag=f"policy_value[a={alpha}]")
 
 

@@ -300,6 +300,27 @@ def discretize_demand(spec: ContinuousDemand, n_atoms: int) -> DemandDistributio
     return out
 
 
+def _expected_h_curve(h: PiecewiseLinear, demand: DemandDistribution) -> PiecewiseLinear:
+    """y -> E h(y - D) as a piecewise-linear curve, exact for every y.
+
+    Between consecutive knots h.xs + d no atom crosses a breakpoint of h, so
+    the expectation is linear there; the knot values are exact atom sums.
+    One padding knot at each end opens an outer segment on which every atom
+    sits on the same end segment of h, so its slope is h's end slope (the
+    probabilities sum to 1).  It is set exactly rather than by differencing,
+    because the linear extension carries it arbitrarily far.
+    """
+    knots = np.unique(np.add.outer(demand.values, h.xs))
+    pad = 1.0 + knots[-1] - knots[0]
+    knots = np.concatenate(([knots[0] - pad], knots, [knots[-1] + pad]))
+    ys = np.zeros_like(knots)
+    for d, p in zip(demand.values, demand.probs):
+        ys += p * h(knots - d)
+    curve = PiecewiseLinear(knots, ys)
+    curve.slopes[[0, -1]] = h.slopes[[0, -1]]
+    return curve
+
+
 @dataclass(frozen=True, eq=False)
 class InventoryModel:
     """Inventory control instance: fixed cost K, unit cost c_bar, holding curve h,
@@ -362,17 +383,14 @@ class InventoryModel:
             "coercive_right": bool(h_norm.slopes[-1] > 0),
         }
         object.__setattr__(self, "h_flags", flags)
+        object.__setattr__(self, "eh_curve", _expected_h_curve(h_norm, self.demand))
 
     h_shift: tuple = field(init=False, default=(0.0, 0.0))
-    # h_flags: dict, filled in __post_init__
+    # h_flags: dict and eh_curve: PiecewiseLinear, filled in __post_init__
 
     def expected_h(self, x_post) -> np.ndarray:
         """E h(x_post - D), exact over atoms, unclamped."""
-        arr = np.asarray(x_post, dtype=float)
-        out = np.zeros_like(arr)
-        for d, p in zip(self.demand.values, self.demand.probs):
-            out = out + p * self.h(arr - d)
-        return float(out) if arr.ndim == 0 else out
+        return self.eh_curve(x_post)
 
     def order_cost(self, a) -> np.ndarray:
         arr = np.asarray(a, dtype=float)

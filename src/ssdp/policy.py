@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 TIE_EPS = 1e-9
+BRUTE_FORCE_GRID_CAP = 201
 G_CONSISTENCY_TOL = 1e-7
 KCONVEX_TOL = 1e-9
 
@@ -593,7 +594,7 @@ def brute_force_sS_check(
     tol: float = 1e-8,
     margin: float = 1e-6,
     solve: Optional[SolveReport] = None,
-    grid_cap: int = 201,
+    grid_cap: int = BRUTE_FORCE_GRID_CAP,
 ) -> BruteForceReport:
     """Exhaustive (s,S)-pair search against the extracted thresholds.
 

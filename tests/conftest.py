@@ -129,7 +129,14 @@ def oracle_bellman(model, values, alpha):
 
 
 def oracle_pair_value(model, s_idx, S_idx, alpha):
-    """Value of the (s,S)-pair policy via a direct linear solve.
+    """Value of the (s,S)-pair policy via a direct linear solve."""
+    idx = np.arange(model.grid.n)
+    return oracle_policy_value(model, np.where(idx < s_idx, S_idx - idx, 0), alpha)
+
+
+def oracle_policy_value(model, order_steps, alpha):
+    """Value of the stationary policy ordering ``order_steps[i]`` grid steps
+    in state i, via a direct linear solve.
 
     Transition rows are rebuilt from scratch with clamp-and-interpolate
     semantics, independent of the package kernel.
@@ -139,8 +146,7 @@ def oracle_pair_value(model, s_idx, S_idx, alpha):
     P = np.zeros((n, n))
     c = np.empty(n)
     for i in range(n):
-        k = S_idx - i if i < s_idx else 0
-        a = k * g.step
+        a = int(order_steps[i]) * g.step
         c[i] = oracle_cost(model, float(g.points[i]), a)
         post = g.points[i] + a
         for d, p in zip(model.demand.values, model.demand.probs):

@@ -166,6 +166,11 @@ def test_track_discount_actions_no_order_region(sweep_a, average_a):
     assert rep.eq_membership_ok
 
 
+def test_sweep_bellman_sweep_count(sweep_a):
+    # 208,773 sweeps when value iteration stopped on the sup-norm residual alone
+    assert sum(r.iterations for r in sweep_a.records) <= 1000
+
+
 def test_partial_sweep_on_iteration_cap(instance_a, monkeypatch):
     import ssdp.average as avg
 

@@ -30,6 +30,7 @@ def test_solve_happy_path(tmp_path):
     assert header == "x,v,chosen_action,n_eps_optimal"
     meta = json.loads((out / "value_meta.json").read_text())
     assert set(meta) == {"alpha", "tol", "iterations", "residual", "clamp_events"}
+    assert 0.0 <= manifest["certified_error_bound"] <= 1e-8 / 2
 
 
 def test_solve_missing_config(tmp_path):

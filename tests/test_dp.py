@@ -16,7 +16,7 @@ from ssdp.dp import (
 from ssdp.model import ModelError
 from ssdp.simulate import SimConfig, simulate_discounted
 
-from conftest import oracle_bellman
+from conftest import oracle_bellman, oracle_policy_value
 
 
 def test_bellman_matches_enumeration_from_zero(instance_a):
@@ -93,6 +93,20 @@ def test_solve_infinite_fixed_point_certificate(instance_a, solve_a_09):
     tv = ws.value_update(solve_a_09.value.values, 0.9)
     assert np.max(np.abs(tv - solve_a_09.value.values)) <= 1e-8
     assert solve_a_09.residual <= 1e-8 * 0.1 / 1.8 + 1e-15
+
+
+@pytest.mark.parametrize(
+    "alpha, tol", [(0.5, 1e-8), (0.9, 1e-8), (0.99, 1e-8), (1.0 - 2.0**-12, 1e-7)]
+)
+def test_solve_infinite_matches_exact_policy_value(instance_a, alpha, tol):
+    rep = solve_infinite(instance_a, alpha, tol=tol)
+    v = rep.value.values
+    v_pi = oracle_policy_value(instance_a, rep.policy.order_steps(), alpha)
+    assert np.max(np.abs(v - v_pi)) <= tol / 2
+    assert rep.certified_error_bound <= tol / 2
+    tv = Workspace(instance_a).value_update(v, alpha)
+    assert float(np.min(tv - v)) >= -1e-9  # the returned value is a lower bound
+    assert rep.residual == float(np.max(np.abs(tv - v)))
 
 
 def test_solve_infinite_alpha_zero_is_myopic(instance_a):

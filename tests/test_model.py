@@ -14,6 +14,7 @@ from ssdp.model import (
     build_kernel,
     discretize_demand,
 )
+from ssdp.model import _expected_h_curve
 
 from conftest import make_instance_a, make_zero_stub, oracle_cost
 
@@ -125,6 +126,51 @@ def test_one_sided_h_rejected_when_region_goes_negative():
     demand = DemandDistribution.from_atoms([(0.0, 0.5), (2.0, 0.5)])  # probes h(-2) < 0
     with pytest.raises(ModelError):
         InventoryModel(K=2.0, c_bar=1.0, h=h, demand=demand, grid=grid)
+
+
+# -------------------------------------------------------------- E h curve
+
+
+@st.composite
+def eh_cases(draw, case):
+    """A convex piecewise-linear h and a demand table for one E h case.
+
+    ``coincident_knots``: integer breakpoints and atoms, so shifted knots
+    h.xs + d coincide; ``point_mass``: a single atom; ``two_breakpoints``:
+    h is one line segment, extended both ways.
+    """
+    n_bp = 2 if case == "two_breakpoints" else draw(st.integers(3, 6))
+    if case == "coincident_knots":
+        xs = sorted(draw(st.lists(st.integers(-6, 6), min_size=n_bp, max_size=n_bp, unique=True)))
+        values = draw(st.lists(st.integers(0, 6), min_size=2, max_size=5, unique=True))
+    else:
+        gaps = draw(st.lists(st.floats(0.05, 5.0), min_size=n_bp - 1, max_size=n_bp - 1))
+        xs = draw(st.floats(-6.0, 6.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
+        n_atoms = 1 if case == "point_mass" else draw(st.integers(1, 6))
+        values = draw(
+            st.lists(st.floats(0.0, 8.0), min_size=n_atoms, max_size=n_atoms, unique=True)
+        )
+    slopes = sorted(draw(st.lists(st.floats(-10.0, 10.0), min_size=n_bp - 1, max_size=n_bp - 1)))
+    ys = draw(st.floats(0.0, 1e6)) + np.concatenate(([0.0], np.cumsum(slopes * np.diff(xs))))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(values), max_size=len(values)))
+    total = sum(weights)
+    demand = DemandDistribution.from_atoms([(v, w / total) for v, w in zip(values, weights)])
+    return PiecewiseLinear(xs, ys), demand
+
+
+@pytest.mark.parametrize("case", ["coincident_knots", "point_mass", "two_breakpoints"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_expected_h_curve_matches_atom_sum(case, data):
+    h, demand = data.draw(eh_cases(case))
+    curve = _expected_h_curve(h, demand)
+    lo = h.xs[0] + demand.values[0]
+    hi = h.xs[-1] + demand.values[-1]
+    far = data.draw(st.floats(10.0, 1e6))
+    inside = data.draw(st.lists(st.floats(lo - 3.0, hi + 3.0), min_size=1, max_size=8))
+    y = np.array([lo - far, hi + far, *inside])
+    ref = sum(p * h(y - d) for d, p in zip(demand.values, demand.probs))
+    assert np.all(np.abs(curve(y) - ref) <= 1e-12 * (1.0 + np.abs(ref)))
 
 
 # ------------------------------------------------------------------- cost
