@@ -258,12 +258,10 @@ def _iterate(
     ``update`` must be monotone and satisfy T(v + c) = T v + alpha c for
     constants c, as the Bellman and the stationary-policy operators do.  Then
     the fixed point lies between the MacQueen-Porteus bounds
-    T v + alpha/(1-alpha) min(T v - v) and T v + alpha/(1-alpha) max(T v - v).
+    T v + alpha/(1-alpha) min(T v - v) and T v + alpha/(1-alpha) max(T v - v),
+    and span(T v - v) shrinks by at least alpha per sweep on every chain.
     Iteration stops when that bracket is at most tol/2 wide and returns its
-    lower end.  The sup-norm contraction rule stays as a second test, because
-    a chain that does not mix (zero demand) does not contract in span; it
-    returns T v.  Iterates from 0 increase monotonically, so either result
-    lies below the fixed point and satisfies T v >= v.
+    lower end, which lies below the fixed point and satisfies T v >= v.
 
     Returns (value, sweeps, certified error bound).  Raises ConvergenceError
     past ``max_iterations`` sweeps (default: ``_iteration_cap``).
@@ -272,24 +270,19 @@ def _iterate(
         raise ModelError("tol must be positive")
     cap = max_iterations if max_iterations is not None else _iteration_cap(alpha, tol)
     scale = alpha / (1.0 - alpha)
-    # Contraction bound: residual r guarantees sup-error <= alpha r / (1 - alpha),
-    # so stopping at tol (1 - alpha) / (2 alpha) certifies error <= tol / 2.
-    threshold = tol if alpha == 0.0 else tol * (1.0 - alpha) / (2.0 * alpha)
     v = np.zeros(n)
-    residual = math.inf
+    bound = math.inf
     for sweeps in range(1, cap + 1):
         tv = update(v)
         diff = tv - v
-        lo, hi = float(diff.min()), float(diff.max())
-        if scale * (hi - lo) <= tol / 2:
-            return tv + scale * lo, sweeps, scale * (hi - lo)
-        residual = max(hi, -lo)
-        if residual <= threshold:
-            return tv, sweeps, scale * residual
+        lo = float(diff.min())
+        bound = scale * (float(diff.max()) - lo)
+        if bound <= tol / 2:
+            return tv + scale * lo, sweeps, bound
         v = tv
     raise ConvergenceError(
-        f"{what}: residual {residual:.3e} after {cap} sweeps "
-        f"(threshold {threshold:.3e}, alpha={alpha})"
+        f"{what}: span bound {bound:.3e} after {cap} sweeps "
+        f"(target {tol / 2:.3e}, alpha={alpha})"
     )
 
 
@@ -303,8 +296,7 @@ def solve_infinite(
 ) -> SolveReport:
     """Value iteration from v = 0, certified to lie within tol/2 below v_alpha.
 
-    Stops on the MacQueen-Porteus span bound, or on the sup-norm contraction
-    bound where the span does not contract (see ``_iterate``).  The greedy
+    Stops on the MacQueen-Porteus span bound (see ``_iterate``).  The greedy
     policy and the residual come from one more Bellman sweep of the returned
     value.  Raises ConvergenceError past the iteration cap.
     """
@@ -365,7 +357,7 @@ def policy_evaluation(
     """Value of a stationary policy, certified to lie within tol/2 below it.
 
     Iterates the policy's affine operator v -> c + alpha P v from v = 0 with
-    the same stopping rules as ``solve_infinite``.
+    the same stopping rule as ``solve_infinite``.
     """
     _check_alpha(alpha)
     ws = workspace or Workspace(model)
