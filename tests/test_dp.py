@@ -109,6 +109,22 @@ def test_solve_infinite_matches_exact_policy_value(instance_a, alpha, tol):
     assert rep.residual == float(np.max(np.abs(tv - v)))
 
 
+def test_span_rule_certifies_zero_demand_chain(degenerate_model):
+    # Zero demand never mixes, yet span(Tv - v) still shrinks by alpha per sweep.
+    # Never ordering makes Tv - v proportional to h, so the MacQueen-Porteus
+    # bracket is attained exactly at the top state and the oracle comparison
+    # allows for rounding at the scale |v| / (1 - alpha).
+    alpha, tol = 0.99, 1e-8
+    rep = solve_infinite(degenerate_model, alpha, tol=tol)
+    v = rep.value.values
+    v_pi = oracle_policy_value(degenerate_model, rep.policy.order_steps(), alpha)
+    rounding = np.finfo(float).eps * float(np.max(np.abs(v_pi))) / (1.0 - alpha)
+    assert rep.certified_error_bound <= tol / 2
+    assert np.max(np.abs(v - v_pi)) <= rep.certified_error_bound + rounding
+    tv = Workspace(degenerate_model).value_update(v, alpha)
+    assert float(np.min(tv - v)) >= -1e-9
+
+
 def test_solve_infinite_alpha_zero_is_myopic(instance_a):
     rep = solve_infinite(instance_a, 0.0, tol=1e-10)
     ws = Workspace(instance_a)
