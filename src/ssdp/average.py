@@ -16,12 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .model import InventoryModel, ModelError, ValueTable
-from .dp import (
-    ConvergenceError,
-    Workspace,
-    policy_order_steps,
-    solve_infinite,
-)
+from .dp import ConvergenceError, policy_order_steps, solve_infinite
 
 __all__ = [
     "geometric_schedule",
@@ -283,7 +278,6 @@ def check_optimality_inequality(
     policy,
     rel: RelativeValue,
     slack: Optional[float] = None,
-    workspace: Optional[Workspace] = None,
 ) -> OptimalityInequalityReport:
     """Residuals r(x) = c(x, phi(x)) + E u(x') - w - u(x) of the optimality inequality.
 
@@ -292,17 +286,14 @@ def check_optimality_inequality(
     separately.  Default slack: ten times the last sweep step of
     (1 - alpha) m_alpha.
     """
-    ws = workspace or Workspace(model)
     s = rel.default_slack if slack is None else slack
     steps = policy_order_steps(model, policy)
-    idx = np.arange(ws.n)
-    j = idx + steps
+    idx = np.arange(model.grid.n)
     u = rel.u.values
-    c_vec = model.order_cost(steps * ws.grid.step) + ws.cost.eh[j]
-    r = c_vec + ws.kernel.expect(u)[j] - rel.w - u
+    r = model.one_step_cost(idx, steps) + model.kernel.expect(u)[idx + steps] - rel.w - u
     d_max = model.demand.max_value
-    xs = ws.xs
-    interior = (xs >= ws.grid.x_lo + d_max) & (xs <= ws.grid.x_hi - d_max)
+    xs = model.grid.points
+    interior = (xs >= model.grid.x_lo + d_max) & (xs <= model.grid.x_hi - d_max)
     max_int = float(r[interior].max()) if interior.any() else -np.inf
     max_bnd = float(r[~interior].max()) if (~interior).any() else -np.inf
     return OptimalityInequalityReport(
@@ -350,12 +341,10 @@ def track_discount_actions(
     if settled:
         a_star = float(tail[-1])
         rel = sweep_result.relative_value()
-        ws = Workspace(model)
         s = rel.default_slack if slack is None else slack
-        k = model.grid.index_of(x + a_star) - i
-        j = i + k
+        j = model.grid.index_of(x + a_star)
         u = rel.u.values
-        lhs = model.order_cost(a_star) + ws.cost.eh[j] + float(ws.kernel.expect(u)[j])
+        lhs = model.order_cost(a_star) + model.eh[j] + float(model.kernel.expect(u)[j])
         resid = float(lhs - rel.w - u[i])
         member_ok = bool(resid <= s)
     return DiscountActionReport(

@@ -40,7 +40,6 @@ from .io import (
     write_solve_csv,
     write_solve_sidecar,
     write_sweep_csv,
-    write_table_csv,
     write_threshold_csv,
 )
 from .model import ModelError
@@ -100,7 +99,7 @@ def cmd_solve(args) -> int:
         if args.horizon is None:
             result = policy.discounted_sS(model, args.alpha, tol=args.tol, horizon_trace=False)
             value_csv = out / "value.csv"
-            write_solve_csv(value_csv, result.solve)
+            write_solve_csv(value_csv, result.solve.value, result.solve.policy)
             manifest.add_output(value_csv)
             sidecar = out / "value_meta.json"
             write_solve_sidecar(sidecar, result.solve)
@@ -130,43 +129,30 @@ def cmd_solve(args) -> int:
             )
             manifest.add_output(kconv_path)
             thr_csv = out / "thresholds.csv"
-            if result.policy is not None:
-                write_threshold_csv(
-                    thr_csv,
-                    [
-                        (
-                            f"alpha={args.alpha}",
-                            result.policy.s,
-                            result.policy.S,
-                            float(result.g.values.min()),
-                            cert.verdict,
-                            result.g.extrapolation_count,
-                        )
-                    ],
-                )
-                manifest.add_output(thr_csv)
+            pol = result.policy
+            write_threshold_csv(
+                thr_csv,
+                [
+                    (
+                        f"alpha={args.alpha}",
+                        None if pol is None else pol.s,
+                        None if pol is None else pol.S,
+                        float(result.g.values.min()),
+                        cert.verdict,
+                        result.g.extrapolation_count,
+                    )
+                ],
+            )
+            manifest.add_output(thr_csv)
+            if pol is not None:
                 manifest.add_check(
                     "policy_evaluation_gap",
                     result.eval_gap <= 10 * args.tol,
                     gap=result.eval_gap,
                 )
-                manifest.extra["s"] = result.policy.s
-                manifest.extra["S"] = result.policy.S
+                manifest.extra["s"] = pol.s
+                manifest.extra["S"] = pol.S
             else:
-                write_threshold_csv(
-                    thr_csv,
-                    [
-                        (
-                            f"alpha={args.alpha}",
-                            None,
-                            None,
-                            float(result.g.values.min()),
-                            cert.verdict,
-                            result.g.extrapolation_count,
-                        )
-                    ],
-                )
-                manifest.add_output(thr_csv)
                 manifest.notes.append(result.explanation)
         else:
             if args.terminal == "v0alpha":
@@ -224,17 +210,7 @@ def cmd_solve(args) -> int:
                 worst_triple=None if worst is None else worst.worst_triple,
             )
             value_csv = out / "value.csv"
-            last_v, last_p = fin.values[-1], fin.policies[-1]
-            rows = (
-                (
-                    model.grid.points[i],
-                    last_v.values[i],
-                    last_p.chosen[i],
-                    len(last_p.action_sets[i]),
-                )
-                for i in range(model.grid.n)
-            )
-            write_table_csv(value_csv, ["x", "v", "chosen_action", "n_eps_optimal"], rows)
+            write_solve_csv(value_csv, fin.values[-1], fin.policies[-1])
             manifest.add_output(value_csv)
     except policy.CertificationError as exc:
         manifest.add_check("certification", False, error=str(exc))
@@ -449,6 +425,10 @@ def cmd_verify(args) -> int:
         "brute-force-sS": _suite_brute_force,
     }
     selected = list(suites) if args.suite == "all" else [args.suite]
+    if args.suite == "all" and model.demand.p_positive == 0.0:
+        # renewal theory needs P(D > 0) > 0; asked for alone, the suite still fails
+        selected.remove("renewal")
+        manifest.notes.append("renewal suite skipped: zero demand almost surely, P(D > 0) = 0")
     failures = 0
     try:
         for name in selected:
@@ -458,10 +438,13 @@ def cmd_verify(args) -> int:
                 failures += 0 if passed else 1
     except policy.CertificationError as exc:
         manifest.add_check("certification", False, error=str(exc))
-        _finish(out, manifest)
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    _finish(out, manifest)
+    except (ModelError, ConvergenceError) as exc:
+        manifest.notes.append(f"{type(exc).__name__}: {exc}")
+        raise
+    finally:
+        _finish(out, manifest)
     return EXIT_VERIFICATION if failures else EXIT_OK
 
 

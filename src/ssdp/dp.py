@@ -7,8 +7,11 @@ The Bellman update is computed through the order-up-to decomposition
 
 which is algebraically identical to minimizing c(x, a) + alpha E v(x')
 over feasible orders.  The minimization then costs O(n) per sweep instead of
-O(n^2); the expectation E v is a dense n x n matrix-vector product, so a
-sweep as a whole is O(n^2).
+O(n^2); the expectation E v is a dense n x n matrix-vector product with the
+model's cached kernel (``InventoryModel.kernel``), so a sweep as a whole is
+O(n^2).  The grid values E h come from ``InventoryModel.eh``; both are built
+once per model and shared by every solve.  Each update's eps-optimal action
+sets are kept as the arrays g and m of a ``PolicyTable``.
 """
 
 from __future__ import annotations
@@ -19,15 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import (
-    InventoryModel,
-    Kernel,
-    ModelError,
-    PolicyTable,
-    ValueTable,
-    build_cost,
-    build_kernel,
-)
+from .model import InventoryModel, ModelError, PolicyTable, ValueTable
 
 __all__ = [
     "ConvergenceError",
@@ -75,50 +70,6 @@ class TerminalValue:
         return cls(values=np.zeros(grid.n), id="zero")
 
 
-class Workspace:
-    """Precomputed arrays shared by every Bellman application for one model."""
-
-    def __init__(self, model: InventoryModel):
-        self.model = model
-        self.grid = model.grid
-        self.n = model.grid.n
-        self.xs = model.grid.points
-        self.kernel: Kernel = build_kernel(model)
-        self.cost = build_cost(model)
-        self.cbar_x = model.c_bar * self.xs
-        self.gx = self.cbar_x + self.cost.eh  # g with zero continuation
-
-    def g_of(self, v: np.ndarray, alpha: float) -> np.ndarray:
-        if alpha == 0.0:
-            return self.gx
-        return self.gx + alpha * self.kernel.expect(v)
-
-    def value_update(self, v: np.ndarray, alpha: float) -> np.ndarray:
-        g = self.g_of(v, alpha)
-        return np.minimum(g, self.model.K + _strict_suffix_min(g)) - self.cbar_x
-
-    def policy_update(self, v: np.ndarray, alpha: float, eps_act: float = EPS_ACT):
-        """One Bellman sweep returning (values, chosen, action sets)."""
-        g = self.g_of(v, alpha)
-        K = self.model.K
-        m = np.minimum(g, K + _strict_suffix_min(g))
-        values = m - self.cbar_x
-        step = self.grid.step
-        chosen = np.empty(self.n)
-        sets: list[np.ndarray] = []
-        for i in range(self.n):
-            acts = []
-            if g[i] <= m[i] + eps_act:
-                acts.append(0.0)
-            if i < self.n - 1:
-                js = np.nonzero(K + g[i + 1 :] <= m[i] + eps_act)[0] + i + 1
-                acts.extend(((js - i) * step).tolist())
-            arr = np.array(acts)
-            sets.append(arr)
-            chosen[i] = arr[0]
-        return values, chosen, sets
-
-
 def _strict_suffix_min(g: np.ndarray) -> np.ndarray:
     """out[i] = min over j > i of g[j] (+inf at the top state)."""
     out = np.empty_like(g)
@@ -141,12 +92,23 @@ def _check_alpha(alpha: float) -> None:
         raise ModelError("alpha must lie in [0,1)")
 
 
+def _update(
+    model: InventoryModel, v: np.ndarray, alpha: float, eps_act: float = EPS_ACT
+) -> tuple[np.ndarray, PolicyTable]:
+    """One Bellman sweep: the updated values and the policy table of the update."""
+    cbar_x = model.c_bar * model.grid.points
+    g = cbar_x + model.eh
+    if alpha != 0.0:
+        g = g + alpha * model.kernel.expect(v)
+    m = np.minimum(g, model.K + _strict_suffix_min(g))
+    return m - cbar_x, PolicyTable(grid=model.grid, g=g, m=m, K=model.K, eps=eps_act)
+
+
 def bellman_update(
     model: InventoryModel,
     v,
     alpha: float,
     eps_act: float = EPS_ACT,
-    workspace: Optional[Workspace] = None,
 ) -> tuple[ValueTable, PolicyTable]:
     """One optimality-equation sweep from the value table ``v``.
 
@@ -157,11 +119,8 @@ def bellman_update(
     vals = _as_values(v)
     if np.any(vals < -1e-12) or not np.all(np.isfinite(vals)):
         raise ModelError("bellman_update needs a finite nonnegative value table")
-    ws = workspace or Workspace(model)
-    new_vals, chosen, sets = ws.policy_update(vals, alpha, eps_act)
-    vt = ValueTable(grid=model.grid, values=new_vals, tag="bellman_update")
-    pt = PolicyTable(grid=model.grid, chosen=chosen, action_sets=sets)
-    return vt, pt
+    new_vals, pt = _update(model, vals, alpha, eps_act)
+    return ValueTable(grid=model.grid, values=new_vals, tag="bellman_update"), pt
 
 
 @dataclass(eq=False)
@@ -197,21 +156,19 @@ def solve_finite(
     terminal: TerminalValue,
     alpha: float,
     eps_act: float = EPS_ACT,
-    workspace: Optional[Workspace] = None,
 ) -> FiniteHorizonResult:
     """Backward induction for the ``n_periods``-horizon problem with terminal F."""
     _check_alpha(alpha)
     if n_periods < 0:
         raise ModelError("horizon must be nonnegative")
-    ws = workspace or Workspace(model)
     values = [ValueTable(grid=model.grid, values=terminal.values.copy(), tag=f"v0[{terminal.id}]")]
     policies: list[PolicyTable] = []
     for t in range(n_periods):
-        new_vals, chosen, sets = ws.policy_update(values[-1].values, alpha, eps_act)
+        new_vals, pt = _update(model, values[-1].values, alpha, eps_act)
         values.append(
             ValueTable(grid=model.grid, values=new_vals, tag=f"v{t + 1}[{terminal.id},a={alpha}]")
         )
-        policies.append(PolicyTable(grid=model.grid, chosen=chosen, action_sets=sets))
+        policies.append(pt)
     return FiniteHorizonResult(
         alpha=alpha, terminal_id=terminal.id, values=values, policies=policies
     )
@@ -229,7 +186,6 @@ class SolveReport:
     policy: PolicyTable
     iterations: int
     residual: float
-    bound_set_sizes: np.ndarray
     alpha: float
     tol: float
     clamp_events: int
@@ -292,7 +248,6 @@ def solve_infinite(
     tol: float = 1e-8,
     eps_act: float = EPS_ACT,
     max_iterations: Optional[int] = None,
-    workspace: Optional[Workspace] = None,
 ) -> SolveReport:
     """Value iteration from v = 0, certified to lie within tol/2 below v_alpha.
 
@@ -301,28 +256,23 @@ def solve_infinite(
     value.  Raises ConvergenceError past the iteration cap.
     """
     _check_alpha(alpha)
-    ws = workspace or Workspace(model)
     v, iterations, bound = _iterate(
-        lambda u: ws.value_update(u, alpha), ws.n, alpha, tol, max_iterations, "value iteration"
+        lambda u: _update(model, u, alpha)[0],
+        model.grid.n,
+        alpha,
+        tol,
+        max_iterations,
+        "value iteration",
     )
-    tv, chosen, sets = ws.policy_update(v, alpha, eps_act)
-    value = ValueTable(grid=model.grid, values=v, tag=f"v_alpha[a={alpha},tol={tol}]")
-    policy = PolicyTable(grid=model.grid, chosen=chosen, action_sets=sets)
-    sizes = np.array(
-        [
-            int(np.count_nonzero(ws.cost.feasible_row(i) <= v[i] + BOUND_SET_EPS))
-            for i in range(ws.n)
-        ]
-    )
+    tv, policy = _update(model, v, alpha, eps_act)
     return SolveReport(
-        value=value,
+        value=ValueTable(grid=model.grid, values=v, tag=f"v_alpha[a={alpha},tol={tol}]"),
         policy=policy,
         iterations=iterations,
         residual=float(np.max(np.abs(tv - v))),
-        bound_set_sizes=sizes,
         alpha=alpha,
         tol=tol,
-        clamp_events=ws.kernel.clamp_events,
+        clamp_events=model.kernel.clamp_events,
         certified_error_bound=bound,
     )
 
@@ -352,7 +302,6 @@ def policy_evaluation(
     alpha: float,
     tol: float = 1e-8,
     max_iterations: Optional[int] = None,
-    workspace: Optional[Workspace] = None,
 ) -> ValueTable:
     """Value of a stationary policy, certified to lie within tol/2 below it.
 
@@ -360,13 +309,14 @@ def policy_evaluation(
     the same stopping rule as ``solve_infinite``.
     """
     _check_alpha(alpha)
-    ws = workspace or Workspace(model)
     steps = policy_order_steps(model, policy)
-    j = np.arange(ws.n) + steps
-    c_vec = model.order_cost(steps * ws.grid.step) + ws.cost.eh[j]
+    idx = np.arange(model.grid.n)
+    j = idx + steps
+    c_vec = model.one_step_cost(idx, steps)
+    kernel = model.kernel
     v, _, _ = _iterate(
-        lambda u: c_vec + alpha * ws.kernel.expect(u)[j],
-        ws.n,
+        lambda u: c_vec + alpha * kernel.expect(u)[j],
+        model.grid.n,
         alpha,
         tol,
         max_iterations,
@@ -395,13 +345,11 @@ def check_terminal_admissible(
     alpha: float,
     v_alpha: ValueTable,
     slack: float = 1e-9,
-    workspace: Optional[Workspace] = None,
 ) -> AdmissibilityReport:
     """Verify the two terminal-value inequalities that make action tracking meaningful."""
-    ws = workspace or Workspace(model)
     f = terminal.values
     excess = float(np.max(f - v_alpha.values))
-    v1 = ws.value_update(f, alpha)
+    v1, _ = _update(model, f, alpha)
     drop = float(np.max(f - v1))
     return AdmissibilityReport(
         f_le_v_alpha=excess <= slack,
@@ -416,16 +364,14 @@ def action_bound_set(
     model: InventoryModel,
     v_alpha: ValueTable,
     eps: float = BOUND_SET_EPS,
-    workspace: Optional[Workspace] = None,
 ) -> np.ndarray:
     """Actions whose one-step cost alone does not exceed v_alpha(x).
 
     Every finite-horizon optimal action set (t >= 1, admissible terminal)
     is contained in this set, which is what makes it a bound set.
     """
-    ws = workspace or Workspace(model)
     i = model.grid.index_of(x)
-    row = ws.cost.feasible_row(i)
+    row = model.one_step_cost(i, np.arange(model.grid.n - i))
     ks = np.nonzero(row <= v_alpha.values[i] + eps)[0]
     return ks * model.grid.step
 
@@ -469,7 +415,6 @@ def track_action_convergence(
     tol: float = 1e-10,
     eps_act: float = EPS_ACT,
     reference: Optional[SolveReport] = None,
-    workspace: Optional[Workspace] = None,
 ) -> ActionConvergenceReport:
     """Track finite-horizon chosen actions against the infinite-horizon sets.
 
@@ -477,23 +422,18 @@ def track_action_convergence(
     tight tolerance so that eps-optimal membership is not blurred by the
     value-iteration error.
     """
-    ws = workspace or Workspace(model)
-    ref = reference or solve_infinite(model, alpha, tol=tol, eps_act=eps_act, workspace=ws)
-    adm = check_terminal_admissible(terminal, model, alpha, ref.value, workspace=ws)
+    ref = reference or solve_infinite(model, alpha, tol=tol, eps_act=eps_act)
+    adm = check_terminal_admissible(terminal, model, alpha, ref.value)
     if not adm.admissible:
         raise ModelError(
             "terminal value fails the admissibility inequalities; "
             "action-convergence tracking is not meaningful"
         )
-    n = ws.n
-    dist = np.empty((t_max, n))
-    v = terminal.values.copy()
-    v = ws.value_update(v, alpha)  # chosen_t uses the update applied to v_t, t >= 1
+    dist = np.empty((t_max, model.grid.n))
+    v, _ = _update(model, terminal.values, alpha)  # chosen_t comes from the update of v_t, t >= 1
     for t in range(1, t_max + 1):
-        nv, chosen, _ = ws.policy_update(v, alpha, eps_act)
-        for i in range(n):
-            dist[t - 1, i] = float(np.min(np.abs(ref.policy.action_sets[i] - chosen[i])))
-        v = nv
+        v, pt = _update(model, v, alpha, eps_act)
+        dist[t - 1] = ref.policy.distance(pt.chosen)
     settle = _suffix_settle(dist <= model.grid.step + 1e-12)
     exact = _suffix_settle(dist <= 1e-12)
     return ActionConvergenceReport(

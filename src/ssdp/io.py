@@ -50,13 +50,9 @@ def write_table_csv(path, header, rows) -> None:
 _write_rows = write_table_csv
 
 
-def write_solve_csv(path, report) -> None:
-    """Columns: x, v, chosen_action, n_eps_optimal."""
-    xs = report.value.grid.points
-    rows = (
-        (xs[i], report.value.values[i], report.policy.chosen[i], len(report.policy.action_sets[i]))
-        for i in range(xs.size)
-    )
+def write_solve_csv(path, value, policy) -> None:
+    """Columns: x, v, chosen_action, n_eps_optimal, from a ValueTable and a PolicyTable."""
+    rows = zip(value.grid.points, value.values, policy.chosen, policy.set_sizes())
     write_table_csv(path, ["x", "v", "chosen_action", "n_eps_optimal"], rows)
 
 

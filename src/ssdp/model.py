@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -176,6 +177,8 @@ class DemandDistribution:
             raise ModelError("demand needs at least one atom")
         if v.shape != p.shape or v.ndim != 1:
             raise ModelError("demand values/probs must be matching 1-d arrays")
+        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(p))):
+            raise ModelError("demand atom values and probabilities must be finite")
         if np.any(v < 0):
             raise ModelError("demand atoms must be nonnegative")
         if np.any(p <= 0):
@@ -199,6 +202,9 @@ class DemandDistribution:
     ) -> "DemandDistribution":
         """Build from (value, prob) pairs: merge duplicates, drop zero mass, renormalize."""
         pts = [(float(v), float(p)) for v, p in atoms]
+        for v, p in pts:
+            if not (math.isfinite(v) and math.isfinite(p)):
+                raise ModelError(f"demand atom ({v}, {p}): value and probability must be finite")
         if any(p < 0 for _, p in pts):
             raise ModelError("demand atom probabilities must be nonnegative")
         raw_mass = sum(p for _, p in pts)
@@ -340,10 +346,14 @@ class InventoryModel:
     grid: Grid
 
     def __post_init__(self) -> None:
-        if self.K < 0:
-            raise ModelError("fixed ordering cost K must be nonnegative")
-        if self.c_bar < 0:
-            raise ModelError("unit ordering cost c_bar must be nonnegative")
+        if not (math.isfinite(self.K) and self.K >= 0):
+            raise ModelError(f"fixed ordering cost K must be finite and nonnegative, got {self.K}")
+        if not (math.isfinite(self.c_bar) and self.c_bar >= 0):
+            raise ModelError(
+                f"unit ordering cost c_bar must be finite and nonnegative, got {self.c_bar}"
+            )
+        if not (np.all(np.isfinite(self.h.xs)) and np.all(np.isfinite(self.h.ys))):
+            raise ModelError("holding/backorder cost h must have finite breakpoints")
         if not self.h.is_convex():
             raise ModelError("holding/backorder cost h must be convex")
         try:
@@ -397,6 +407,31 @@ class InventoryModel:
         out = self.K * (arr > 0) + self.c_bar * arr
         return float(out) if arr.ndim == 0 else out
 
+    @cached_property
+    def eh(self) -> np.ndarray:
+        """E h(x_j - D) at every grid point, computed once per model (read-only).
+
+        Since K and c_bar are nonnegative, every one-step cost is nonnegative
+        exactly when these values are.
+        """
+        eh = self.expected_h(self.grid.points)
+        if np.any(eh < -1e-12):
+            raise ModelError("expected holding cost E h is negative on the grid")
+        eh.flags.writeable = False
+        return eh
+
+    @cached_property
+    def kernel(self) -> Kernel:
+        """The clamp transition kernel, built on first use and kept with the model."""
+        return build_kernel(self)
+
+    def one_step_cost(self, i, k) -> np.ndarray:
+        """c(x_i, a) for an order of a = k grid steps, elementwise over index arrays.
+
+        Feasibility (0 <= k and i + k < n) is the caller's responsibility.
+        """
+        return self.order_cost(np.multiply(k, self.grid.step)) + self.eh[np.add(i, k)]
+
 
 def post_expectation_matrix(
     model: InventoryModel, extrapolate: bool = False
@@ -433,10 +468,10 @@ class Kernel:
 
     Next state is x + a - D clamped to the grid; mass off the lattice is
     split between neighbouring grid points.  ``clamp_events`` counts
-    (post-state, atom) pairs that hit the lower boundary.
+    (post-state, atom) pairs that hit the lower boundary.  The kernel holds
+    no reference to its model, so a model that caches it forms no cycle.
     """
 
-    model: InventoryModel
     matrix: np.ndarray
     clamp_events: int
     boundary_policy: str = "clamp"
@@ -447,55 +482,45 @@ class Kernel:
 
     def row(self, x_index: int, order_steps: int) -> np.ndarray:
         j = x_index + order_steps
-        if order_steps < 0 or j >= self.model.grid.n:
+        if order_steps < 0 or j >= self.matrix.shape[0]:
             raise ModelError("infeasible action: order must keep x + a within the grid")
         return self.matrix[j]
 
 
 def build_kernel(model: InventoryModel) -> Kernel:
+    """A fresh kernel; solvers share the one cached as ``model.kernel``."""
     W, clamped = post_expectation_matrix(model, extrapolate=False)
-    return Kernel(model=model, matrix=W, clamp_events=clamped)
+    W.flags.writeable = False
+    return Kernel(matrix=W, clamp_events=clamped)
 
 
 @dataclass(eq=False)
 class CostTable:
-    """One-step costs c(x, a) = K 1{a>0} + c_bar a + E h(x + a - D).
+    """One-step costs c(x, a) = K 1{a>0} + c_bar a + E h(x + a - D), on demand.
 
-    ``matrix[i, k]`` is the cost of ordering k grid steps from state i
-    (+inf where x + a would leave the grid).  ``eh[j]`` is the exact
-    expected holding cost at post-order position j.
+    ``eh[j]`` is the exact expected holding cost at post-order position j;
+    ordering k grid steps from state i costs order_cost(k step) + eh[i + k].
     """
 
     model: InventoryModel
     eh: np.ndarray
-    matrix: np.ndarray
 
     def value(self, x_index: int, order_steps: int) -> float:
-        c = self.matrix[x_index, order_steps]
-        if not np.isfinite(c):
+        if order_steps < 0 or x_index + order_steps >= self.eh.size:
             raise ModelError("infeasible action: order must keep x + a within the grid")
-        return float(c)
+        return float(self.model.one_step_cost(x_index, order_steps))
 
     def feasible_row(self, x_index: int) -> np.ndarray:
-        return self.matrix[x_index, : self.model.grid.n - x_index]
+        return self.model.one_step_cost(x_index, np.arange(self.eh.size - x_index))
 
 
 def build_cost(model: InventoryModel) -> CostTable:
-    """Tabulate c(x, a) over the grid and all feasible order-up-to actions."""
+    """c(x, a) over the grid and all feasible order-up-to actions."""
     if model.demand.n_atoms == 0:
         raise ModelError("demand atom list is empty")
     if not model.h.is_convex():
         raise ModelError("holding/backorder cost h must be convex")
-    g = model.grid
-    n = g.n
-    eh = model.expected_h(g.points)
-    matrix = np.full((n, n), np.inf)
-    for k in range(n):
-        a = k * g.step
-        matrix[: n - k, k] = model.order_cost(a) + eh[k:]
-    if np.any(matrix[np.isfinite(matrix)] < -1e-12):
-        raise ModelError("cost table has negative entries")
-    return CostTable(model=model, eh=eh, matrix=matrix)
+    return CostTable(model=model, eh=model.eh)
 
 
 @dataclass(eq=False)
@@ -519,20 +544,61 @@ class ValueTable:
 
 @dataclass(eq=False)
 class PolicyTable:
-    """Chosen order quantity per state plus the eps-optimal action set."""
+    """The eps-optimal order-up-to actions of one Bellman update.
+
+    ``g`` is the order-up-to target cost on the grid and
+    ``m[i] = min(g[i], K + min_{j > i} g[j])`` the minimized cost at state i.
+    Ordering nothing is eps-optimal at state i iff ``g[i] <= m[i] + eps``, and
+    ordering k > 0 grid steps iff ``K + g[i+k] <= m[i] + eps``.  The table
+    stores only these O(n) arrays; the chosen actions, set sizes, membership
+    and distances are derived from them with whole-array comparisons.
+    ``chosen`` is the smallest eps-optimal order, so "do not order" wins
+    near-ties.
+    """
 
     grid: Grid
-    chosen: np.ndarray
-    action_sets: list
+    g: np.ndarray
+    m: np.ndarray
+    K: float
+    eps: float
 
     def __post_init__(self) -> None:
-        if self.chosen.shape != (self.grid.n,):
+        if self.g.shape != (self.grid.n,) or self.m.shape != (self.grid.n,):
             raise ModelError("policy table shape does not match the grid")
-        for i, (a, acts) in enumerate(zip(self.chosen, self.action_sets)):
-            if self.grid.points[i] + a > self.grid.x_hi + 1e-9:
-                raise ModelError("policy action leaves the grid")
-            if acts.size == 0 or not np.any(np.abs(acts - a) < 1e-12):
-                raise ModelError(f"chosen action at state index {i} not in its action set")
+        if not self.eps >= 0:
+            raise ModelError(f"action tolerance eps must be nonnegative, got {self.eps}")
+
+    def _members(self) -> np.ndarray:
+        """members[i, j]: moving from state i to post-order position j is eps-optimal."""
+        thr = self.m + self.eps
+        members = np.triu((self.K + self.g)[None, :] <= thr[:, None], 1)
+        members[np.diag_indices(self.grid.n)] = self.g <= thr
+        return members
+
+    @cached_property
+    def chosen(self) -> np.ndarray:
+        """Smallest eps-optimal order quantity per state."""
+        return (self._members().argmax(axis=1) - np.arange(self.grid.n)) * self.grid.step
+
+    def set_sizes(self) -> np.ndarray:
+        """Number of eps-optimal actions per state."""
+        return self._members().sum(axis=1)
+
+    def contains(self, i, k) -> np.ndarray:
+        """Whether ordering k grid steps from state i is eps-optimal (elementwise)."""
+        i, k = np.broadcast_arrays(np.asarray(i, dtype=int), np.asarray(k, dtype=int))
+        thr = self.m[i] + self.eps
+        feasible = (k >= 0) & (i + k < self.grid.n)
+        j = np.where(feasible, i + k, i)
+        member = np.where(k == 0, self.g[i] <= thr, self.K + self.g[j] <= thr)
+        return feasible & member
+
+    def distance(self, actions) -> np.ndarray:
+        """Per state i, the distance from ``actions[i]`` to the eps-optimal set at i."""
+        idx = np.arange(self.grid.n)
+        offered = (idx[None, :] - idx[:, None]) * self.grid.step
+        gaps = np.abs(offered - np.asarray(actions, dtype=float)[:, None])
+        return np.where(self._members(), gaps, np.inf).min(axis=1)
 
     def order_steps(self) -> np.ndarray:
         return np.round(self.chosen / self.grid.step).astype(int)

@@ -28,7 +28,6 @@ from .dp import (
     FiniteHorizonResult,
     SolveReport,
     TerminalValue,
-    Workspace,
     _strict_suffix_min,
     policy_evaluation,
     solve_finite,
@@ -344,15 +343,9 @@ def _threshold_agreement(
 ) -> list[tuple[int, float]]:
     """States where the threshold action misses the eps-optimal set."""
     g = model.grid
-    steps_target = np.asarray(
-        [g.index_of(policy.S) - i if g.points[i] < policy.s else 0 for i in range(g.n)]
-    )
-    bad = []
-    for i in range(g.n):
-        set_steps = np.round(table.action_sets[i] / g.step).astype(int)
-        if steps_target[i] not in set_steps:
-            bad.append((i, float(g.points[i])))
-    return bad
+    idx = np.arange(g.n)
+    steps = np.where(g.points < policy.s, g.index_of(policy.S) - idx, 0)
+    return [(int(i), float(g.points[i])) for i in np.nonzero(~table.contains(idx, steps))[0]]
 
 
 def finite_horizon_sS(
@@ -378,8 +371,7 @@ def finite_horizon_sS(
             "zero-setup G lacks an interior argmin rising toward x_lo; "
             "alpha may be below the usable threshold"
         )
-    ws = Workspace(model)
-    fin = solve_finite(model, n_periods, zs.terminal(), alpha, workspace=ws)
+    fin = solve_finite(model, n_periods, zs.terminal(), alpha)
     policies: list[Optional[SsPolicy]] = []
     certs: list[Optional[KConvexityReport]] = []
     mismatches: list = []
@@ -609,16 +601,14 @@ def brute_force_sS_check(
     res = discounted_sS(model, alpha, tol=tol, horizon_trace=False, solve=solve)
     if res.policy is None:
         raise CertificationError("cannot brute-force check: thresholds were withheld")
-    ws = Workspace(model)
     xs = model.grid.points
     eye = np.eye(n)
     idx = np.arange(n)
+    P = model.kernel.matrix
 
     def pair_value(s_idx: int, S_idx: int) -> np.ndarray:
         steps = np.where(idx < s_idx, S_idx - idx, 0)
-        j = idx + steps
-        c = model.order_cost(steps * model.grid.step) + ws.cost.eh[j]
-        return np.linalg.solve(eye - alpha * ws.kernel.matrix[j], c)
+        return np.linalg.solve(eye - alpha * P[idx + steps], model.one_step_cost(idx, steps))
 
     ex_pair = (model.grid.index_of(res.policy.s), model.grid.index_of(res.policy.S))
     ex_value = pair_value(*ex_pair)

@@ -5,11 +5,25 @@ hand-rolled kernel rows, direct linear solves) so the tests never trust the
 solver's own code paths for expected values.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import ssdp
 from ssdp import average
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def cli_subprocess_path():
+    """Let ``python -m ssdp.cli`` subprocesses import ssdp from this checkout."""
+    with pytest.MonkeyPatch.context() as mp:
+        paths = [str(SRC), os.environ.get("PYTHONPATH")]
+        mp.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))
+        yield
 
 
 def make_instance_a():
@@ -105,14 +119,21 @@ def oracle_cost(model, x, a):
     return c
 
 
-def oracle_bellman(model, values, alpha):
-    """Exhaustive enumeration of the Bellman update; returns (v', argmin actions)."""
+def oracle_bellman(model, values, alpha, eps_act=None):
+    """Exhaustive enumeration of the Bellman update; returns (v', argmin actions).
+
+    With ``eps_act`` it also returns the eps-optimal sets as a boolean matrix:
+    ``sets[i, k]`` holds when ordering k grid steps from state i costs at
+    most the state's minimum plus ``eps_act``.
+    """
     g = model.grid
     out_v = np.empty(g.n)
     out_a = np.empty(g.n)
+    sets = np.zeros((g.n, g.n), dtype=bool)
     for i in range(g.n):
         x = float(g.points[i])
         best, best_a = None, None
+        qs = []
         for k in range(g.n - i):
             a = k * g.step
             q = oracle_cost(model, x, a)
@@ -121,11 +142,14 @@ def oracle_bellman(model, values, alpha):
                 for d, p in zip(model.demand.values, model.demand.probs):
                     cont += p * oracle_interp(g, values, x + a - d)
                 q += alpha * cont
+            qs.append(q)
             if best is None or q < best - 1e-15:
                 best, best_a = q, a
         out_v[i] = best
         out_a[i] = best_a
-    return out_v, out_a
+        if eps_act is not None:
+            sets[i, : len(qs)] = np.array(qs) <= min(qs) + eps_act
+    return (out_v, out_a) if eps_act is None else (out_v, out_a, sets)
 
 
 def oracle_pair_value(model, s_idx, S_idx, alpha):

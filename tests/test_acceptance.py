@@ -13,7 +13,7 @@ import numpy as np
 
 import ssdp
 from ssdp import average
-from ssdp.dp import TerminalValue, Workspace, track_action_convergence
+from ssdp.dp import TerminalValue, track_action_convergence
 from ssdp.policy import build_G, discounted_sS, finite_horizon_sS, is_K_convex
 from ssdp.model import Grid
 from ssdp.simulate import SimConfig, simulate_average
@@ -44,8 +44,8 @@ def test_criterion_02_fixed_point_consistency(instance_a):
     tol = 1e-8
     for alpha in (0.5, 0.9, 0.99):
         rep = ssdp.solve_infinite(instance_a, alpha, tol=tol)
-        ws = Workspace(instance_a)
-        residual = float(np.max(np.abs(ws.value_update(rep.value.values, alpha) - rep.value.values)))
+        tv = ssdp.bellman_update(instance_a, rep.value, alpha)[0].values
+        residual = float(np.max(np.abs(tv - rep.value.values)))
         assert residual <= tol, f"alpha={alpha}: fixed-point residual {residual}"
         pe = ssdp.policy_evaluation(instance_a, rep.policy, alpha, tol=tol)
         gap = float(np.max(np.abs(pe.values - rep.value.values)))

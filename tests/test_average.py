@@ -12,6 +12,8 @@ from ssdp.average import (
 )
 from ssdp.model import DemandDistribution, Grid, InventoryModel, ModelError, PiecewiseLinear
 
+from conftest import make_instance_a
+
 
 def test_geometric_schedule():
     sched = geometric_schedule(4)
@@ -169,6 +171,16 @@ def test_track_discount_actions_no_order_region(sweep_a, average_a):
 def test_sweep_bellman_sweep_count(sweep_a):
     # 208,773 sweeps when value iteration stopped on the sup-norm residual alone
     assert sum(r.iterations for r in sweep_a.records) <= 1000
+
+
+def test_sweep_builds_one_kernel(monkeypatch):
+    import ssdp.model
+
+    calls = []
+    real = ssdp.model.build_kernel
+    monkeypatch.setattr(ssdp.model, "build_kernel", lambda m: calls.append(1) or real(m))
+    sweep(make_instance_a(), geometric_schedule(12), tol=1e-7)
+    assert len(calls) == 1
 
 
 def test_partial_sweep_on_iteration_cap(instance_a, monkeypatch):

@@ -86,6 +86,26 @@ def test_verify_fast_suites(tmp_path):
     assert "FAIL" not in r.stdout
 
 
+def test_verify_all_skips_renewal_on_zero_demand(tmp_path):
+    out = tmp_path / "deg"
+    r = run_cli("verify", DEGENERATE, "--suite", "all", "--paths", "2000", "--out", out)
+    assert r.returncode == 0, r.stderr + r.stdout
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert any("renewal suite skipped" in n for n in manifest["notes"])
+    assert not any(c.startswith("renewal.") for c in manifest["checks"])
+    assert manifest["checks"]["brute_force_sS.no_better_pair"]["passed"]
+    assert all(c["passed"] for c in manifest["checks"].values())
+
+
+def test_verify_renewal_alone_fails_on_zero_demand(tmp_path):
+    out = tmp_path / "deg"
+    r = run_cli("verify", DEGENERATE, "--suite", "renewal", "--out", out)
+    assert r.returncode == 2
+    assert "degenerate" in r.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert any("degenerate" in n for n in manifest["notes"])
+
+
 def test_verify_brute_force_grid_guard(tmp_path):
     big = tmp_path / "big.json"
     big.write_text(

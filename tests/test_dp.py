@@ -3,8 +3,8 @@ import pytest
 
 import ssdp
 from ssdp.dp import (
+    EPS_ACT,
     TerminalValue,
-    Workspace,
     action_bound_set,
     bellman_update,
     check_terminal_admissible,
@@ -13,7 +13,7 @@ from ssdp.dp import (
     solve_infinite,
     track_action_convergence,
 )
-from ssdp.model import ModelError
+from ssdp.model import ModelError, build_cost
 from ssdp.simulate import SimConfig, simulate_discounted
 
 from conftest import oracle_bellman, oracle_policy_value
@@ -41,12 +41,38 @@ def test_bellman_matches_enumeration_from_random_v(instance_a):
         assert np.array_equal(pt.chosen, oa)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.95])
+def test_action_sets_match_enumeration(instance_a, zero_stub, alpha):
+    rng = np.random.default_rng(11)
+    cases = [
+        (instance_a, rng.uniform(0, 30, size=instance_a.grid.n)),
+        (zero_stub, np.zeros(zero_stub.grid.n)),
+    ]
+    for model, v in cases:
+        n, step = model.grid.n, model.grid.step
+        _, pt = bellman_update(model, v, alpha)
+        _, _, sets = oracle_bellman(model, v, alpha, eps_act=EPS_ACT)
+        assert np.array_equal(pt.set_sizes(), sets.sum(axis=1))
+        assert np.array_equal(pt.chosen, sets.argmax(axis=1) * step)
+        # every (state, order) pair, including orders that leave the grid
+        i, k = np.meshgrid(np.arange(n), np.arange(-1, n + 1), indexing="ij")
+        expect = np.zeros(i.shape, dtype=bool)
+        expect[:, 1 : n + 1] = sets
+        assert np.array_equal(pt.contains(i, k), expect)
+        actions = rng.integers(0, n, size=n) * step
+        offered = np.arange(n) * step
+        dist = [np.abs(offered[sets[r]] - actions[r]).min() for r in range(n)]
+        assert np.array_equal(pt.distance(actions), dist)
+        if model is zero_stub:  # every feasible action ties
+            assert np.array_equal(sets.sum(axis=1), n - np.arange(n))
+
+
 def test_bellman_zero_stub_all_actions_optimal(zero_stub):
     vt, pt = bellman_update(zero_stub, np.zeros(zero_stub.grid.n), 0.7)
     assert np.all(vt.values == 0.0)
     assert np.all(pt.chosen == 0.0)
-    for i, acts in enumerate(pt.action_sets):
-        assert len(acts) == zero_stub.grid.n - i  # every feasible action ties
+    n = zero_stub.grid.n
+    assert np.array_equal(pt.set_sizes(), n - np.arange(n))  # every feasible action ties
 
 
 def test_bellman_rejects_bad_value_table(instance_a):
@@ -89,8 +115,7 @@ def test_stage_policy_index_reversal(instance_a):
 
 
 def test_solve_infinite_fixed_point_certificate(instance_a, solve_a_09):
-    ws = Workspace(instance_a)
-    tv = ws.value_update(solve_a_09.value.values, 0.9)
+    tv = bellman_update(instance_a, solve_a_09.value, 0.9)[0].values
     assert np.max(np.abs(tv - solve_a_09.value.values)) <= 1e-8
     assert solve_a_09.residual <= 1e-8 * 0.1 / 1.8 + 1e-15
 
@@ -104,7 +129,7 @@ def test_solve_infinite_matches_exact_policy_value(instance_a, alpha, tol):
     v_pi = oracle_policy_value(instance_a, rep.policy.order_steps(), alpha)
     assert np.max(np.abs(v - v_pi)) <= tol / 2
     assert rep.certified_error_bound <= tol / 2
-    tv = Workspace(instance_a).value_update(v, alpha)
+    tv = bellman_update(instance_a, v, alpha)[0].values
     assert float(np.min(tv - v)) >= -1e-9  # the returned value is a lower bound
     assert rep.residual == float(np.max(np.abs(tv - v)))
 
@@ -121,14 +146,14 @@ def test_span_rule_certifies_zero_demand_chain(degenerate_model):
     rounding = np.finfo(float).eps * float(np.max(np.abs(v_pi))) / (1.0 - alpha)
     assert rep.certified_error_bound <= tol / 2
     assert np.max(np.abs(v - v_pi)) <= rep.certified_error_bound + rounding
-    tv = Workspace(degenerate_model).value_update(v, alpha)
+    tv = bellman_update(degenerate_model, v, alpha)[0].values
     assert float(np.min(tv - v)) >= -1e-9
 
 
 def test_solve_infinite_alpha_zero_is_myopic(instance_a):
     rep = solve_infinite(instance_a, 0.0, tol=1e-10)
-    ws = Workspace(instance_a)
-    myopic = np.array([ws.cost.feasible_row(i).min() for i in range(instance_a.grid.n)])
+    cost = build_cost(instance_a)
+    myopic = np.array([cost.feasible_row(i).min() for i in range(instance_a.grid.n)])
     assert np.max(np.abs(rep.value.values - myopic)) <= 1e-12
 
 
@@ -145,11 +170,10 @@ def test_monotone_iterates_bounded_by_v_alpha(instance_a, solve_a_09):
 
 
 def test_contraction_factor(instance_a):
-    ws = Workspace(instance_a)
-    v = np.zeros(ws.n)
+    v = np.zeros(instance_a.grid.n)
     prev_r = None
     for _ in range(60):
-        nv = ws.value_update(v, 0.9)
+        nv = bellman_update(instance_a, v, 0.9)[0].values
         r = float(np.max(np.abs(nv - v)))
         v = nv
         if prev_r is not None and prev_r > 1e-10:
@@ -167,8 +191,8 @@ def test_tie_break_determinism(instance_a):
     b = solve_infinite(instance_a, 0.9, tol=1e-8)
     assert np.array_equal(a.value.values, b.value.values)
     assert np.array_equal(a.policy.chosen, b.policy.chosen)
-    for sa, sb in zip(a.policy.action_sets, b.policy.action_sets):
-        assert np.array_equal(sa, sb)
+    assert np.array_equal(a.policy.set_sizes(), b.policy.set_sizes())
+    assert np.array_equal(a.policy.g, b.policy.g) and np.array_equal(a.policy.m, b.policy.m)
 
 
 def test_sandwich_with_admissible_terminal(instance_a, solve_a_09, zero_setup_a_09):
@@ -183,8 +207,7 @@ def test_sandwich_with_admissible_terminal(instance_a, solve_a_09, zero_setup_a_
 
 
 def test_terminal_equal_to_v_alpha_is_fixed(instance_a, solve_a_09):
-    ws = Workspace(instance_a)
-    tv = ws.value_update(solve_a_09.value.values, 0.9)
+    tv = bellman_update(instance_a, solve_a_09.value, 0.9)[0].values
     assert np.max(np.abs(tv - solve_a_09.value.values)) <= 1e-8
 
 
@@ -257,10 +280,10 @@ def test_action_bound_set_contains_finite_horizon_actions(instance_a, solve_a_09
     res = solve_finite(instance_a, 50, TerminalValue.zero(instance_a.grid), 0.9)
     for x in (-10.0, -3.0, 0.0, 4.0):
         i = instance_a.grid.index_of(x)
-        bound = set(np.round(action_bound_set(x, instance_a, solve_a_09.value)).tolist())
+        bound = np.round(action_bound_set(x, instance_a, solve_a_09.value)).astype(int)
+        outside = np.setdiff1d(np.arange(instance_a.grid.n - i), bound)
         for t in range(1, 50):
-            for a in res.policies[t].action_sets[i]:
-                assert round(float(a)) in bound
+            assert not np.any(res.policies[t].contains(i, outside))
 
 
 def test_action_bound_set_huge_K(instance_a):

@@ -1,3 +1,7 @@
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -210,8 +214,8 @@ def test_h_flags_soft_diagnostics():
 def test_cost_zero_stub_is_zero():
     m = make_zero_stub()
     cost = build_cost(m)
-    finite = cost.matrix[np.isfinite(cost.matrix)]
-    assert np.all(finite == 0.0)
+    for i in range(m.grid.n):
+        assert np.all(cost.feasible_row(i) == 0.0)
 
 
 def test_cost_matches_oracle_everywhere():
@@ -230,12 +234,11 @@ def test_cost_monotone_in_K(dk):
 
     m = make_instance_a()
     m2 = replace(m, K=m.K + dk)
-    c1, c2 = build_cost(m).matrix, build_cost(m2).matrix
-    finite = np.isfinite(c1)
-    orders = np.zeros_like(c1, dtype=bool)
-    orders[:, 1:] = True
-    assert np.max(np.abs(c2[finite & orders] - c1[finite & orders] - dk)) <= 1e-12
-    assert np.all(c2[finite & ~orders] == c1[finite & ~orders])
+    cost1, cost2 = build_cost(m), build_cost(m2)
+    for i in range(m.grid.n):
+        r1, r2 = cost1.feasible_row(i), cost2.feasible_row(i)
+        assert np.all(np.abs(r2[1:] - r1[1:] - dk) <= 1e-12)
+        assert r2[0] == r1[0]
 
 
 # ------------------------------------------------------------------ kernel
@@ -295,6 +298,19 @@ def test_offgrid_demand_splits_mass():
     assert row[j] == pytest.approx(0.5)
 
 
+def test_cached_kernel_dies_with_model():
+    # the kernel holds no reference back to its model, so no collector is needed
+    gc.disable()
+    try:
+        m = make_instance_a()
+        ssdp.solve_infinite(m, 0.9, tol=1e-8)
+        kernel = weakref.ref(m.kernel)
+        del m
+        assert kernel() is None
+    finally:
+        gc.enable()
+
+
 # -------------------------------------------------------------- config
 
 
@@ -309,6 +325,28 @@ def test_load_model_with_continuous_demand():
     assert m.demand.n_atoms == 32
     assert abs(m.demand.mean - 1.0) < 1e-6
     assert m.grid.step == 0.25
+
+
+@pytest.mark.parametrize(
+    "section, key, value, field",
+    [
+        ("cost", "K", math.nan, "K"),
+        ("cost", "c_bar", math.nan, "c_bar"),
+        ("cost", "K", math.inf, "K"),
+        ("demand", "atoms", [[0, 0.5], [math.inf, 0.5]], "demand atom"),
+        ("demand", "atoms", [[0, 0.5], [1, math.nan], [2, 0.5]], "demand atom"),
+        ("cost", "h", {"breakpoints": [[-1, math.inf], [0, 0], [1, 1]]}, "h must have finite"),
+    ],
+)
+def test_config_rejects_non_finite_inputs(section, key, value, field):
+    cfg = {
+        "grid": {"x_lo": -20, "x_hi": 20, "step": 1, "integer_mode": True},
+        "cost": {"K": 2.0, "c_bar": 1.0, "h": {"breakpoints": [[-1, 3], [0, 0], [1, 1]]}},
+        "demand": {"atoms": [[0, 0.25], [1, 0.5], [2, 0.25]]},
+    }
+    cfg[section][key] = value
+    with pytest.raises(ModelError, match=field):
+        ssdp.model_from_dict(cfg)
 
 
 def test_config_rejects_both_demand_forms(tmp_path):
