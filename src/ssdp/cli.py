@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -80,11 +81,27 @@ def _manifest(args, command: str) -> RunManifest:
     )
 
 
-def _finish(out_dir: Path, manifest: RunManifest) -> None:
-    manifest.finished_at = _now()
-    path = out_dir / "manifest.json"
-    write_manifest(path, manifest)
-    print(f"manifest: {path}")
+@contextmanager
+def _recorded(out_dir: Path, manifest: RunManifest):
+    """Write the manifest however the block ends, noting a config or solver error."""
+    try:
+        yield
+    except (ModelError, ConvergenceError) as exc:
+        manifest.notes.append(f"{type(exc).__name__}: {exc}")
+        raise
+    finally:
+        manifest.finished_at = _now()
+        path = out_dir / "manifest.json"
+        write_manifest(path, manifest)
+        print(f"manifest: {path}")
+
+
+def _exit_code(manifest: RunManifest) -> int:
+    if not manifest.all_passed:
+        failed = [k for k, v in manifest.checks.items() if not v["passed"]]
+        print(f"verification failure: {', '.join(failed)}", file=sys.stderr)
+        return EXIT_VERIFICATION
+    return EXIT_OK
 
 
 def cmd_solve(args) -> int:
@@ -95,134 +112,125 @@ def cmd_solve(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(args, "solve")
-    try:
-        if args.horizon is None:
-            result = policy.discounted_sS(model, args.alpha, tol=args.tol, horizon_trace=False)
-            value_csv = out / "value.csv"
-            write_solve_csv(value_csv, result.solve.value, result.solve.policy)
-            manifest.add_output(value_csv)
-            sidecar = out / "value_meta.json"
-            write_solve_sidecar(sidecar, result.solve)
-            manifest.add_output(sidecar)
-            manifest.extra["certified_error_bound"] = result.solve.certified_error_bound
-            cert = result.k_convexity
-            manifest.add_check(
-                "k_convex",
-                cert.verdict,
-                worst_violation=cert.worst_violation,
-                worst_triple=cert.worst_triple,
-            )
-            kconv_path = out / "k_convexity.json"
-            kconv_path.write_text(
-                json.dumps(
-                    {
-                        "verdict": cert.verdict,
-                        "K": cert.K,
-                        "tol": cert.tol,
-                        "worst_violation": cert.worst_violation,
-                        "worst_triple": cert.worst_triple,
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-            manifest.add_output(kconv_path)
-            thr_csv = out / "thresholds.csv"
-            pol = result.policy
-            write_threshold_csv(
-                thr_csv,
-                [
-                    (
-                        f"alpha={args.alpha}",
-                        None if pol is None else pol.s,
-                        None if pol is None else pol.S,
-                        float(result.g.values.min()),
-                        cert.verdict,
-                        result.g.extrapolation_count,
-                    )
-                ],
-            )
-            manifest.add_output(thr_csv)
-            if pol is not None:
+    with _recorded(out, manifest):
+        try:
+            if args.horizon is None:
+                result = policy.discounted_sS(model, args.alpha, tol=args.tol, horizon_trace=False)
+                value_csv = out / "value.csv"
+                write_solve_csv(value_csv, result.solve.value, result.solve.policy)
+                manifest.add_output(value_csv)
+                sidecar = out / "value_meta.json"
+                write_solve_sidecar(sidecar, result.solve)
+                manifest.add_output(sidecar)
+                manifest.extra["certified_error_bound"] = result.solve.certified_error_bound
+                cert = result.k_convexity
                 manifest.add_check(
-                    "policy_evaluation_gap",
-                    result.eval_gap <= 10 * args.tol,
-                    gap=result.eval_gap,
+                    "k_convex",
+                    cert.verdict,
+                    worst_violation=cert.worst_violation,
+                    worst_triple=cert.worst_triple,
                 )
-                manifest.extra["s"] = pol.s
-                manifest.extra["S"] = pol.S
-            else:
-                manifest.notes.append(result.explanation)
-        else:
-            if args.terminal == "v0alpha":
-                fs = policy.finite_horizon_sS(model, args.alpha, args.horizon, tol=args.tol)
-                fin, stage_pols, certs = fs.finite, fs.policies, fs.certifications
-                manifest.add_check("threshold_dp_agreement", fs.agreement_ok)
-                for w in fs.warnings:
-                    manifest.notes.append(w)
-            else:
-                fin = solve_finite(
-                    model, args.horizon, TerminalValue.zero(model.grid), args.alpha
-                )
-                stage_pols, certs = [], []
-                for t in range(args.horizon):
-                    g_t = policy.build_G(
-                        model, fin.values[t], args.alpha, kind="finite_t", t=t, terminal_id="zero"
+                kconv_path = out / "k_convexity.json"
+                kconv_path.write_text(
+                    json.dumps(
+                        {
+                            "verdict": cert.verdict,
+                            "K": cert.K,
+                            "tol": cert.tol,
+                            "worst_violation": cert.worst_violation,
+                            "worst_triple": cert.worst_triple,
+                        },
+                        indent=2,
+                        sort_keys=True,
                     )
-                    certs.append(policy.is_K_convex(g_t, model.K))
-                    try:
-                        stage_pols.append(policy.extract_sS(g_t, model.K))
-                    except ModelError as exc:
-                        stage_pols.append(None)
-                        manifest.notes.append(f"stage t={t}: {exc}")
-                slope = policy.slope_condition(model)
-                manifest.extra["slope_condition"] = {
-                    "holds": slope.holds,
-                    "witness": slope.witness,
-                    "quotient": slope.quotient,
-                }
-            rows = []
-            for t, (sp, cert) in enumerate(zip(stage_pols, certs)):
-                rows.append(
-                    (
-                        f"t={t}",
-                        None if sp is None else sp.s,
-                        None if sp is None else sp.S,
-                        None,
-                        None if cert is None else cert.verdict,
-                        None,
-                    )
+                    + "\n"
                 )
-            thr_csv = out / "thresholds.csv"
-            write_threshold_csv(thr_csv, rows)
-            manifest.add_output(thr_csv)
-            all_ok = all(c.verdict for c in certs if c is not None)
-            worst = max(
-                (c for c in certs if c is not None),
-                key=lambda c: c.worst_violation,
-                default=None,
-            )
-            manifest.add_check(
-                "k_convex",
-                all_ok,
-                worst_violation=None if worst is None else worst.worst_violation,
-                worst_triple=None if worst is None else worst.worst_triple,
-            )
-            value_csv = out / "value.csv"
-            write_solve_csv(value_csv, fin.values[-1], fin.policies[-1])
-            manifest.add_output(value_csv)
-    except policy.CertificationError as exc:
-        manifest.add_check("certification", False, error=str(exc))
-        _finish(out, manifest)
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    _finish(out, manifest)
-    if not manifest.all_passed:
-        failed = [k for k, v in manifest.checks.items() if not v["passed"]]
-        print(f"verification failure: {', '.join(failed)}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    return EXIT_OK
+                manifest.add_output(kconv_path)
+                thr_csv = out / "thresholds.csv"
+                pol = result.policy
+                write_threshold_csv(
+                    thr_csv,
+                    [
+                        (
+                            f"alpha={args.alpha}",
+                            None if pol is None else pol.s,
+                            None if pol is None else pol.S,
+                            float(result.g.values.min()),
+                            cert.verdict,
+                            result.g.extrapolation_count,
+                        )
+                    ],
+                )
+                manifest.add_output(thr_csv)
+                if pol is not None:
+                    manifest.add_check(
+                        "policy_evaluation_gap",
+                        result.eval_gap <= 10 * args.tol,
+                        gap=result.eval_gap,
+                    )
+                    manifest.extra["s"] = pol.s
+                    manifest.extra["S"] = pol.S
+                else:
+                    manifest.notes.append(result.explanation)
+            else:
+                if args.terminal == "v0alpha":
+                    fs = policy.finite_horizon_sS(model, args.alpha, args.horizon, tol=args.tol)
+                    fin, stage_pols, certs = fs.finite, fs.policies, fs.certifications
+                    manifest.add_check("threshold_dp_agreement", fs.agreement_ok)
+                    for w in fs.warnings:
+                        manifest.notes.append(w)
+                else:
+                    fin = solve_finite(
+                        model, args.horizon, TerminalValue.zero(model.grid), args.alpha
+                    )
+                    stage_pols, certs = [], []
+                    for t in range(args.horizon):
+                        g_t = policy.build_G(
+                            model, fin.values[t], args.alpha, kind="finite_t", t=t,
+                            terminal_id="zero",
+                        )
+                        certs.append(policy.is_K_convex(g_t, model.K))
+                        try:
+                            stage_pols.append(policy.extract_sS(g_t, model.K))
+                        except ModelError as exc:
+                            stage_pols.append(None)
+                            manifest.notes.append(f"stage t={t}: {exc}")
+                    slope = policy.slope_condition(model)
+                    manifest.extra["slope_condition"] = {
+                        "holds": slope.holds,
+                        "witness": slope.witness,
+                        "quotient": slope.quotient,
+                    }
+                rows = []
+                for t, (sp, cert) in enumerate(zip(stage_pols, certs)):
+                    rows.append(
+                        (
+                            f"t={t}",
+                            None if sp is None else sp.s,
+                            None if sp is None else sp.S,
+                            None,
+                            cert.verdict,
+                            None,
+                        )
+                    )
+                thr_csv = out / "thresholds.csv"
+                write_threshold_csv(thr_csv, rows)
+                manifest.add_output(thr_csv)
+                worst = max(certs, key=lambda c: c.worst_violation)
+                manifest.add_check(
+                    "k_convex",
+                    all(c.verdict for c in certs),
+                    worst_violation=worst.worst_violation,
+                    worst_triple=worst.worst_triple,
+                )
+                value_csv = out / "value.csv"
+                write_solve_csv(value_csv, fin.values[-1], fin.policies[-1])
+                manifest.add_output(value_csv)
+        except policy.CertificationError as exc:
+            manifest.add_check("certification", False, error=str(exc))
+            print(f"verification failure: {exc}", file=sys.stderr)
+            return EXIT_VERIFICATION
+    return _exit_code(manifest)
 
 
 def cmd_sweep(args) -> int:
@@ -231,105 +239,93 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(args, "sweep")
-    if model.demand.p_positive == 0.0:
-        result = policy.average_sS(model)
-        manifest.notes.append(result.note)
-        thr_csv = out / "thresholds.csv"
-        write_threshold_csv(
-            thr_csv, [("average", result.policy.s, result.policy.S, None, None, None)]
-        )
-        manifest.add_output(thr_csv)
-        manifest.extra["degenerate_zero_demand"] = True
-        _finish(out, manifest)
-        return EXIT_OK
-    try:
+    with _recorded(out, manifest):
+        if model.demand.p_positive == 0.0:
+            result = policy.average_sS(model)
+            manifest.notes.append(result.note)
+            thr_csv = out / "thresholds.csv"
+            write_threshold_csv(
+                thr_csv, [("average", result.policy.s, result.policy.S, None, None, None)]
+            )
+            manifest.add_output(thr_csv)
+            manifest.extra["degenerate_zero_demand"] = True
+            return EXIT_OK
         sw = average.sweep(model, schedule, tol=args.tol, workers=args.workers)
-    except ConvergenceError as exc:
-        manifest.notes.append(str(exc))
-        _finish(out, manifest)
-        print(f"solver non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    sweep_csv = out / "sweep.csv"
-    write_sweep_csv(sweep_csv, sw)
-    manifest.add_output(sweep_csv)
-    for w in sw.warnings:
-        manifest.notes.append(w)
-    limit_ok = len(sw.records) >= 3
-    summary = {
-        "w_estimate": sw.w_estimate,
-        "alphas": sw.alphas,
-        "cauchy": sw.cauchy,
-        "partial": sw.partial,
-    }
-    if limit_ok:
-        manifest.add_check("cauchy", sw.cauchy, last_diffs=list(map(float, sw.diffs[-2:])))
-        bdiag = average.assumption_B_diagnostic(sw)
-        manifest.add_check(
-            "assumption_B_bounded",
-            bdiag.bounded,
-            offending_states=bdiag.offending_states.tolist(),
-        )
-        summary["assumption_B"] = bdiag.verdict
-        hull = average.minimizer_set_diagnostic(sw)
-        manifest.add_check("minimizer_hull_interior", hull.interior_ok, lo=hull.lo, hi=hull.hi)
-        try:
-            avg_result = policy.average_sS(model, sweep_result=sw, tol=args.tol)
-        except policy.CertificationError as exc:
-            manifest.add_check("limit_thresholds", False, error=str(exc))
-            _finish(out, manifest)
-            print(f"verification failure: {exc}", file=sys.stderr)
-            return EXIT_VERIFICATION
-        manifest.add_check("thresholds_settled", avg_result.settled)
-        manifest.add_check("thresholds_interior", avg_result.bounded_ok)
-        oi = avg_result.optimality
-        manifest.add_check(
-            "optimality_inequality",
-            oi.passes,
-            max_interior_residual=oi.max_interior,
-            slack=oi.slack,
-        )
-        summary["s"] = avg_result.policy.s
-        summary["S"] = avg_result.policy.S
-        summary["optimality_residuals"] = {
-            "per_state": oi.residuals.tolist(),
-            "max_interior": oi.max_interior,
-            "max_boundary": oi.max_boundary,
-            "slack": oi.slack,
+        sweep_csv = out / "sweep.csv"
+        write_sweep_csv(sweep_csv, sw)
+        manifest.add_output(sweep_csv)
+        for w in sw.warnings:
+            manifest.notes.append(w)
+        limit_ok = len(sw.records) >= 3
+        summary = {
+            "w_estimate": sw.w_estimate,
+            "alphas": sw.alphas,
+            "cauchy": sw.cauchy,
+            "partial": sw.partial,
         }
-        sim = simulate_average(
-            model,
-            SimConfig(
-                x0=avg_result.policy.S,
-                horizon=4000,
-                n_paths=256,
-                seed=args.seed,
-                policy=avg_result.policy,
-            ),
-        )
-        results_csv = out / "results.csv"
-        write_results_csv(
-            results_csv,
-            [(sim.policy_id, sim.criterion, sim.mean, sim.std_error, sim.n_paths,
-              sim.horizon, sim.seed)],
-        )
-        manifest.add_output(results_csv)
-        gap = abs(sim.mean - sw.w_estimate)
-        manifest.add_check(
-            "simulated_average_matches_w",
-            gap <= 3.0 * sim.std_error,
-            gap=gap,
-            three_se=3.0 * sim.std_error,
-        )
-        summary["simulated_average"] = sim.mean
-    summary_path = out / "sweep_summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    manifest.add_output(summary_path)
-    _finish(out, manifest)
-    if not manifest.all_passed:
-        failed = [k for k, v in manifest.checks.items() if not v["passed"]]
-        print(f"verification failure: {', '.join(failed)}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    return EXIT_OK
+        if limit_ok:
+            manifest.add_check("cauchy", sw.cauchy, last_diffs=list(map(float, sw.diffs[-2:])))
+            bdiag = average.assumption_B_diagnostic(sw)
+            manifest.add_check(
+                "assumption_B_bounded",
+                bdiag.bounded,
+                offending_states=bdiag.offending_states.tolist(),
+            )
+            summary["assumption_B"] = bdiag.verdict
+            hull = average.minimizer_set_diagnostic(sw)
+            manifest.add_check("minimizer_hull_interior", hull.interior_ok, lo=hull.lo, hi=hull.hi)
+            try:
+                avg_result = policy.average_sS(model, sweep_result=sw, tol=args.tol)
+            except policy.CertificationError as exc:
+                manifest.add_check("limit_thresholds", False, error=str(exc))
+                print(f"verification failure: {exc}", file=sys.stderr)
+                return EXIT_VERIFICATION
+            manifest.add_check("thresholds_settled", avg_result.settled)
+            manifest.add_check("thresholds_interior", avg_result.bounded_ok)
+            oi = avg_result.optimality
+            manifest.add_check(
+                "optimality_inequality",
+                oi.passes,
+                max_interior_residual=oi.max_interior,
+                slack=oi.slack,
+            )
+            summary["s"] = avg_result.policy.s
+            summary["S"] = avg_result.policy.S
+            summary["optimality_residuals"] = {
+                "per_state": oi.residuals.tolist(),
+                "max_interior": oi.max_interior,
+                "max_boundary": oi.max_boundary,
+                "slack": oi.slack,
+            }
+            sim = simulate_average(
+                model,
+                SimConfig(
+                    x0=avg_result.policy.S,
+                    horizon=4000,
+                    n_paths=256,
+                    seed=args.seed,
+                    policy=avg_result.policy,
+                ),
+            )
+            results_csv = out / "results.csv"
+            write_results_csv(
+                results_csv,
+                [(sim.policy_id, sim.criterion, sim.mean, sim.std_error, sim.n_paths,
+                  sim.horizon, sim.seed)],
+            )
+            manifest.add_output(results_csv)
+            gap = abs(sim.mean - sw.w_estimate)
+            manifest.add_check(
+                "simulated_average_matches_w",
+                gap <= 3.0 * sim.std_error,
+                gap=gap,
+                three_se=3.0 * sim.std_error,
+            )
+            summary["simulated_average"] = sim.mean
+        summary_path = out / "sweep_summary.json"
+        summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        manifest.add_output(summary_path)
+    return _exit_code(manifest)
 
 
 def _suite_renewal(model, args, manifest, out):
@@ -430,21 +426,17 @@ def cmd_verify(args) -> int:
         selected.remove("renewal")
         manifest.notes.append("renewal suite skipped: zero demand almost surely, P(D > 0) = 0")
     failures = 0
-    try:
-        for name in selected:
-            for check, passed, detail in suites[name](model, args, manifest, out):
-                manifest.add_check(check, passed, detail=detail)
-                print(f"{'PASS' if passed else 'FAIL'} {check}: {detail}")
-                failures += 0 if passed else 1
-    except policy.CertificationError as exc:
-        manifest.add_check("certification", False, error=str(exc))
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    except (ModelError, ConvergenceError) as exc:
-        manifest.notes.append(f"{type(exc).__name__}: {exc}")
-        raise
-    finally:
-        _finish(out, manifest)
+    with _recorded(out, manifest):
+        try:
+            for name in selected:
+                for check, passed, detail in suites[name](model, args, manifest, out):
+                    manifest.add_check(check, passed, detail=detail)
+                    print(f"{'PASS' if passed else 'FAIL'} {check}: {detail}")
+                    failures += 0 if passed else 1
+        except policy.CertificationError as exc:
+            manifest.add_check("certification", False, error=str(exc))
+            print(f"verification failure: {exc}", file=sys.stderr)
+            return EXIT_VERIFICATION
     return EXIT_VERIFICATION if failures else EXIT_OK
 
 

@@ -7,11 +7,12 @@ The Bellman update is computed through the order-up-to decomposition
 
 which is algebraically identical to minimizing c(x, a) + alpha E v(x')
 over feasible orders.  The minimization then costs O(n) per sweep instead of
-O(n^2); the expectation E v is a dense n x n matrix-vector product with the
-model's cached kernel (``InventoryModel.kernel``), so a sweep as a whole is
-O(n^2).  The grid values E h come from ``InventoryModel.eh``; both are built
-once per model and shared by every solve.  Each update's eps-optimal action
-sets are kept as the arrays g and m of a ``PolicyTable``.
+O(n^2); the expectation E v is a product with the model's cached kernel
+(``InventoryModel.kernel``), a banded CSR matrix with at most two nonzeros
+per demand atom in each row, so a sweep as a whole is O(n atoms).  The grid
+values E h come from ``InventoryModel.eh``; both are built once per model
+and shared by every solve.  Each update's eps-optimal action sets are kept
+as the arrays g and m of a ``PolicyTable``.
 """
 
 from __future__ import annotations
@@ -414,7 +415,6 @@ def track_action_convergence(
     t_max: int,
     tol: float = 1e-10,
     eps_act: float = EPS_ACT,
-    reference: Optional[SolveReport] = None,
 ) -> ActionConvergenceReport:
     """Track finite-horizon chosen actions against the infinite-horizon sets.
 
@@ -422,7 +422,7 @@ def track_action_convergence(
     tight tolerance so that eps-optimal membership is not blurred by the
     value-iteration error.
     """
-    ref = reference or solve_infinite(model, alpha, tol=tol, eps_act=eps_act)
+    ref = solve_infinite(model, alpha, tol=tol, eps_act=eps_act)
     adm = check_terminal_admissible(terminal, model, alpha, ref.value)
     if not adm.admissible:
         raise ModelError(

@@ -13,9 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "ModelError",
@@ -52,6 +55,9 @@ class Grid:
     integer_mode: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("x_lo", "x_hi", "step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ModelError(f"grid {name} must be finite, got {getattr(self, name)}")
         if not self.step > 0:
             raise ModelError(f"grid step must be positive, got {self.step}")
         if not self.x_lo < self.x_hi:
@@ -105,6 +111,8 @@ class PiecewiseLinear:
         ys_arr = np.asarray(ys, dtype=float)
         if xs_arr.ndim != 1 or xs_arr.shape != ys_arr.shape or xs_arr.size < 2:
             raise ModelError("need at least two (x, y) breakpoints")
+        if not (np.all(np.isfinite(xs_arr)) and np.all(np.isfinite(ys_arr))):
+            raise ModelError("piecewise-linear curve h must have finite breakpoints")
         order = np.argsort(xs_arr)
         xs_arr, ys_arr = xs_arr[order], ys_arr[order]
         if np.any(np.diff(xs_arr) <= 0):
@@ -117,11 +125,6 @@ class PiecewiseLinear:
     def from_breakpoints(cls, pairs: Iterable[Sequence[float]]) -> "PiecewiseLinear":
         pts = list(pairs)
         return cls([p[0] for p in pts], [p[1] for p in pts])
-
-    @classmethod
-    def from_samples(cls, fn: Callable[[float], float], xs: Sequence[float]) -> "PiecewiseLinear":
-        """Sample a callable (e.g. a polynomial) onto explicit breakpoints."""
-        return cls(list(xs), [float(fn(x)) for x in xs])
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
@@ -352,8 +355,6 @@ class InventoryModel:
             raise ModelError(
                 f"unit ordering cost c_bar must be finite and nonnegative, got {self.c_bar}"
             )
-        if not (np.all(np.isfinite(self.h.xs)) and np.all(np.isfinite(self.h.ys))):
-            raise ModelError("holding/backorder cost h must have finite breakpoints")
         if not self.h.is_convex():
             raise ModelError("holding/backorder cost h must be convex")
         try:
@@ -434,32 +435,45 @@ class InventoryModel:
 
 
 def post_expectation_matrix(
-    model: InventoryModel, extrapolate: bool = False
-) -> tuple[np.ndarray, int]:
-    """Matrix W with (W @ v)[j] = E v(x_j - D) under grid evaluation of v.
+    model: InventoryModel,
+) -> tuple[sparse.csr_array, int, np.ndarray]:
+    """Banded operator W with (W @ v)[j] = E v(x_j - D) under grid evaluation of v.
 
-    Off-lattice points are linearly interpolated.  Points below x_lo are
-    clamped to x_lo when ``extrapolate`` is false (transition-kernel
-    semantics) and linearly extrapolated from the two lowest grid points
-    when true (G-function semantics).  The returned count is the number of
-    (post-state, atom) pairs that fell below the grid.
+    Off-lattice points are linearly interpolated and points below x_lo are
+    clamped to x_lo (transition-kernel semantics).  Row j only touches the
+    columns between x_j - d_max - step and x_j + step, so W is a CSR matrix
+    with O(n atoms) nonzeros; each entry sums its atoms' weights in atom
+    order.  Also returned: the number of (post-state, atom) pairs that fall
+    below the grid, and the n-vector ``below[j] = sum_d p_d min(pos_jd, 0)``
+    with ``pos_jd = (x_j - d - x_lo) / step``.  Extrapolating linearly from
+    the two lowest grid points instead of clamping adds a rank-one term:
+
+        W_ext v = W v + below * (v[1] - v[0]).
     """
+    from scipy import sparse
+
     g = model.grid
     n = g.n
     rows = np.arange(n)
-    W = np.zeros((n, n))
-    flagged = 0
+    # row j spans columns j - reach .. j + 1; the extra step absorbs rounding in floor(pos)
+    reach = min(math.ceil(model.demand.max_value / g.step) + 1, n - 1)
+    band = np.zeros((n, reach + 2))
+    below = np.zeros(n)
+    clamped = 0
     for d, p in zip(model.demand.values, model.demand.probs):
         pos = (g.points - d - g.x_lo) / g.step
-        flagged += int(np.count_nonzero(pos < 0))
-        if not extrapolate:
-            pos = np.maximum(pos, 0.0)
-        pos = np.minimum(pos, n - 1.0)
+        clamped += int(np.count_nonzero(pos < 0))
+        below += p * np.minimum(pos, 0.0)
+        pos = np.minimum(np.maximum(pos, 0.0), n - 1.0)
         i0 = np.clip(np.floor(pos).astype(int), 0, n - 2)
         w = pos - i0
-        np.add.at(W, (rows, i0), p * (1.0 - w))
-        np.add.at(W, (rows, i0 + 1), p * w)
-    return W, flagged
+        np.add.at(band, (rows, i0 - rows + reach), p * (1.0 - w))
+        np.add.at(band, (rows, i0 - rows + reach + 1), p * w)
+    keep = band != 0
+    cols = (rows[:, None] + np.arange(-reach, 2)).astype(np.int32)
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1)))).astype(np.int32)
+    W = sparse.csr_array((band[keep], cols[keep], indptr), shape=(n, n))
+    return W, clamped, below
 
 
 @dataclass(eq=False)
@@ -467,31 +481,29 @@ class Kernel:
     """Demand-driven transition kernel q(. | x, a) on the grid.
 
     Next state is x + a - D clamped to the grid; mass off the lattice is
-    split between neighbouring grid points.  ``clamp_events`` counts
-    (post-state, atom) pairs that hit the lower boundary.  The kernel holds
-    no reference to its model, so a model that caches it forms no cycle.
+    split between neighbouring grid points.  ``matrix`` is the banded CSR
+    operator of ``post_expectation_matrix``.  ``clamp_events`` counts
+    (post-state, atom) pairs that hit the lower boundary, and ``below``
+    turns clamping into linear extrapolation below the grid:
+    ``matrix @ v + below * (v[1] - v[0])``.  The kernel holds no reference
+    to its model, so a model that caches it forms no cycle.
     """
 
-    matrix: np.ndarray
+    matrix: sparse.csr_array
     clamp_events: int
-    boundary_policy: str = "clamp"
+    below: np.ndarray
 
     def expect(self, v: np.ndarray) -> np.ndarray:
         """E v(next) indexed by post-order position j (state + order)."""
         return self.matrix @ v
 
-    def row(self, x_index: int, order_steps: int) -> np.ndarray:
-        j = x_index + order_steps
-        if order_steps < 0 or j >= self.matrix.shape[0]:
-            raise ModelError("infeasible action: order must keep x + a within the grid")
-        return self.matrix[j]
-
 
 def build_kernel(model: InventoryModel) -> Kernel:
     """A fresh kernel; solvers share the one cached as ``model.kernel``."""
-    W, clamped = post_expectation_matrix(model, extrapolate=False)
-    W.flags.writeable = False
-    return Kernel(matrix=W, clamp_events=clamped)
+    W, clamped, below = post_expectation_matrix(model)
+    for arr in (W.data, W.indices, W.indptr, below):
+        arr.flags.writeable = False
+    return Kernel(matrix=W, clamp_events=clamped, below=below)
 
 
 @dataclass(eq=False)

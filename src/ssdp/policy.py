@@ -22,7 +22,6 @@ from .model import (
     InventoryModel,
     ModelError,
     ValueTable,
-    post_expectation_matrix,
 )
 from .dp import (
     FiniteHorizonResult,
@@ -44,8 +43,6 @@ __all__ = [
     "KConvexityReport",
     "solve_zero_setup",
     "ZeroSetupResult",
-    "alpha_usable",
-    "UsableAlphaReport",
     "finite_horizon_sS",
     "FiniteSsResult",
     "discounted_sS",
@@ -58,6 +55,7 @@ __all__ = [
 
 TIE_EPS = 1e-9
 BRUTE_FORCE_GRID_CAP = 201
+BRUTE_FORCE_MARGIN = 1e-6
 G_CONSISTENCY_TOL = 1e-7
 KCONVEX_TOL = 1e-9
 
@@ -119,15 +117,18 @@ def build_G(
     kind: str = "infinite",
     t: Optional[int] = None,
     terminal_id: Optional[str] = None,
-    check: bool = True,
     check_tol: float = G_CONSISTENCY_TOL,
 ) -> GFunction:
     """g(x) = c_bar x + E h(x-D) + alpha E v(x-D) on the grid.
 
     Value lookups below x_lo are linearly extrapolated from the two lowest
-    grid points (the value function is asymptotically linear there), and the
-    count of such lookups is recorded.  For ``kind="H_average"`` the third
-    term uses the relative value u with coefficient 1 instead of alpha.
+    grid points (the value function is asymptotically linear there).  That
+    is the model's clamp kernel W plus a rank-one term,
+    E v(x_j - D) = (W v)[j] + below[j] (v[1] - v[0]) (see
+    ``post_expectation_matrix``), so g reuses ``model.kernel`` and
+    ``model.eh`` and builds no operator of its own.  The count of such
+    lookups is the kernel's ``clamp_events``.  For ``kind="H_average"`` the
+    third term uses the relative value u with coefficient 1 instead of alpha.
 
     For ``kind="infinite"`` a consistency check confirms that
     min(min_a [K + g(x+a)], g(x)) - c_bar x reproduces v(x) on the
@@ -139,10 +140,10 @@ def build_G(
         raise ModelError("value table shape does not match the grid")
     if kind not in ("finite_t", "infinite", "H_average"):
         raise ModelError(f"unknown G kind {kind!r}")
-    W_ext, flagged = post_expectation_matrix(model, extrapolate=True)
+    kernel = model.kernel
+    ev = kernel.matrix @ vals + kernel.below * (vals[1] - vals[0])
     weight = 1.0 if kind == "H_average" else alpha
-    eh = model.expected_h(model.grid.points)
-    g_vals = model.c_bar * model.grid.points + eh + weight * (W_ext @ vals)
+    g_vals = model.c_bar * model.grid.points + model.eh + weight * ev
     g = GFunction(
         grid=model.grid,
         values=g_vals,
@@ -150,9 +151,9 @@ def build_G(
         alpha=alpha,
         t=t,
         terminal_id=terminal_id,
-        extrapolation_count=flagged,
+        extrapolation_count=kernel.clamp_events,
     )
-    if kind == "infinite" and check:
+    if kind == "infinite":
         interior = model.grid.points >= model.grid.x_lo + model.demand.max_value
         vhat = (
             np.minimum(g_vals, model.K + _strict_suffix_min(g_vals))
@@ -167,7 +168,7 @@ def build_G(
     return g
 
 
-def extract_sS(g: GFunction, K: float, tie_eps: float = TIE_EPS) -> SsPolicy:
+def extract_sS(g: GFunction, K: float) -> SsPolicy:
     """Thresholds from a (K-convex) g: S at the argmin, s at the K + g(S) level set."""
     vals = g.values
     if not np.all(np.isfinite(vals)):
@@ -179,7 +180,7 @@ def extract_sS(g: GFunction, K: float, tie_eps: float = TIE_EPS) -> SsPolicy:
             f"grid too narrow: argmin of g sits on the boundary (index {S_idx})"
         )
     level = K + vals[S_idx]
-    below = np.nonzero(vals[: S_idx + 1] <= level + tie_eps)[0]
+    below = np.nonzero(vals[: S_idx + 1] <= level + TIE_EPS)[0]
     s_idx = int(below[0])
     xs = g.grid.points
     context = {"finite_t": f"t={g.t}", "infinite": "infinite", "H_average": "average"}.get(
@@ -278,44 +279,6 @@ def solve_zero_setup(model: InventoryModel, alpha: float, tol: float = 1e-8) -> 
     return ZeroSetupResult(v0=v0, g0=g0, convexity=conv, solve=report)
 
 
-@dataclass(frozen=True)
-class UsableAlphaReport:
-    """Detected proxy for the discount-factor threshold above which (s,S) extraction is safe."""
-
-    alpha: float
-    interior_argmin: bool
-    increasing_at_x_lo: bool
-    g_alpha_k_convex: bool
-
-    @property
-    def usable(self) -> bool:
-        return self.interior_argmin and self.increasing_at_x_lo and self.g_alpha_k_convex
-
-
-def alpha_usable(
-    model: InventoryModel,
-    alpha: float,
-    tol: float = 1e-8,
-    zero_setup: Optional[ZeroSetupResult] = None,
-    g_alpha: Optional[GFunction] = None,
-) -> UsableAlphaReport:
-    """Check the two properties the threshold theory consumes at this alpha."""
-    zs = zero_setup or solve_zero_setup(model, alpha, tol)
-    g0 = zs.g0.values
-    argmin = int(np.argmin(g0))
-    interior = 0 < argmin < g0.size - 1
-    increasing_left = g0[0] > g0[1] - 1e-12
-    if g_alpha is None:
-        g_alpha = build_G(model, solve_infinite(model, alpha, tol=tol).value, alpha, "infinite")
-    kc = is_K_convex(g_alpha, model.K)
-    return UsableAlphaReport(
-        alpha=alpha,
-        interior_argmin=interior,
-        increasing_at_x_lo=bool(increasing_left),
-        g_alpha_k_convex=kc.verdict,
-    )
-
-
 @dataclass(eq=False)
 class FiniteSsResult:
     """Per-stage thresholds (s_t, S_t) from G_{t, v0_alpha, alpha}, t = 0..N-1.
@@ -354,7 +317,6 @@ def finite_horizon_sS(
     n_periods: int,
     tol: float = 1e-8,
     zero_setup: Optional[ZeroSetupResult] = None,
-    certify: bool = True,
 ) -> FiniteSsResult:
     """Stagewise (s_t, S_t) extraction with the zero-setup terminal value.
 
@@ -373,14 +335,14 @@ def finite_horizon_sS(
         )
     fin = solve_finite(model, n_periods, zs.terminal(), alpha)
     policies: list[Optional[SsPolicy]] = []
-    certs: list[Optional[KConvexityReport]] = []
+    certs: list[KConvexityReport] = []
     mismatches: list = []
     agreement = True
     for t in range(n_periods):
         g_t = build_G(model, fin.values[t], alpha, kind="finite_t", t=t, terminal_id="v0_alpha")
-        cert = is_K_convex(g_t, model.K) if certify else None
+        cert = is_K_convex(g_t, model.K)
         certs.append(cert)
-        if cert is not None and not cert.verdict:
+        if not cert.verdict:
             warnings.append(
                 f"stage t={t}: K-convexity certification failed, worst triple "
                 f"{cert.worst_triple} violation {cert.worst_violation:.3e}"
@@ -584,27 +546,28 @@ def brute_force_sS_check(
     model: InventoryModel,
     alpha: float,
     tol: float = 1e-8,
-    margin: float = 1e-6,
     solve: Optional[SolveReport] = None,
-    grid_cap: int = BRUTE_FORCE_GRID_CAP,
 ) -> BruteForceReport:
     """Exhaustive (s,S)-pair search against the extracted thresholds.
 
     Every grid pair s <= S is evaluated by solving the induced policy's
     linear fixed point directly; the check passes when no pair beats the
-    extracted policy by more than ``margin`` at any state.  Restricted to
-    small grids (the enumeration is quadratic in grid size).
+    extracted policy by more than ``BRUTE_FORCE_MARGIN`` at any state.
+    Restricted to grids of at most ``BRUTE_FORCE_GRID_CAP`` points (the
+    enumeration is quadratic in grid size), so the kernel is densified once.
     """
     n = model.grid.n
-    if n > grid_cap:
-        raise ModelError(f"grid too large for exhaustive oracle: {n} points (cap {grid_cap})")
+    if n > BRUTE_FORCE_GRID_CAP:
+        raise ModelError(
+            f"grid too large for exhaustive oracle: {n} points (cap {BRUTE_FORCE_GRID_CAP})"
+        )
     res = discounted_sS(model, alpha, tol=tol, horizon_trace=False, solve=solve)
     if res.policy is None:
         raise CertificationError("cannot brute-force check: thresholds were withheld")
     xs = model.grid.points
     eye = np.eye(n)
     idx = np.arange(n)
-    P = model.kernel.matrix
+    P = model.kernel.matrix.toarray()
 
     def pair_value(s_idx: int, S_idx: int) -> np.ndarray:
         steps = np.where(idx < s_idx, S_idx - idx, 0)
@@ -621,7 +584,10 @@ def brute_force_sS_check(
                 worst = gap
                 best = (float(xs[s_idx]), float(xs[S_idx]))
     return BruteForceReport(
-        worst_gap=worst, best_pair=best, extracted_pair=res.policy.pair(), margin=margin
+        worst_gap=worst,
+        best_pair=best,
+        extracted_pair=res.policy.pair(),
+        margin=BRUTE_FORCE_MARGIN,
     )
 
 

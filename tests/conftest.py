@@ -15,6 +15,7 @@ import ssdp
 from ssdp import average
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+CONFIGS = SRC.parent / "configs"
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -42,12 +43,34 @@ def make_zero_stub():
     return ssdp.InventoryModel(K=0.0, c_bar=0.0, h=h, demand=demand, grid=grid)
 
 
+def make_off_lattice():
+    """Off-lattice atoms on a half-step grid; the largest reaches below x_lo."""
+    grid = ssdp.Grid(x_lo=-4, x_hi=4, step=0.5)
+    h = ssdp.PiecewiseLinear.from_breakpoints([[-1, 2], [0, 0], [1, 1]])
+    demand = ssdp.DemandDistribution.from_atoms([(0.3, 0.5), (1.1, 0.3), (2.75, 0.2)])
+    return ssdp.InventoryModel(K=1.0, c_bar=1.0, h=h, demand=demand, grid=grid)
+
+
+def make_exponential():
+    """The shipped continuous-demand config: 32 off-lattice atoms, step 0.25."""
+    return ssdp.load_model(CONFIGS / "exponential_demand.json")
+
+
 def make_degenerate():
     """Zero demand almost surely on a grid with negative states."""
     grid = ssdp.Grid(x_lo=-10, x_hi=20, step=1.0, integer_mode=True)
     h = ssdp.PiecewiseLinear.from_breakpoints([[-1, 3], [0, 0], [1, 1]])
     demand = ssdp.DemandDistribution.from_atoms([(0.0, 1.0)])
     return ssdp.InventoryModel(K=2.0, c_bar=1.0, h=h, demand=demand, grid=grid)
+
+
+# the models on which the banded operator is checked against the dense reference
+OPERATOR_MODELS = {
+    "instance_a": make_instance_a,
+    "exponential_demand": make_exponential,
+    "off_lattice": make_off_lattice,
+    "zero_demand": make_degenerate,
+}
 
 
 @pytest.fixture(scope="session")
@@ -150,6 +173,32 @@ def oracle_bellman(model, values, alpha, eps_act=None):
         if eps_act is not None:
             sets[i, : len(qs)] = np.array(qs) <= min(qs) + eps_act
     return (out_v, out_a) if eps_act is None else (out_v, out_a, sets)
+
+
+def oracle_post_expectation(model, extrapolate):
+    """Dense W with (W @ v)[j] = E v(x_j - D), and the count of lookups below x_lo.
+
+    Off-lattice points are linearly interpolated.  Points below x_lo are
+    clamped to x_lo (transition-kernel semantics) or, with ``extrapolate``,
+    linearly extrapolated from the two lowest grid points (G-function
+    semantics).  Built atom by atom into a dense n x n matrix.
+    """
+    g = model.grid
+    n = g.n
+    rows = np.arange(n)
+    W = np.zeros((n, n))
+    flagged = 0
+    for d, p in zip(model.demand.values, model.demand.probs):
+        pos = (g.points - d - g.x_lo) / g.step
+        flagged += int(np.count_nonzero(pos < 0))
+        if not extrapolate:
+            pos = np.maximum(pos, 0.0)
+        pos = np.minimum(pos, n - 1.0)
+        i0 = np.clip(np.floor(pos).astype(int), 0, n - 2)
+        w = pos - i0
+        np.add.at(W, (rows, i0), p * (1.0 - w))
+        np.add.at(W, (rows, i0 + 1), p * w)
+    return W, flagged
 
 
 def oracle_pair_value(model, s_idx, S_idx, alpha):

@@ -175,12 +175,22 @@ def test_sweep_bellman_sweep_count(sweep_a):
 
 def test_sweep_builds_one_kernel(monkeypatch):
     import ssdp.model
+    import ssdp.policy
 
     calls = []
     real = ssdp.model.build_kernel
     monkeypatch.setattr(ssdp.model, "build_kernel", lambda m: calls.append(1) or real(m))
+    # count operator builds at every module that binds the name, not only the model's
+    builds = []
+    real_op = ssdp.model.post_expectation_matrix
+    for mod in (ssdp.model, ssdp.policy):
+        if hasattr(mod, "post_expectation_matrix"):
+            monkeypatch.setattr(
+                mod, "post_expectation_matrix", lambda *a, **k: builds.append(1) or real_op(*a, **k)
+            )
     sweep(make_instance_a(), geometric_schedule(12), tol=1e-7)
     assert len(calls) == 1
+    assert len(builds) == 1
 
 
 def test_partial_sweep_on_iteration_cap(instance_a, monkeypatch):

@@ -196,3 +196,15 @@ def test_verify_detects_failure_with_tight_grid(tmp_path):
     r = run_cli("solve", cfg, "--alpha", "0.9", "--out", tmp_path / "o")
     assert r.returncode == 2
     assert "grid too narrow" in r.stderr
+    # the error comes after the output directory exists: the manifest still names it
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert any(n.startswith("ModelError: grid too narrow") for n in manifest["notes"])
+
+
+def test_sweep_config_error_still_writes_manifest(tmp_path):
+    out = tmp_path / "sw"
+    r = run_cli("sweep", INSTANCE_A, "--schedule", "0.5,0.4", "--out", out)
+    assert r.returncode == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "sweep"
+    assert any(n.startswith("ModelError: ") for n in manifest["notes"])

@@ -20,7 +20,13 @@ from ssdp.model import (
 )
 from ssdp.model import _expected_h_curve
 
-from conftest import make_instance_a, make_zero_stub, oracle_cost
+from conftest import (
+    OPERATOR_MODELS,
+    make_instance_a,
+    make_zero_stub,
+    oracle_cost,
+    oracle_post_expectation,
+)
 
 
 # ------------------------------------------------------------------- grid
@@ -270,7 +276,7 @@ def test_kernel_rows_sum_to_one(atoms):
     m = InventoryModel(K=1.0, c_bar=1.0, h=h, demand=demand, grid=grid)
     kern = build_kernel(m)
     assert np.all(np.abs(kern.matrix.sum(axis=1) - 1.0) <= 1e-12)
-    assert np.all(kern.matrix >= 0)
+    assert np.all(kern.matrix.data >= 0)
 
 
 def test_kernel_clamp_counter():
@@ -278,11 +284,13 @@ def test_kernel_clamp_counter():
     kern = build_kernel(m)
     # post states x_lo - 1 and x_lo - 2 fall below the grid: 3 (state, atom) pairs
     assert kern.clamp_events == 3
-    assert kern.boundary_policy == "clamp"
-    row = kern.row(0, 0)
+    row = kern.matrix.toarray()[0]
     assert row.sum() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ModelError):
-        kern.row(m.grid.n - 1, 1)
+    assert row[0] == 1.0  # every atom clamps to x_lo
+    # below[j] = sum_d p_d min(pos_jd, 0): rows 0 and 1 reach below the grid
+    assert kern.below[0] == pytest.approx(0.5 * -1 + 0.25 * -2)
+    assert kern.below[1] == pytest.approx(0.25 * -1)
+    assert np.all(kern.below[2:] == 0.0)
 
 
 def test_offgrid_demand_splits_mass():
@@ -292,10 +300,19 @@ def test_offgrid_demand_splits_mass():
     m = InventoryModel(K=1.0, c_bar=1.0, h=h, demand=demand, grid=grid)
     kern = build_kernel(m)
     j = m.grid.index_of(0.0)
-    row = kern.matrix[j]
+    row = kern.matrix.toarray()[j]
     # next state -0.5 splits evenly between -1 and 0
     assert row[m.grid.index_of(-1.0)] == pytest.approx(0.5)
     assert row[j] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("name", OPERATOR_MODELS)
+def test_kernel_matches_dense_reference(name):
+    m = OPERATOR_MODELS[name]()
+    W_ref, flagged = oracle_post_expectation(m, extrapolate=False)
+    assert np.array_equal(m.kernel.matrix.toarray(), W_ref)
+    assert m.kernel.matrix.nnz <= 2 * m.demand.n_atoms * m.grid.n
+    assert m.kernel.clamp_events == flagged
 
 
 def test_cached_kernel_dies_with_model():
@@ -336,6 +353,9 @@ def test_load_model_with_continuous_demand():
         ("demand", "atoms", [[0, 0.5], [math.inf, 0.5]], "demand atom"),
         ("demand", "atoms", [[0, 0.5], [1, math.nan], [2, 0.5]], "demand atom"),
         ("cost", "h", {"breakpoints": [[-1, math.inf], [0, 0], [1, 1]]}, "h must have finite"),
+        ("grid", "x_hi", math.inf, "x_hi"),
+        ("grid", "x_lo", -math.inf, "x_lo"),
+        ("grid", "step", math.inf, "step"),
     ],
 )
 def test_config_rejects_non_finite_inputs(section, key, value, field):
@@ -347,6 +367,13 @@ def test_config_rejects_non_finite_inputs(section, key, value, field):
     cfg[section][key] = value
     with pytest.raises(ModelError, match=field):
         ssdp.model_from_dict(cfg)
+
+
+def test_piecewise_linear_rejects_non_finite_breakpoints():
+    with pytest.raises(ModelError, match="finite"):
+        PiecewiseLinear([0, 1], [0, math.nan])
+    with pytest.raises(ModelError, match="finite"):
+        PiecewiseLinear([0, math.inf], [0, 1])
 
 
 def test_config_rejects_both_demand_forms(tmp_path):

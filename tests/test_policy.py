@@ -18,6 +18,8 @@ from ssdp.policy import (
 )
 from ssdp.dp import solve_finite, solve_infinite
 
+from conftest import OPERATOR_MODELS, oracle_post_expectation
+
 
 
 def g_from(grid, values, **kw):
@@ -53,6 +55,18 @@ def test_build_g_consistency_check_catches_tampering(instance_a, solve_a_09):
     tampered[instance_a.grid.index_of(5.0)] += 1.0
     with pytest.raises(CertificationError):
         build_G(instance_a, tampered, 0.9, kind="infinite")
+
+
+@pytest.mark.parametrize("name", OPERATOR_MODELS)
+def test_build_g_matches_extrapolating_reference(name):
+    m = OPERATOR_MODELS[name]()
+    W_ext, flagged = oracle_post_expectation(m, extrapolate=True)
+    v = np.random.default_rng(7).uniform(0.0, 50.0, m.grid.n)
+    for kind, weight in (("finite_t", 0.9), ("H_average", 1.0)):
+        g = build_G(m, v, 0.9, kind=kind, t=0)
+        expect = m.c_bar * m.grid.points + m.expected_h(m.grid.points) + weight * (W_ext @ v)
+        assert np.max(np.abs(g.values - expect)) <= 1e-12 * np.max(np.abs(v))
+        assert g.extrapolation_count == flagged
 
 
 def test_build_g_counts_extrapolations(instance_a, solve_a_09):
