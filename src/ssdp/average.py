@@ -30,6 +30,7 @@ __all__ = [
     "MinimizerHull",
     "check_optimality_inequality",
     "OptimalityInequalityReport",
+    "exact_average_cost",
     "track_discount_actions",
     "DiscountActionReport",
 ]
@@ -304,6 +305,39 @@ def check_optimality_inequality(
         slack=float(s),
         passes=bool(max_int <= s),
     )
+
+
+def exact_average_cost(model: InventoryModel, policy) -> float:
+    """Long-run average cost w(s,S) of an (s,S) policy on the grid chain, exactly.
+
+    Renewal reward over order cycles.  A cycle starts when an order lifts
+    the state to S and ends when the state first falls below s, where the
+    next order is placed; that order's -c_bar x share is booked to the cycle
+    it ends.  On the states j >= s the expected remaining cycle length N and
+    cost gamma solve
+
+        N = 1 + W N,   gamma = E h + W gamma,   with N = 0, gamma = -c_bar x below s,
+
+    and w = (K + c_bar x_S + gamma_S) / N_S.  Demand is nonnegative, so the
+    kernel W is lower triangular and N and gamma come from one banded
+    triangular solve on the states s..S, with two right-hand sides.  Needs s
+    above x_lo (otherwise the chain never orders) and P(D > 0) > 0
+    (otherwise no cycle ends).
+    """
+    from scipy import sparse
+    from scipy.sparse.linalg import spsolve_triangular
+
+    g = model.grid
+    s, S = g.index_of(policy.s), g.index_of(policy.S)
+    if s == 0:
+        raise ModelError("w(s,S) needs s above x_lo: the chain never orders")
+    if model.demand.p_positive == 0.0:
+        raise ModelError("w(s,S) needs P(D > 0) > 0: an order cycle never ends")
+    rows = model.kernel.matrix[s : S + 1]
+    lhs = sparse.eye_array(S + 1 - s, format="csr") - rows[:, s : S + 1]
+    gamma_rhs = model.eh[s : S + 1] + rows[:, :s] @ (-model.c_bar * g.points[:s])
+    N, gamma = spsolve_triangular(lhs, np.column_stack((np.ones(S + 1 - s), gamma_rhs))).T
+    return float((model.K + model.c_bar * g.points[S] + gamma[-1]) / N[-1])
 
 
 @dataclass(eq=False)

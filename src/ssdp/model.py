@@ -39,6 +39,8 @@ __all__ = [
 
 CONVEXITY_SLACK = 1e-12
 TRUNCATION_FLOOR = 1.0 - 1e-8
+# largest n x band work array post_expectation_matrix may allocate
+OPERATOR_BAND_BYTES_CAP = 256 * 2**20
 
 
 class ModelError(ValueError):
@@ -449,6 +451,10 @@ def post_expectation_matrix(
     the two lowest grid points instead of clamping adds a rank-one term:
 
         W_ext v = W v + below * (v[1] - v[0]).
+
+    The band is built in an n x (d_max / step + 3) work array; a grid whose
+    array would exceed ``OPERATOR_BAND_BYTES_CAP`` bytes is rejected with a
+    ``ModelError`` naming ``grid.step`` before it is allocated.
     """
     from scipy import sparse
 
@@ -457,6 +463,12 @@ def post_expectation_matrix(
     rows = np.arange(n)
     # row j spans columns j - reach .. j + 1; the extra step absorbs rounding in floor(pos)
     reach = min(math.ceil(model.demand.max_value / g.step) + 1, n - 1)
+    band_bytes = n * (reach + 2) * 8
+    if band_bytes > OPERATOR_BAND_BYTES_CAP:
+        raise ModelError(
+            f"grid.step {g.step} is too fine: the transition operator would need a "
+            f"{band_bytes:,}-byte work array, above the {OPERATOR_BAND_BYTES_CAP:,}-byte cap"
+        )
     band = np.zeros((n, reach + 2))
     below = np.zeros(n)
     clamped = 0

@@ -208,10 +208,16 @@ def is_K_convex(g: GFunction, K: float, tol: float = KCONVEX_TOL) -> KConvexityR
     """Definitional K-convexity check over all grid triples x < m < y.
 
     With lam = (m-x)/(y-x) the violation at a triple is
-    g(m) - (1-lam) g(x) - lam g(y) - lam K; the verdict is true when the
-    maximum violation stays within ``tol``.  A consecutive-triple fast scan
-    runs first; the full O(n^3) scan (vectorized per middle index) supplies
-    the worst triple for the report.
+    g(m) - (1-lam) g(x) - lam g(y) - lam K, and the verdict is true when the
+    largest violation stays within ``tol``.  Writing
+    sigma_x(y) = (g(y) + K - g(x)) / (y - x), the violation is
+    g(m) - g(x) - (m-x) sigma_x(y), so the worst triple of row x is
+
+        max over m of  g(m) - g(x) - (m-x) min_{y > m} sigma_x(y):
+
+    one reversed running minimum over y and one argmax over m.  That makes
+    the scan O(n^2) time with O(n) working memory; no n x n array is built.
+    Among tied triples the smallest x, then m, then y is reported.
     """
     if K < 0:
         raise ModelError("K must be nonnegative")
@@ -222,26 +228,16 @@ def is_K_convex(g: GFunction, K: float, tol: float = KCONVEX_TOL) -> KConvexityR
         return KConvexityReport(True, 0.0, None, tol, K)
     worst = -np.inf
     worst_triple = None
-    # Fast path: adjacent triples (catches plain convexity breaks cheaply).
-    lam_adj = 0.5
-    adj = vals[1:-1] - (1 - lam_adj) * vals[:-2] - lam_adj * vals[2:] - lam_adj * K
-    k = int(np.argmax(adj))
-    if adj[k] > worst:
-        worst = float(adj[k])
-        worst_triple = (float(xs[k]), float(xs[k + 1]), float(xs[k + 2]))
-    # Full scan, vectorized over (x, y) for each middle point m.
-    for mid in range(1, n - 1):
-        left = xs[:mid]
-        right = xs[mid + 1 :]
-        lam = (xs[mid] - left[:, None]) / (right[None, :] - left[:, None])
-        rhs = (1.0 - lam) * vals[:mid, None] + lam * vals[None, mid + 1 :] + lam * K
-        viol = vals[mid] - rhs
-        j = int(np.argmax(viol))
-        vmax = float(viol.flat[j])
-        if vmax > worst:
-            worst = vmax
-            xi, yi = divmod(j, right.size)
-            worst_triple = (float(left[xi]), float(xs[mid]), float(right[yi]))
+    for i in range(n - 2):
+        sigma = (vals[i + 1 :] + K - vals[i]) / (xs[i + 1 :] - xs[i])
+        # viol[k]: middle point m = i + 1 + k against the best y > m
+        tail = _strict_suffix_min(sigma)[:-1]
+        viol = vals[i + 1 : -1] - vals[i] - (xs[i + 1 : -1] - xs[i]) * tail
+        k = int(np.argmax(viol))
+        if viol[k] > worst:
+            worst = float(viol[k])
+            y = i + 2 + k + int(np.argmin(sigma[k + 1 :]))
+            worst_triple = (float(xs[i]), float(xs[i + 1 + k]), float(xs[y]))
     return KConvexityReport(
         verdict=worst <= tol, worst_violation=worst, worst_triple=worst_triple, tol=tol, K=K
     )

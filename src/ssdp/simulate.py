@@ -1,10 +1,16 @@
 """Monte-Carlo policy evaluation: the independent check on the DP output.
 
-Simulation runs on unclamped real-valued states even when the policy came
-from a grid, so a disagreement with the DP beyond the confidence interval
-points at grid truncation.  Per-step costs use the exact model cost
+Two chains run on the same demand draws.  The continuous chain steps
+unclamped real-valued states even when the policy came from a grid, so a
+disagreement with the DP beyond the confidence interval points at grid
+truncation; per-step costs use the exact model cost
 c(x, a) = K 1{a>0} + c_bar a + E h(x + a - D) (atom-exact expectation), so
-the one-step cost is deterministic given (x, a).
+the one-step cost is deterministic given (x, a).  The grid chain, run by
+``simulate_average`` for policies that stay on the lattice, is the Markov
+chain the DP solves: grid-index states, the kernel's own split of each
+demand draw between two neighbouring grid points, clamping at x_lo, and
+step cost order cost + ``model.eh[post]``.  The sweep's Monte-Carlo check
+compares its mean with the exact w(s,S) of ``average.exact_average_cost``.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .dp import policy_order_steps
 from .model import InventoryModel, ModelError, PolicyTable
 
 __all__ = [
@@ -28,6 +35,8 @@ __all__ = [
     "ComparisonResult",
     "policy_fn",
 ]
+
+BLOCK = 256  # steps whose states, orders and split uniforms are buffered together
 
 
 @dataclass(frozen=True)
@@ -88,6 +97,7 @@ class SimResult:
     bias_bound: float = 0.0
     ss_invariant_ok: Optional[bool] = None
     path_stats: Optional[np.ndarray] = field(default=None, repr=False)
+    grid_chain: Optional["SimResult"] = field(default=None, repr=False)
 
 
 def _demand_matrix(model: InventoryModel, cfg: SimConfig) -> np.ndarray:
@@ -101,25 +111,85 @@ def _run_paths(
     cfg: SimConfig,
     demands: np.ndarray,
     policy,
-) -> tuple[np.ndarray, np.ndarray, Optional[bool]]:
-    """Step the fleet of paths; returns (per-step costs, max step cost, sS check)."""
+) -> tuple[np.ndarray, float, Optional[bool]]:
+    """Step the fleet of paths; returns (per-step costs, max step cost, sS check).
+
+    States advance one step at a time.  The step costs and the (s,S)
+    invariant are evaluated once per block of ``BLOCK`` steps from the
+    buffered pre-order states and orders; both are elementwise, so every
+    float is the one a step-by-step evaluation gives.
+    """
     fn, _ = policy_fn(policy, model)
     is_ss = hasattr(policy, "s") and hasattr(policy, "S") and not isinstance(policy, PolicyTable)
     n, horizon = demands.shape
     x = np.full(n, float(cfg.x0))
     costs = np.empty((n, horizon))
+    # block buffers hold one step per row, so each step writes contiguous memory
+    xb = np.empty((min(BLOCK, horizon), n))
+    ab = np.empty_like(xb)
     ss_ok = True if is_ss else None
-    for t in range(horizon):
-        a = fn(x)
-        post = x + a
-        costs[:, t] = model.order_cost(a) + model.expected_h(post)
-        if is_ss:
-            ordered = a > 0
-            should = x < policy.s
-            if not np.array_equal(ordered, should) or np.any(post > policy.S + 1e-9):
-                ss_ok = False
-        x = post - demands[:, t]
+    for t0 in range(0, horizon, BLOCK):
+        d = demands[:, t0 : t0 + BLOCK].T.copy()
+        width = d.shape[0]
+        for k in range(width):
+            a = fn(x)
+            xb[k] = x
+            ab[k] = a
+            x = x + a - d[k]
+        xs, a = xb[:width], ab[:width]
+        post = xs + a
+        costs[:, t0 : t0 + width] = (model.order_cost(a) + model.expected_h(post)).T
+        if ss_ok and (
+            not np.array_equal(a > 0, xs < policy.s) or np.any(post > policy.S + 1e-9)
+        ):
+            ss_ok = False
     return costs, float(costs.max()) if costs.size else 0.0, ss_ok
+
+
+def _run_grid_chain(
+    model: InventoryModel, cfg: SimConfig, demands: np.ndarray, burn: int
+) -> Optional[np.ndarray]:
+    """Per-path mean step cost after ``burn`` steps of the grid chain.
+
+    Returns None when x0 is not a grid point or the policy orders off the
+    lattice from some grid state.  The chain reuses the continuous chain's
+    demand draws.  Each step splits x_post - d between the two grid points
+    around it with the weights ``post_expectation_matrix`` uses, computed
+    by the same float operations; the uniforms that pick the side come
+    from a child stream of ``cfg.seed``, drawn per block.
+    """
+    g = model.grid
+    fn, _ = policy_fn(cfg.policy, model)
+    try:
+        start = g.index_of(cfg.x0)
+        steps = policy_order_steps(model, fn(g.points))
+    except ModelError:
+        return None
+    idx = np.arange(g.n)
+    cost = model.one_step_cost(idx, steps)
+    post_x = g.points[idx + steps]
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    n, horizon = demands.shape
+    state = np.full(n, start)
+    total = np.zeros(n)
+    for t0 in range(0, horizon, BLOCK):
+        d = demands[:, t0 : t0 + BLOCK].T.copy()
+        u = rng.random(d.shape)
+        for k in range(d.shape[0]):
+            if t0 + k >= burn:
+                total += cost.take(state)
+            # pos = (x_post - d - x_lo) / step clamped to [0, n-1], in place
+            pos = post_x.take(state)
+            pos -= d[k]
+            pos -= g.x_lo
+            pos /= g.step
+            np.maximum(pos, 0.0, out=pos)
+            np.minimum(pos, g.n - 1.0, out=pos)
+            lower = pos.astype(int)  # floor, as pos >= 0
+            np.minimum(lower, g.n - 2, out=lower)
+            pos -= lower  # the weight of the upper neighbour
+            state = lower + (u[k] < pos)
+    return total / (horizon - burn)
 
 
 def simulate_discounted(
@@ -157,27 +227,40 @@ def simulate_discounted(
 def simulate_average(
     model: InventoryModel, cfg: SimConfig, demands: Optional[np.ndarray] = None
 ) -> SimResult:
-    """Long-run average cost per period, discarding a 10% burn-in."""
+    """Long-run average cost per period, discarding a 10% burn-in.
+
+    The result is the continuous chain's; when the policy maps grid states
+    to grid states and x0 is a grid point, ``grid_chain`` holds the grid
+    chain's result on the same demand draws.
+    """
     if cfg.horizon < 1000:
         raise ModelError("average-cost simulation needs horizon >= 1000")
     d = demands if demands is not None else _demand_matrix(model, cfg)
     costs, _, ss_ok = _run_paths(model, cfg, d, cfg.policy)
     burn = cfg.horizon // 10
-    path_means = costs[:, burn:].mean(axis=1)
-    mean = float(path_means.mean())
-    se = float(path_means.std(ddof=1) / math.sqrt(cfg.n_paths)) if cfg.n_paths > 1 else 0.0
     _, pid = policy_fn(cfg.policy, model)
-    return SimResult(
-        policy_id=pid,
-        criterion="average",
-        mean=mean,
-        std_error=se,
-        n_paths=cfg.n_paths,
-        horizon=cfg.horizon,
-        seed=cfg.seed,
-        burn_in_used=burn,
+
+    def result(path_means, criterion, **extra) -> SimResult:
+        se = float(path_means.std(ddof=1) / math.sqrt(cfg.n_paths)) if cfg.n_paths > 1 else 0.0
+        return SimResult(
+            policy_id=pid,
+            criterion=criterion,
+            mean=float(path_means.mean()),
+            std_error=se,
+            n_paths=cfg.n_paths,
+            horizon=cfg.horizon,
+            seed=cfg.seed,
+            burn_in_used=burn,
+            path_stats=path_means,
+            **extra,
+        )
+
+    grid_means = _run_grid_chain(model, cfg, d, burn)
+    return result(
+        costs[:, burn:].mean(axis=1),
+        "average",
         ss_invariant_ok=ss_ok,
-        path_stats=path_means,
+        grid_chain=None if grid_means is None else result(grid_means, "average_grid_chain"),
     )
 
 

@@ -209,7 +209,26 @@ def oracle_pair_value(model, s_idx, S_idx, alpha):
 
 def oracle_policy_value(model, order_steps, alpha):
     """Value of the stationary policy ordering ``order_steps[i]`` grid steps
-    in state i, via a direct linear solve.
+    in state i, via a direct linear solve."""
+    P, c = oracle_policy_chain(model, order_steps)
+    return np.linalg.solve(np.eye(model.grid.n) - alpha * P, c)
+
+
+def oracle_average_cost(model, order_steps):
+    """Long-run average cost of a stationary grid policy from its stationary
+    distribution: pi P = pi with sum(pi) = 1, solved densely by least squares
+    (transient states get pi = 0), then pi . c."""
+    P, c = oracle_policy_chain(model, order_steps)
+    n = model.grid.n
+    A = np.vstack([P.T - np.eye(n), np.ones((1, n))])
+    b = np.concatenate([np.zeros(n), [1.0]])
+    pi = np.linalg.lstsq(A, b, rcond=None)[0]
+    return float(pi @ c)
+
+
+def oracle_policy_chain(model, order_steps):
+    """Dense transition matrix and one-step costs of the stationary policy
+    ordering ``order_steps[i]`` grid steps in state i.
 
     Transition rows are rebuilt from scratch with clamp-and-interpolate
     semantics, independent of the package kernel.
@@ -229,4 +248,31 @@ def oracle_policy_value(model, order_steps, alpha):
             w = pos - i0
             P[i, i0] += p * (1.0 - w)
             P[i, i0 + 1] += p * w
-    return np.linalg.solve(np.eye(n) - alpha * P, c)
+    return P, c
+
+
+def oracle_k_convexity(values, xs, K):
+    """Worst K-convexity violation and its triple, by the direct O(n^3) scan.
+
+    For each middle point m every pair x < m < y is tried at once with
+    lam = (m-x)/(y-x) and violation g(m) - (1-lam) g(x) - lam g(y) - lam K.
+    Returns (worst violation, (x, m, y)), or (0.0, None) below three points.
+    """
+    vals = np.asarray(values, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    n = vals.size
+    if n < 3:
+        return 0.0, None
+    worst, worst_triple = -np.inf, None
+    for mid in range(1, n - 1):
+        left = xs[:mid]
+        right = xs[mid + 1 :]
+        lam = (xs[mid] - left[:, None]) / (right[None, :] - left[:, None])
+        rhs = (1.0 - lam) * vals[:mid, None] + lam * vals[None, mid + 1 :] + lam * K
+        viol = vals[mid] - rhs
+        j = int(np.argmax(viol))
+        if viol.flat[j] > worst:
+            worst = float(viol.flat[j])
+            xi, yi = divmod(j, right.size)
+            worst_triple = (float(left[xi]), float(xs[mid]), float(right[yi]))
+    return worst, worst_triple

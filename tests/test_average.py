@@ -5,6 +5,7 @@ import ssdp
 from ssdp.average import (
     assumption_B_diagnostic,
     check_optimality_inequality,
+    exact_average_cost,
     geometric_schedule,
     minimizer_set_diagnostic,
     sweep,
@@ -12,7 +13,16 @@ from ssdp.average import (
 )
 from ssdp.model import DemandDistribution, Grid, InventoryModel, ModelError, PiecewiseLinear
 
-from conftest import make_instance_a
+from ssdp.dp import policy_order_steps
+from ssdp.policy import SsPolicy
+
+from conftest import (
+    make_degenerate,
+    make_exponential,
+    make_instance_a,
+    make_off_lattice,
+    oracle_average_cost,
+)
 
 
 def test_geometric_schedule():
@@ -208,3 +218,34 @@ def test_partial_sweep_on_iteration_cap(instance_a, monkeypatch):
     assert sw.partial
     assert len(sw.records) == 4
     assert any("truncated" in w for w in sw.warnings)
+
+
+@pytest.mark.parametrize(
+    "make, pair",
+    [
+        (make_instance_a, (1.0, 2.0)),
+        (make_instance_a, (-3.0, 4.0)),
+        (make_exponential, (0.25, 2.0)),
+        (make_off_lattice, (-0.5, 1.5)),
+        (make_off_lattice, (-3.5, 3.0)),
+    ],
+)
+def test_exact_average_cost_matches_stationary_distribution(make, pair):
+    model = make()
+    pol = SsPolicy(*pair)
+    expect = oracle_average_cost(model, policy_order_steps(model, pol))
+    assert exact_average_cost(model, pol) == pytest.approx(expect, rel=0, abs=1e-12)
+
+
+def test_exact_average_cost_pinned_values():
+    # the sweep's limit pairs on the two shipped configs
+    assert exact_average_cost(make_instance_a(), SsPolicy(1.0, 2.0)) == pytest.approx(2.9, abs=1e-12)
+    w = exact_average_cost(make_exponential(), SsPolicy(0.25, 2.0))
+    assert w == pytest.approx(2.98233208194, abs=1e-10)
+
+
+def test_exact_average_cost_needs_an_ordering_chain(instance_a):
+    with pytest.raises(ModelError, match="never orders"):
+        exact_average_cost(instance_a, SsPolicy(instance_a.grid.x_lo, 2.0))
+    with pytest.raises(ModelError, match="P\\(D > 0\\)"):
+        exact_average_cost(make_degenerate(), SsPolicy(0.0, 2.0))

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 INSTANCE_A = CONFIGS / "instance_a.json"
 DEGENERATE = CONFIGS / "degenerate_zero_demand.json"
@@ -138,6 +140,16 @@ def test_sweep_full_schedule_passes_and_emits_results(tmp_path):
     for check in ("cauchy", "assumption_B_bounded", "minimizer_hull_interior",
                   "optimality_inequality", "simulated_average_matches_w"):
         assert manifest["checks"][check]["passed"], check
+    # the check compares the grid chain with the exact w(s,S) of the limit policy
+    sim = manifest["checks"]["simulated_average_matches_w"]
+    assert sim["w_sS"] == pytest.approx(2.9, abs=1e-12)
+    assert sim["gap"] == pytest.approx(abs(sim["grid_chain_mean"] - sim["w_sS"]), abs=1e-15)
+    assert sim["gap"] <= sim["three_se"]
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert sim["gap_to_w_estimate"] == pytest.approx(
+        abs(summary["simulated_average"] - summary["w_estimate"]), abs=1e-15
+    )
+    assert sim["continuous_three_se"] > 0
     rows = (out / "results.csv").read_text().splitlines()
     assert rows[0] == "policy_id,criterion,mean,std_error,n_paths,horizon,seed"
     assert rows[1].startswith('"sS(')  # comma inside the id gets RFC-4180 quoting
@@ -208,3 +220,44 @@ def test_sweep_config_error_still_writes_manifest(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "sweep"
     assert any(n.startswith("ModelError: ") for n in manifest["notes"])
+
+
+def _exponential_with_step(tmp_path, step):
+    cfg = json.loads((CONFIGS / "exponential_demand.json").read_text())
+    cfg["grid"]["step"] = step
+    path = tmp_path / f"exp_{step}.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_too_fine_grid_fails_fast_naming_step(tmp_path):
+    # the operator's work array would take ~10 TB; rejected before allocation
+    out = tmp_path / "fine"
+    r = run_cli("solve", _exponential_with_step(tmp_path, 1e-5), "--alpha", "0.99", "--out", out)
+    assert r.returncode == 2, r.stderr
+    assert "grid.step" in r.stderr and "Traceback" not in r.stderr
+    notes = json.loads((out / "manifest.json").read_text())["notes"]
+    assert len(notes) == 1 and notes[0].startswith("ModelError: grid.step 1e-05")
+
+
+def test_5001_point_grid_solves(tmp_path):
+    out = tmp_path / "n5001"
+    r = run_cli("solve", _exponential_with_step(tmp_path, 0.006), "--alpha", "0.99", "--out", out)
+    assert r.returncode == 0, r.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["checks"]["k_convex"]["passed"]
+    assert len((out / "value.csv").read_text().splitlines()) == 5001 + 1
+
+
+def test_memory_error_is_noted_in_manifest(tmp_path, monkeypatch):
+    from ssdp import cli, policy
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setattr(policy, "discounted_sS", exhausted)
+    out = tmp_path / "mem"
+    with pytest.raises(MemoryError):
+        cli.main(["solve", str(INSTANCE_A), "--alpha", "0.9", "--out", str(out)])
+    notes = json.loads((out / "manifest.json").read_text())["notes"]
+    assert notes == ["MemoryError: cannot allocate"]

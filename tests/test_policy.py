@@ -18,7 +18,7 @@ from ssdp.policy import (
 )
 from ssdp.dp import solve_finite, solve_infinite
 
-from conftest import OPERATOR_MODELS, oracle_post_expectation
+from conftest import OPERATOR_MODELS, oracle_k_convexity, oracle_post_expectation
 
 
 
@@ -157,6 +157,63 @@ def test_step_down_of_height_K_plus_one_fails():
 def test_k_convex_short_grids_trivial():
     grid = Grid(x_lo=0, x_hi=1, step=1.0)
     assert is_K_convex(g_from(grid, [1.0, 0.0]), 0.0).verdict
+
+
+@st.composite
+def k_convexity_cases(draw):
+    """(grid, g values, K): random, convex, or a line with a drop of height
+    about K, which ties the violation across many triples near tol."""
+    n = draw(st.integers(3, 24))
+    step = draw(st.sampled_from([1.0, 0.25, 0.03]))
+    K = draw(st.sampled_from([0.0, 0.5, 2.0]))
+    grid = Grid(x_lo=-1.0, x_hi=-1.0 + step * (n - 1), step=step)
+    kind = draw(st.sampled_from(["random", "convex", "near_tied"]))
+    if kind == "random":
+        vals = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    elif kind == "convex":
+        d2 = draw(st.lists(st.floats(0.0, 3.0), min_size=n - 1, max_size=n - 1))
+        slopes = np.cumsum(d2) - draw(st.floats(0.0, 3.0 * n))
+        vals = np.concatenate(([0.0], np.cumsum(slopes * step)))
+    else:
+        slope = draw(st.floats(-2.0, 2.0))
+        theta = draw(st.integers(1, n - 1))
+        nudge = draw(st.sampled_from([-1e-9, 0.0, 5e-10, 1e-9, 2e-9]))
+        vals = slope * grid.points + (K + nudge) * (np.arange(n) < theta)
+    return grid, vals, K
+
+
+@given(case=k_convexity_cases())
+@settings(max_examples=200, deadline=None)
+def test_k_convexity_matches_triple_scan(case):
+    grid, vals, K = case
+    rep = is_K_convex(g_from(grid, vals), K)
+    worst, _ = oracle_k_convexity(vals, grid.points, K)
+    assert abs(rep.worst_violation - worst) <= 1e-12
+    if abs(worst - rep.tol) > 1e-12:
+        assert rep.verdict == (worst <= rep.tol)
+    # the reported triple attains the reported violation, ties included
+    x, m, y = (grid.index_of(p) for p in rep.worst_triple)
+    assert x < m < y
+    xs = grid.points
+    lam = (xs[m] - xs[x]) / (xs[y] - xs[x])
+    at_triple = vals[m] - (1 - lam) * vals[x] - lam * vals[y] - lam * K
+    assert abs(at_triple - rep.worst_violation) <= 1e-12
+
+
+def test_k_convexity_memory_is_linear_per_row():
+    import tracemalloc
+
+    grid = Grid(x_lo=-10.0, x_hi=10.0, step=0.01)
+    assert grid.n == 2001
+    g = g_from(grid, grid.points**2 + 3.0 * (grid.points < 0))
+    tracemalloc.start()
+    try:
+        rep = is_K_convex(g, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rep.verdict
+    assert peak < grid.n**2 * 8 / 100, f"peak {peak} bytes"
 
 
 convex_vals = st.lists(st.floats(0.0, 5.0), min_size=12, max_size=12).map(

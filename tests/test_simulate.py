@@ -2,15 +2,20 @@ import numpy as np
 import pytest
 
 import ssdp
+from ssdp import simulate
+from ssdp.average import exact_average_cost
 from ssdp.model import ModelError
 from ssdp.policy import SsPolicy
 from ssdp.simulate import (
     OrderUpTo,
     SimConfig,
     compare_policies,
+    policy_fn,
     simulate_average,
     simulate_discounted,
 )
+
+from conftest import make_exponential
 
 
 def test_zero_stub_costs_nothing(zero_stub):
@@ -117,3 +122,56 @@ def test_unknown_policy_rejected(instance_a):
         simulate_average(
             instance_a, SimConfig(x0=0, horizon=1000, n_paths=2, seed=1, policy="mystery")
         )
+
+
+def _stepwise_costs(model, cfg, demands, policy):
+    """Reference: the continuous chain with every cost evaluated step by step."""
+    fn, _ = policy_fn(policy, model)
+    x = np.full(demands.shape[0], float(cfg.x0))
+    costs = np.empty(demands.shape)
+    for t in range(demands.shape[1]):
+        a = fn(x)
+        post = x + a
+        costs[:, t] = model.order_cost(a) + model.expected_h(post)
+        x = post - demands[:, t]
+    return costs
+
+
+@pytest.mark.parametrize(
+    "policy", [SsPolicy(s=1.0, S=2.0), OrderUpTo(0.5), "never_order", "table"]
+)
+def test_blocked_costs_equal_stepwise(instance_a, solve_a_09, policy):
+    policy = solve_a_09.policy if policy == "table" else policy
+    # a horizon that is not a whole number of blocks
+    cfg = SimConfig(x0=-3.0, horizon=simulate.BLOCK * 2 + 37, n_paths=5, seed=3, policy=policy)
+    demands = simulate._demand_matrix(instance_a, cfg)
+    costs, c_max, _ = simulate._run_paths(instance_a, cfg, demands, policy)
+    ref = _stepwise_costs(instance_a, cfg, demands, policy)
+    assert np.array_equal(costs, ref)
+    assert c_max == ref.max()
+
+
+def test_grid_chain_equals_continuous_chain_on_lattice(instance_a):
+    # integer atoms on an integer grid and no clamping: the chains coincide
+    cfg = SimConfig(x0=2.0, horizon=1200, n_paths=16, seed=11, policy=SsPolicy(s=1.0, S=2.0))
+    rep = simulate_average(instance_a, cfg)
+    assert rep.grid_chain.criterion == "average_grid_chain"
+    assert rep.grid_chain.burn_in_used == rep.burn_in_used == 120
+    np.testing.assert_allclose(rep.grid_chain.path_stats, rep.path_stats, rtol=1e-13)
+
+
+def test_grid_chain_mean_matches_exact_average_cost():
+    model = make_exponential()
+    pol = SsPolicy(s=0.25, S=2.0)
+    cfg = SimConfig(x0=2.0, horizon=4000, n_paths=256, seed=5, policy=pol)
+    grid = simulate_average(model, cfg).grid_chain
+    w = exact_average_cost(model, pol)
+    assert abs(grid.mean - w) <= 3 * grid.std_error, (grid.mean, w, grid.std_error)
+
+
+def test_grid_chain_only_on_lattice_policies(instance_a):
+    on = SimConfig(x0=0.0, horizon=1000, n_paths=4, seed=1, policy=OrderUpTo(1.0))
+    assert simulate_average(instance_a, on).grid_chain is not None
+    for x0, pol in ((0.0, OrderUpTo(0.5)), (0.5, OrderUpTo(1.0))):
+        cfg = SimConfig(x0=x0, horizon=1000, n_paths=4, seed=1, policy=pol)
+        assert simulate_average(instance_a, cfg).grid_chain is None
