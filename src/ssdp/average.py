@@ -9,14 +9,13 @@ for candidate stationary policies.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .model import InventoryModel, ModelError, ValueTable
-from .dp import ConvergenceError, policy_order_steps, solve_infinite
+from .dp import ConvergenceError, policy_order_steps, sS_cycle_tables, solve_infinite
 
 __all__ = [
     "geometric_schedule",
@@ -31,6 +30,7 @@ __all__ = [
     "check_optimality_inequality",
     "OptimalityInequalityReport",
     "exact_average_cost",
+    "optimal_average_cost",
     "track_discount_actions",
     "DiscountActionReport",
 ]
@@ -154,15 +154,12 @@ def sweep(
     model: InventoryModel,
     schedule=None,
     tol: float = 1e-7,
-    workers: int = 1,
     thresholds: bool = True,
 ) -> VanishingDiscountSweep:
     """Discounted solves along an increasing schedule of factors.
 
-    Per-alpha solves are independent; with ``workers > 1`` they run on a
-    thread pool and are joined back in schedule order, so the sweep record
-    is identical at any worker count.  An iteration-cap failure at a high
-    factor truncates the schedule and returns a partial sweep with a warning.
+    An iteration-cap failure at a high factor truncates the schedule and
+    returns a partial sweep with a warning.
     """
     sched = list(schedule) if schedule is not None else geometric_schedule(12)
     if not sched:
@@ -173,22 +170,12 @@ def sweep(
     warnings: list[str] = []
     records: list[AlphaRecord] = []
     partial = False
-
-    def run(alpha: float):
+    for alpha in sched:
         try:
-            return _solve_one(model, alpha, tol, thresholds)
+            res = _solve_one(model, alpha, tol, thresholds)
         except ConvergenceError as exc:
-            return exc
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, sched))
-    else:
-        results = [run(a) for a in sched]
-    for alpha, res in zip(sched, results):
-        if isinstance(res, ConvergenceError):
             partial = True
-            warnings.append(f"alpha={alpha}: solver iteration cap hit; sweep truncated ({res})")
+            warnings.append(f"alpha={alpha}: solver iteration cap hit; sweep truncated ({exc})")
             break
         records.append(res)
         if res.threshold_warning:
@@ -338,6 +325,24 @@ def exact_average_cost(model: InventoryModel, policy) -> float:
     gamma_rhs = model.eh[s : S + 1] + rows[:, :s] @ (-model.c_bar * g.points[:s])
     N, gamma = spsolve_triangular(lhs, np.column_stack((np.ones(S + 1 - s), gamma_rhs))).T
     return float((model.K + model.c_bar * g.points[S] + gamma[-1]) / N[-1])
+
+
+def optimal_average_cost(model: InventoryModel) -> tuple[float, tuple[float, float]]:
+    """Exact optimal average cost w* over all grid (s,S) pairs, and its pair.
+
+    w(s,S) = (K + c_bar x_S + gamma[S, s]) / N[S, s] from the order-cycle
+    tables at alpha = 1 (``sS_cycle_tables``), for every pair with s above
+    x_lo (s = x_lo never orders).  Among equal costs the first pair with S
+    ascending, then s ascending, is returned.  Needs P(D > 0) > 0.
+    """
+    if model.demand.p_positive == 0.0:
+        raise ModelError("w* needs P(D > 0) > 0: an order cycle never ends")
+    _, gamma, N = sS_cycle_tables(model, 1.0)
+    S, s = np.tril_indices(model.grid.n, -1)  # pairs 1 <= s <= S, S ascending, then s
+    s += 1
+    w = (model.K + model.c_bar * model.grid.points[S] + gamma[S, s]) / N[S, s]
+    i = int(np.argmin(w))
+    return float(w[i]), (float(model.grid.points[s[i]]), float(model.grid.points[S[i]]))
 
 
 @dataclass(eq=False)

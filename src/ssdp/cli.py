@@ -250,7 +250,7 @@ def cmd_sweep(args) -> int:
             manifest.add_output(thr_csv)
             manifest.extra["degenerate_zero_demand"] = True
             return EXIT_OK
-        sw = average.sweep(model, schedule, tol=args.tol, workers=args.workers)
+        sw = average.sweep(model, schedule, tol=args.tol)
         sweep_csv = out / "sweep.csv"
         write_sweep_csv(sweep_csv, sw)
         manifest.add_output(sweep_csv)
@@ -457,7 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("config", help="model config JSON")
     common.add_argument("--out", required=True, help="output directory")
     common.add_argument("--seed", type=int, default=0, help="run seed recorded in the manifest")
-    common.add_argument("--workers", type=int, default=1, help="parallel workers (results identical)")
+    common.add_argument(
+        "--workers", type=int, default=1, help="no effect: results are the same at any value"
+    )
 
     ps = sub.add_parser("solve", parents=[common], help="discounted solve and (s,S) extraction")
     ps.add_argument("--alpha", type=float, required=True)

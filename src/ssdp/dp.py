@@ -35,6 +35,7 @@ __all__ = [
     "solve_infinite",
     "policy_evaluation",
     "policy_order_steps",
+    "sS_cycle_tables",
     "check_terminal_admissible",
     "AdmissibilityReport",
     "action_bound_set",
@@ -324,6 +325,49 @@ def policy_evaluation(
         "policy evaluation",
     )
     return ValueTable(grid=model.grid, values=v, tag=f"policy_value[a={alpha}]")
+
+
+def sS_cycle_tables(
+    model: InventoryModel, alpha: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Order-cycle tables (beta, gamma, N) of every reorder index s at once.
+
+    Column s belongs to the policy that orders when the state index is below
+    s; a cycle ends when the state first falls below s.  On j < s the tables
+    hold beta = 1, gamma = -c_bar x_j, N = 0; on j >= s they solve
+
+        beta = alpha W beta,   gamma = E h + alpha W gamma,   N = 1 + alpha W N
+
+    (discount at the cycle's end, discounted cycle cost and length).  The
+    value of the pair (s,S) is then gamma[:, s] + C beta[:, s] with
+    C = (K + c_bar x_S + gamma[S, s]) / (1 - beta[S, s]), and at alpha = 1 its
+    average cost is (K + c_bar x_S + gamma[S, s]) / N[S, s].  Demand is
+    nonnegative, so W is lower triangular up to floor() roundoff (entries
+    above the diagonal, ~1e-16, are dropped): forward substitution over the
+    rows, all s at once, costs O(n^2 band).  At alpha = 1 the s = 0 column
+    never renews and holds beta = 0, gamma = N = inf.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ModelError("alpha must lie in [0,1]")
+    n = model.grid.n
+    W = model.kernel.matrix
+    below_s = np.triu(np.ones((n, n)), 1)  # [j, s]: 1 where j < s
+    x = model.grid.points[:, None]
+    # tables[j, k, s] with k = 0, 1, 2 for beta, gamma, N
+    tables = np.stack((below_s, -model.c_bar * x * below_s, np.zeros((n, n))), axis=1)
+    first = int(alpha == 1.0)  # the first column solved
+    tables[:, 1:, :first] = np.inf
+    rhs = np.column_stack((np.zeros(n), model.eh, np.ones(n)))
+    for j in range(first, n):
+        row = slice(W.indptr[j], W.indptr[j + 1])
+        cols, vals = W.indices[row], W.data[row]
+        lower = cols < j
+        active = slice(first, j + 1)
+        inflow = np.tensordot(vals[lower], tables[cols[lower], :, active], axes=1)
+        tables[j, :, active] = (rhs[j, :, None] + alpha * inflow) / (
+            1.0 - alpha * vals[cols == j].sum()
+        )
+    return tables[:, 0], tables[:, 1], tables[:, 2]
 
 
 @dataclass(frozen=True)

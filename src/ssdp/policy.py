@@ -29,6 +29,7 @@ from .dp import (
     TerminalValue,
     _strict_suffix_min,
     policy_evaluation,
+    sS_cycle_tables,
     solve_finite,
     solve_infinite,
 )
@@ -293,9 +294,6 @@ class FiniteSsResult:
     zero_setup: ZeroSetupResult
     warnings: list
 
-    def stage_pairs(self) -> list:
-        return [None if p is None else p.pair() for p in self.policies]
-
 
 def _threshold_agreement(
     model: InventoryModel, policy: SsPolicy, table
@@ -475,7 +473,6 @@ def average_sS(
     schedule=None,
     tol: float = 1e-7,
     sweep_result=None,
-    workers: int = 1,
 ) -> AverageSsResult:
     """Limit thresholds over a discount schedule increasing to 1.
 
@@ -501,7 +498,7 @@ def average_sS(
                 "for x > 0) so no constant optimal average cost exists"
             ),
         )
-    sw = sweep_result or avg.sweep(model, schedule, tol=tol, workers=workers)
+    sw = sweep_result or avg.sweep(model, schedule, tol=tol)
     seq = [(r.alpha, (r.s, r.S)) for r in sw.records if r.s is not None]
     if not seq:
         raise CertificationError("no alpha in the schedule produced thresholds")
@@ -546,11 +543,11 @@ def brute_force_sS_check(
 ) -> BruteForceReport:
     """Exhaustive (s,S)-pair search against the extracted thresholds.
 
-    Every grid pair s <= S is evaluated by solving the induced policy's
-    linear fixed point directly; the check passes when no pair beats the
-    extracted policy by more than ``BRUTE_FORCE_MARGIN`` at any state.
-    Restricted to grids of at most ``BRUTE_FORCE_GRID_CAP`` points (the
-    enumeration is quadratic in grid size), so the kernel is densified once.
+    Every grid pair s <= S is valued exactly from ``sS_cycle_tables``, the
+    extracted one by the same expression (so its own gap is 0); the check
+    passes when no pair beats it by more than ``BRUTE_FORCE_MARGIN`` at any
+    state.  The best pair is the first largest gap, S ascending, then s.
+    The gap scan is O(n^3), so grids are capped at ``BRUTE_FORCE_GRID_CAP``.
     """
     n = model.grid.n
     if n > BRUTE_FORCE_GRID_CAP:
@@ -561,24 +558,24 @@ def brute_force_sS_check(
     if res.policy is None:
         raise CertificationError("cannot brute-force check: thresholds were withheld")
     xs = model.grid.points
-    eye = np.eye(n)
-    idx = np.arange(n)
-    P = model.kernel.matrix.toarray()
+    beta, gamma, _ = sS_cycle_tables(model, alpha)
 
-    def pair_value(s_idx: int, S_idx: int) -> np.ndarray:
-        steps = np.where(idx < s_idx, S_idx - idx, 0)
-        return np.linalg.solve(eye - alpha * P[idx + steps], model.one_step_cost(idx, steps))
+    def pair_values(s_idx: int) -> np.ndarray:
+        """Values of the pairs (s, S), S = s..n-1, one column each."""
+        C = (model.K + model.c_bar * xs[s_idx:] + gamma[s_idx:, s_idx]) / (
+            1.0 - beta[s_idx:, s_idx]
+        )
+        return gamma[:, s_idx, None] + beta[:, s_idx, None] * C
 
-    ex_pair = (model.grid.index_of(res.policy.s), model.grid.index_of(res.policy.S))
-    ex_value = pair_value(*ex_pair)
-    worst = -np.inf
-    best = res.policy.pair()
-    for S_idx in range(n):
-        for s_idx in range(S_idx + 1):
-            gap = float(np.max(ex_value - pair_value(s_idx, S_idx)))
-            if gap > worst:
-                worst = gap
-                best = (float(xs[s_idx]), float(xs[S_idx]))
+    s_ex, S_ex = model.grid.index_of(res.policy.s), model.grid.index_of(res.policy.S)
+    ex_value = pair_values(s_ex)[:, S_ex - s_ex]
+    # gaps[S, s]: how far the pair (s, S) beats the extracted policy
+    gaps = np.full((n, n), -np.inf)
+    for s_idx in range(n):
+        gaps[s_idx:, s_idx] = np.max(ex_value[:, None] - pair_values(s_idx), axis=0)
+    S_best, s_best = divmod(int(np.argmax(gaps)), n)
+    worst = float(gaps[S_best, s_best])
+    best = (float(xs[s_best]), float(xs[S_best]))
     return BruteForceReport(
         worst_gap=worst,
         best_pair=best,

@@ -276,3 +276,34 @@ def oracle_k_convexity(values, xs, K):
             xi, yi = divmod(j, right.size)
             worst_triple = (float(left[xi]), float(xs[mid]), float(right[yi]))
     return worst, worst_triple
+
+
+def oracle_brute_force(model, alpha, extracted):
+    """Worst gap and best pair of the exhaustive (s,S) search, one dense solve
+    per pair: max over states of v_extracted - v_pair, scanned S ascending,
+    then s ascending, keeping the first strict maximum.
+
+    The transition rows come from ``oracle_post_expectation`` and E h from
+    direct summation over atoms, so no package operator is used.
+    """
+    g = model.grid
+    n = g.n
+    W, _ = oracle_post_expectation(model, extrapolate=False)
+    eh = np.array([oracle_cost(model, float(x), 0.0) for x in g.points])
+    idx = np.arange(n)
+    eye = np.eye(n)
+
+    def value(s_idx, S_idx):
+        steps = np.where(idx < s_idx, S_idx - idx, 0)
+        a = steps * g.step
+        c = model.K * (steps > 0) + model.c_bar * a + eh[idx + steps]
+        return np.linalg.solve(eye - alpha * W[idx + steps], c)
+
+    ex_value = value(g.index_of(extracted[0]), g.index_of(extracted[1]))
+    worst, best = -np.inf, None
+    for S_idx in range(n):
+        for s_idx in range(S_idx + 1):
+            gap = float(np.max(ex_value - value(s_idx, S_idx)))
+            if gap > worst:
+                worst, best = gap, (float(g.points[s_idx]), float(g.points[S_idx]))
+    return worst, best

@@ -8,6 +8,7 @@ from ssdp.average import (
     exact_average_cost,
     geometric_schedule,
     minimizer_set_diagnostic,
+    optimal_average_cost,
     sweep,
     track_discount_actions,
 )
@@ -61,16 +62,6 @@ def test_sweep_instance_a_records(sweep_a, instance_a):
         assert (r.s, r.S) != (None, None)
     assert sweep_a.cauchy
     assert sweep_a.w_estimate <= 5.5
-
-
-def test_sweep_workers_match(instance_a):
-    sched = geometric_schedule(5)
-    sw1 = sweep(instance_a, sched, tol=1e-7, workers=1)
-    sw2 = sweep(instance_a, sched, tol=1e-7, workers=4)
-    for a, b in zip(sw1.records, sw2.records):
-        assert a.m_alpha == b.m_alpha
-        assert np.array_equal(a.u, b.u)
-        assert (a.s, a.S) == (b.s, b.S)
 
 
 def test_assumption_b_bounded_on_instance_a(sweep_a):
@@ -249,3 +240,34 @@ def test_exact_average_cost_needs_an_ordering_chain(instance_a):
         exact_average_cost(instance_a, SsPolicy(instance_a.grid.x_lo, 2.0))
     with pytest.raises(ModelError, match="P\\(D > 0\\)"):
         exact_average_cost(make_degenerate(), SsPolicy(0.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "make, w_star, pair",
+    [(make_instance_a, 2.9, (1.0, 2.0)), (make_exponential, 2.98233208194, (0.25, 2.0))],
+)
+def test_optimal_average_cost_is_the_sweep_limit(make, w_star, pair):
+    model = make()
+    w, best = optimal_average_cost(model)
+    assert best == pair
+    assert w == pytest.approx(w_star, abs=1e-10)
+    sw = sweep(model, geometric_schedule(12), tol=1e-7)
+    assert ssdp.average_sS(model, sweep_result=sw).policy.pair() == best
+    assert abs(sw.w_estimate - w) <= sw.relative_value().default_slack
+
+
+def test_optimal_average_cost_is_the_minimum_over_pairs(instance_a):
+    w, best = optimal_average_cost(instance_a)
+    xs = instance_a.grid.points
+    costs = {
+        (xs[s], xs[S]): exact_average_cost(instance_a, SsPolicy(xs[s], xs[S]))
+        for S in range(1, instance_a.grid.n)
+        for s in range(1, S + 1)
+    }
+    assert w == pytest.approx(min(costs.values()), rel=0, abs=1e-12)
+    assert costs[best] == pytest.approx(w, rel=0, abs=1e-12)
+
+
+def test_optimal_average_cost_needs_positive_demand():
+    with pytest.raises(ModelError, match="P\\(D > 0\\)"):
+        optimal_average_cost(make_degenerate())

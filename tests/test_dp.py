@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ssdp
 from ssdp.dp import (
@@ -9,6 +10,7 @@ from ssdp.dp import (
     bellman_update,
     check_terminal_admissible,
     policy_evaluation,
+    sS_cycle_tables,
     solve_finite,
     solve_infinite,
     track_action_convergence,
@@ -16,7 +18,7 @@ from ssdp.dp import (
 from ssdp.model import ModelError, build_cost
 from ssdp.simulate import SimConfig, simulate_discounted
 
-from conftest import oracle_bellman, oracle_policy_value
+from conftest import oracle_average_cost, oracle_bellman, oracle_pair_value, oracle_policy_value
 
 
 def test_bellman_matches_enumeration_from_zero(instance_a):
@@ -318,3 +320,71 @@ def test_track_convergence_instance_a(instance_a):
     )
     assert rep.all_settled
     assert int(rep.settle_t.max()) <= 200
+
+
+# ---------------------------------------------------------------- (s,S) cycle tables
+
+
+@st.composite
+def small_models(draw):
+    """Small random models: integer or off-lattice atoms, K = 0 or K > 0, P(D > 0) > 0."""
+    n = draw(st.integers(3, 10))
+    step = draw(st.sampled_from([1.0, 0.5, 0.3]))  # 0.3: floor() roundoff above the diagonal
+    x_lo = -step * draw(st.integers(0, n - 1))
+    if draw(st.booleans()):
+        values = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True))
+    else:
+        values = draw(st.lists(st.floats(0.0, 2.5), min_size=1, max_size=3, unique=True))
+    values = [float(v) for v in values] + [draw(st.floats(0.05, 2.5))]
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(values), max_size=len(values)))
+    probs = np.array(weights) / sum(weights)
+    K = draw(st.sampled_from([0.0, draw(st.floats(0.1, 5.0))]))
+    h = ssdp.PiecewiseLinear.from_breakpoints(
+        [[-1, draw(st.floats(0.5, 4.0))], [0, 0], [1, draw(st.floats(0.1, 2.0))]]
+    )
+    return ssdp.InventoryModel(
+        K=K,
+        c_bar=draw(st.floats(0.0, 2.0)),
+        h=h,
+        demand=ssdp.DemandDistribution.from_atoms(zip(values, probs)),
+        grid=ssdp.Grid(x_lo=x_lo, x_hi=x_lo + step * (n - 1), step=step),
+    )
+
+
+@given(model=small_models())
+@settings(max_examples=40, deadline=None)
+def test_cycle_tables_match_dense_pair_solves(model):
+    n = model.grid.n
+    xs = model.grid.points
+    head = model.K + model.c_bar * xs
+    for alpha in (0.5, 0.9, 0.99):
+        beta, gamma, _ = sS_cycle_tables(model, alpha)
+        for S in range(n):
+            for s in range(S + 1):
+                v = gamma[:, s] + beta[:, s] * (head[S] + gamma[S, s]) / (1.0 - beta[S, s])
+                expect = oracle_pair_value(model, s, S, alpha)
+                assert np.max(np.abs(v - expect)) <= 1e-10 * max(1.0, np.max(np.abs(expect)))
+    _, gamma, N = sS_cycle_tables(model, 1.0)
+    idx = np.arange(n)
+    for S in range(1, n):
+        for s in range(1, S + 1):
+            w = (head[S] + gamma[S, s]) / N[S, s]
+            expect = oracle_average_cost(model, np.where(idx < s, S - idx, 0))
+            assert w == pytest.approx(expect, rel=1e-10, abs=1e-10)
+
+
+def test_cycle_tables_boundary_and_discounted_length(instance_a):
+    n = instance_a.grid.n
+    below = np.triu(np.ones((n, n), dtype=bool), 1)  # [j, s] with j < s
+    for alpha in (0.9, 1.0):
+        beta, gamma, N = sS_cycle_tables(instance_a, alpha)
+        assert np.all(beta[below] == 1.0) and np.all(N[below] == 0.0)
+        assert np.all(gamma[below] == np.broadcast_to(-instance_a.grid.points[:, None], (n, n))[below])
+    # 1 - beta = (1 - alpha) N: the expected discount at the cycle's end against its discounted length
+    beta, _, N = sS_cycle_tables(instance_a, 0.9)
+    assert np.max(np.abs((1.0 - beta) - 0.1 * N)) <= 1e-12
+    beta, gamma, N = sS_cycle_tables(instance_a, 1.0)
+    assert np.all(beta[:, 0] == 0.0) and np.all(np.isinf(gamma[:, 0])) and np.all(np.isinf(N[:, 0]))
+    assert np.allclose(beta[:, 1:], 1.0, rtol=0, atol=1e-12)  # every cycle ends
+    with pytest.raises(ModelError):
+        sS_cycle_tables(instance_a, 1.5)

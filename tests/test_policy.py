@@ -8,6 +8,7 @@ from ssdp.policy import (
     CertificationError,
     GFunction,
     SsPolicy,
+    brute_force_sS_check,
     build_G,
     discounted_sS,
     extract_sS,
@@ -18,7 +19,14 @@ from ssdp.policy import (
 )
 from ssdp.dp import solve_finite, solve_infinite
 
-from conftest import OPERATOR_MODELS, oracle_k_convexity, oracle_post_expectation
+from conftest import (
+    OPERATOR_MODELS,
+    make_exponential,
+    make_instance_a,
+    oracle_brute_force,
+    oracle_k_convexity,
+    oracle_post_expectation,
+)
 
 
 
@@ -413,3 +421,14 @@ def test_ss_policy_validation():
     assert pol.order_quantity(-4.0) == 5.0
     assert pol.order_quantity(-2.0) == 0.0
     assert np.array_equal(pol.order_quantity(np.array([-3.0, 0.0])), np.array([4.0, 0.0]))
+
+
+@pytest.mark.parametrize("make", [make_instance_a, make_exponential])
+def test_brute_force_matches_dense_pair_solves(make):
+    model = make()
+    report = brute_force_sS_check(model, 0.9)
+    worst, best = oracle_brute_force(model, 0.9, report.extracted_pair)
+    assert report.passes and worst <= report.margin
+    assert report.best_pair == best
+    assert report.worst_gap == pytest.approx(worst, rel=0, abs=1e-12)
+    assert report.worst_gap >= 0.0  # the extracted pair's own gap is exactly 0
