@@ -5,7 +5,8 @@ Runs ``python3 perfbench/run.py`` (end-to-end metrics, ``--trace 0``) in two
 checkouts, alternating which side goes first from seed to seed, and writes
 ``BENCH_<label>.json`` with every run, each side's median and quartiles, the
 per-seed pairs, the environment and both commits.  The change is the
-checkout this script lives in (its working tree as it stands); the parent is
+checkout this script lives in (its working tree as it stands, flagged when
+what the benchmark runs differs from the commit); the parent is
 a fresh local clone of ``--parent`` (default ``HEAD``), made in a temporary
 directory and removed afterwards:
 
@@ -103,7 +104,6 @@ def main() -> int:
     ap.add_argument("--seeds", default="701-710", help="e.g. 701-710 or 1,5,9")
     ap.add_argument("--seconds", type=float, default=None,
                     help="run length per run (default: run_seconds of BENCHMARK.json)")
-    ap.add_argument("--out-dir", default=str(ROOT), help="where BENCH_<label>.json goes")
     args = ap.parse_args()
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -128,7 +128,9 @@ def main() -> int:
                     f"{k}={v:.4g}" for k, v in r["metrics"].items()), flush=True)
         commits = {"parent": git(parent, "rev-parse", "HEAD"),
                    "change": git(ROOT, "rev-parse", "HEAD"),
-                   "change_has_uncommitted_edits": bool(git(ROOT, "status", "--porcelain"))}
+                   "change_has_uncommitted_edits": bool(git(
+                       ROOT, "status", "--porcelain", "--", "src", "configs", "perfbench",
+                       "BENCHMARK.json"))}
     report = {
         "label": label,
         "workload": args.workload,
@@ -144,7 +146,7 @@ def main() -> int:
         "runs": [{k: r[k] for k in ("seed", "side", "ran_first", "correct", "attempted",
                                     "failed", "metrics")} for r in runs],
     }
-    path = Path(args.out_dir) / f"BENCH_{label}.json"
+    path = ROOT / f"BENCH_{label}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     for name, s in report["summary"].items():
         print(f"{name:12s} parent {s['parent']['median']:.4g} (IQR {s['parent']['iqr']:.3g})  "

@@ -297,19 +297,11 @@ def check_optimality_inequality(
 def exact_average_cost(model: InventoryModel, policy) -> float:
     """Long-run average cost w(s,S) of an (s,S) policy on the grid chain, exactly.
 
-    Renewal reward over order cycles.  A cycle starts when an order lifts
-    the state to S and ends when the state first falls below s, where the
-    next order is placed; that order's -c_bar x share is booked to the cycle
-    it ends.  On the states j >= s the expected remaining cycle length N and
-    cost gamma solve
-
-        N = 1 + W N,   gamma = E h + W gamma,   with N = 0, gamma = -c_bar x below s,
-
-    and w = (K + c_bar x_S + gamma_S) / N_S.  Demand is nonnegative, so the
-    kernel W is lower triangular and N and gamma come from one banded
-    triangular solve on the states s..S, with two right-hand sides.  Needs s
-    above x_lo (otherwise the chain never orders) and P(D > 0) > 0
-    (otherwise no cycle ends).
+    Renewal reward over order cycles: w = (K + c_bar x_S + gamma_S) / N_S
+    with the alpha = 1 recursions of ``sS_cycle_tables`` for this one s,
+    solved as one banded triangular system on the states s..S with two
+    right-hand sides.  Needs s above x_lo (otherwise the chain never orders)
+    and P(D > 0) > 0 (otherwise no cycle ends).
     """
     from scipy import sparse
     from scipy.sparse.linalg import spsolve_triangular
@@ -335,8 +327,6 @@ def optimal_average_cost(model: InventoryModel) -> tuple[float, tuple[float, flo
     x_lo (s = x_lo never orders).  Among equal costs the first pair with S
     ascending, then s ascending, is returned.  Needs P(D > 0) > 0.
     """
-    if model.demand.p_positive == 0.0:
-        raise ModelError("w* needs P(D > 0) > 0: an order cycle never ends")
     _, gamma, N = sS_cycle_tables(model, 1.0)
     S, s = np.tril_indices(model.grid.n, -1)  # pairs 1 <= s <= S, S ascending, then s
     s += 1

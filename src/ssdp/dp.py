@@ -338,17 +338,21 @@ def sS_cycle_tables(
 
         beta = alpha W beta,   gamma = E h + alpha W gamma,   N = 1 + alpha W N
 
-    (discount at the cycle's end, discounted cycle cost and length).  The
+    (discount at the cycle's end, discounted cycle cost and length; the
+    closing order's -c_bar x share is booked to the cycle it ends).  The
     value of the pair (s,S) is then gamma[:, s] + C beta[:, s] with
     C = (K + c_bar x_S + gamma[S, s]) / (1 - beta[S, s]), and at alpha = 1 its
     average cost is (K + c_bar x_S + gamma[S, s]) / N[S, s].  Demand is
     nonnegative, so W is lower triangular up to floor() roundoff (entries
     above the diagonal, ~1e-16, are dropped): forward substitution over the
     rows, all s at once, costs O(n^2 band).  At alpha = 1 the s = 0 column
-    never renews and holds beta = 0, gamma = N = inf.
+    never renews and holds beta = 0, gamma = N = inf, and P(D > 0) > 0 is
+    required.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ModelError("alpha must lie in [0,1]")
+    if alpha == 1.0 and model.demand.p_positive == 0.0:
+        raise ModelError("at alpha = 1 an order cycle needs P(D > 0) > 0 to end")
     n = model.grid.n
     W = model.kernel.matrix
     below_s = np.triu(np.ones((n, n)), 1)  # [j, s]: 1 where j < s

@@ -376,11 +376,12 @@ def test_cycle_tables_match_dense_pair_solves(model):
 def test_cycle_tables_boundary_and_discounted_length(instance_a):
     n = instance_a.grid.n
     below = np.triu(np.ones((n, n), dtype=bool), 1)  # [j, s] with j < s
+    minus_x = np.broadcast_to(-instance_a.grid.points[:, None], (n, n))
     for alpha in (0.9, 1.0):
         beta, gamma, N = sS_cycle_tables(instance_a, alpha)
         assert np.all(beta[below] == 1.0) and np.all(N[below] == 0.0)
-        assert np.all(gamma[below] == np.broadcast_to(-instance_a.grid.points[:, None], (n, n))[below])
-    # 1 - beta = (1 - alpha) N: the expected discount at the cycle's end against its discounted length
+        assert np.all(gamma[below] == minus_x[below])
+    # E alpha^tau = 1 - (1 - alpha) E sum_{t < tau} alpha^t for the cycle end tau
     beta, _, N = sS_cycle_tables(instance_a, 0.9)
     assert np.max(np.abs((1.0 - beta) - 0.1 * N)) <= 1e-12
     beta, gamma, N = sS_cycle_tables(instance_a, 1.0)
