@@ -29,7 +29,7 @@ def main() -> None:
     for step in args.steps:
         grid = Grid(x_lo=-16.0, x_hi=16.0, step=step)
         model = InventoryModel(K=1.5, c_bar=1.0, h=h, demand=demand, grid=grid)
-        res = ssdp.discounted_sS(model, args.alpha, tol=1e-8, horizon_trace=False)
+        res = ssdp.discounted_sS(model, args.alpha, tol=1e-8)
         i0 = grid.index_of(0.0)
         print(
             f"{step:6.2f} {grid.n:5d} {res.policy.s:8.2f} {res.policy.S:8.2f} "

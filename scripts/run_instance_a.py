@@ -30,7 +30,10 @@ def main() -> None:
     print(f"\ndiscounted alpha={args.alpha}:")
     print(f"  (s,S) = {res.policy.pair()}, K-convex ok = {res.k_convexity.verdict}")
     print(f"  policy-evaluation gap vs v_alpha = {res.eval_gap:.2e}")
-    print(f"  finite-horizon thresholds settle at t = {res.trace_settle_t}")
+    stages = ssdp.finite_horizon_sS(model, args.alpha, 200, tol=1e-8).policies
+    pairs = [None if p is None else p.pair() for p in stages]
+    settle = next(t for t in range(len(pairs)) if all(p == pairs[-1] for p in pairs[t:]))
+    print(f"  finite-horizon thresholds settle at t = {settle}")
 
     sw = average.sweep(model, average.geometric_schedule(args.schedule), tol=1e-7)
     avg = ssdp.average_sS(model, sweep_result=sw)

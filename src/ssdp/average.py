@@ -3,8 +3,9 @@
 Runs discounted solves along a schedule of factors increasing to 1, tracks
 m_alpha = min_x v_alpha(x) and the relative values u_alpha = v_alpha -
 m_alpha, estimates the optimal average cost as the limit of
-(1 - alpha) m_alpha, and verifies the average-cost optimality inequality
-for candidate stationary policies.
+(1 - alpha) m_alpha, and extracts the per-factor thresholds through
+``policy``.  The optimality-inequality check lives in ``dp`` and is
+re-exported here.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ from typing import Optional
 import numpy as np
 
 from .model import InventoryModel, ModelError, ValueTable
-from .dp import ConvergenceError, policy_order_steps, sS_cycle_tables, solve_infinite
+from .dp import (
+    ConvergenceError,
+    OptimalityInequalityReport,
+    check_optimality_inequality,
+    sS_cycle_tables,
+    solve_infinite,
+)
+from .policy import CertificationError, build_G, extract_sS, is_K_convex
 
 __all__ = [
     "geometric_schedule",
@@ -117,25 +125,22 @@ def _minimizers(v: np.ndarray, xs: np.ndarray) -> tuple[float, np.ndarray]:
     return m, xs[v <= m + eps]
 
 
-def _solve_one(model: InventoryModel, alpha: float, tol: float, thresholds: bool) -> AlphaRecord:
-    from . import policy as pol
-
+def _solve_one(model: InventoryModel, alpha: float, tol: float) -> AlphaRecord:
     report = solve_infinite(model, alpha, tol=tol)
     v = report.value.values
     m, mins = _minimizers(v, model.grid.points)
     s = S = None
     warn = None
-    if thresholds:
-        try:
-            g = pol.build_G(model, report.value, alpha, kind="infinite")
-            cert = pol.is_K_convex(g, model.K)
-            if cert.verdict:
-                ss = pol.extract_sS(g, model.K)
-                s, S = ss.s, ss.S
-            else:
-                warn = f"alpha={alpha}: G not K-convex, thresholds withheld"
-        except (ModelError, pol.CertificationError) as exc:
-            warn = f"alpha={alpha}: {exc}"
+    try:
+        g = build_G(model, report.value, alpha, kind="infinite")
+        cert = is_K_convex(g, model.K)
+        if cert.verdict:
+            ss = extract_sS(g, model.K)
+            s, S = ss.s, ss.S
+        else:
+            warn = f"alpha={alpha}: G not K-convex, thresholds withheld"
+    except (ModelError, CertificationError) as exc:
+        warn = f"alpha={alpha}: {exc}"
     return AlphaRecord(
         alpha=alpha,
         m_alpha=m,
@@ -150,14 +155,11 @@ def _solve_one(model: InventoryModel, alpha: float, tol: float, thresholds: bool
     )
 
 
-def sweep(
-    model: InventoryModel,
-    schedule=None,
-    tol: float = 1e-7,
-    thresholds: bool = True,
-) -> VanishingDiscountSweep:
+def sweep(model: InventoryModel, schedule=None, tol: float = 1e-7) -> VanishingDiscountSweep:
     """Discounted solves along an increasing schedule of factors.
 
+    Each factor's thresholds come from its certified G; where the
+    certificate or the extraction fails, they are withheld with a warning.
     An iteration-cap failure at a high factor truncates the schedule and
     returns a partial sweep with a warning.
     """
@@ -172,7 +174,7 @@ def sweep(
     partial = False
     for alpha in sched:
         try:
-            res = _solve_one(model, alpha, tol, thresholds)
+            res = _solve_one(model, alpha, tol)
         except ConvergenceError as exc:
             partial = True
             warnings.append(f"alpha={alpha}: solver iteration cap hit; sweep truncated ({exc})")
@@ -249,49 +251,6 @@ def minimizer_set_diagnostic(sweep_result: VanishingDiscountSweep) -> MinimizerH
     g = sweep_result.model.grid
     lo, hi = min(los), max(his)
     return MinimizerHull(lo=lo, hi=hi, interior_ok=bool(g.x_lo < lo and hi < g.x_hi))
-
-
-@dataclass(eq=False)
-class OptimalityInequalityReport:
-    residuals: np.ndarray
-    interior_mask: np.ndarray
-    max_interior: float
-    max_boundary: float
-    slack: float
-    passes: bool
-
-
-def check_optimality_inequality(
-    model: InventoryModel,
-    policy,
-    rel: RelativeValue,
-    slack: Optional[float] = None,
-) -> OptimalityInequalityReport:
-    """Residuals r(x) = c(x, phi(x)) + E u(x') - w - u(x) of the optimality inequality.
-
-    States within one maximum demand of either grid edge are excluded from
-    the verdict (clamped transitions distort u there) and reported
-    separately.  Default slack: ten times the last sweep step of
-    (1 - alpha) m_alpha.
-    """
-    s = rel.default_slack if slack is None else slack
-    steps = policy_order_steps(model, policy)
-    idx = np.arange(model.grid.n)
-    u = rel.u.values
-    r = model.one_step_cost(idx, steps) + model.kernel.expect(u)[idx + steps] - rel.w - u
-    d_max = model.demand.max_value
-    xs = model.grid.points
-    interior = (xs >= model.grid.x_lo + d_max) & (xs <= model.grid.x_hi - d_max)
-    max_int = float(r[interior].max()) if interior.any() else -np.inf
-    max_bnd = float(r[~interior].max()) if (~interior).any() else -np.inf
-    return OptimalityInequalityReport(
-        residuals=r,
-        interior_mask=interior,
-        max_interior=max_int,
-        max_boundary=max_bnd,
-        slack=float(s),
-        passes=bool(max_int <= s),
-    )
 
 
 def exact_average_cost(model: InventoryModel, policy) -> float:

@@ -15,7 +15,6 @@ for a fixed config and seed at any worker count.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
@@ -35,8 +34,8 @@ from .dp import (
 )
 from .io import (
     RunManifest,
+    write_json,
     write_manifest,
-    write_renewal_json,
     write_results_csv,
     write_solve_csv,
     write_solve_sidecar,
@@ -115,7 +114,7 @@ def cmd_solve(args) -> int:
     with _recorded(out, manifest):
         try:
             if args.horizon is None:
-                result = policy.discounted_sS(model, args.alpha, tol=args.tol, horizon_trace=False)
+                result = policy.discounted_sS(model, args.alpha, tol=args.tol)
                 value_csv = out / "value.csv"
                 write_solve_csv(value_csv, result.solve.value, result.solve.policy)
                 manifest.add_output(value_csv)
@@ -131,19 +130,15 @@ def cmd_solve(args) -> int:
                     worst_triple=cert.worst_triple,
                 )
                 kconv_path = out / "k_convexity.json"
-                kconv_path.write_text(
-                    json.dumps(
-                        {
-                            "verdict": cert.verdict,
-                            "K": cert.K,
-                            "tol": cert.tol,
-                            "worst_violation": cert.worst_violation,
-                            "worst_triple": cert.worst_triple,
-                        },
-                        indent=2,
-                        sort_keys=True,
-                    )
-                    + "\n"
+                write_json(
+                    kconv_path,
+                    {
+                        "verdict": cert.verdict,
+                        "K": cert.K,
+                        "tol": cert.tol,
+                        "worst_violation": cert.worst_violation,
+                        "worst_triple": cert.worst_triple,
+                    },
                 )
                 manifest.add_output(kconv_path)
                 thr_csv = out / "thresholds.csv"
@@ -175,44 +170,30 @@ def cmd_solve(args) -> int:
             else:
                 if args.terminal == "v0alpha":
                     fs = policy.finite_horizon_sS(model, args.alpha, args.horizon, tol=args.tol)
-                    fin, stage_pols, certs = fs.finite, fs.policies, fs.certifications
                     manifest.add_check("threshold_dp_agreement", fs.agreement_ok)
-                    for w in fs.warnings:
-                        manifest.notes.append(w)
                 else:
-                    fin = solve_finite(
-                        model, args.horizon, TerminalValue.zero(model.grid), args.alpha
+                    fs = policy.finite_horizon_sS(
+                        model, args.alpha, args.horizon, terminal=TerminalValue.zero(model.grid)
                     )
-                    stage_pols, certs = [], []
-                    for t in range(args.horizon):
-                        g_t = policy.build_G(
-                            model, fin.values[t], args.alpha, kind="finite_t", t=t,
-                            terminal_id="zero",
-                        )
-                        certs.append(policy.is_K_convex(g_t, model.K))
-                        try:
-                            stage_pols.append(policy.extract_sS(g_t, model.K))
-                        except ModelError as exc:
-                            stage_pols.append(None)
-                            manifest.notes.append(f"stage t={t}: {exc}")
                     slope = policy.slope_condition(model)
                     manifest.extra["slope_condition"] = {
                         "holds": slope.holds,
                         "witness": slope.witness,
                         "quotient": slope.quotient,
                     }
-                rows = []
-                for t, (sp, cert) in enumerate(zip(stage_pols, certs)):
-                    rows.append(
-                        (
-                            f"t={t}",
-                            None if sp is None else sp.s,
-                            None if sp is None else sp.S,
-                            None,
-                            cert.verdict,
-                            None,
-                        )
+                manifest.notes.extend(fs.warnings)
+                certs = fs.certifications
+                rows = [
+                    (
+                        f"t={t}",
+                        None if sp is None else sp.s,
+                        None if sp is None else sp.S,
+                        None,
+                        cert.verdict,
+                        None,
                     )
+                    for t, (sp, cert) in enumerate(zip(fs.policies, certs))
+                ]
                 thr_csv = out / "thresholds.csv"
                 write_threshold_csv(thr_csv, rows)
                 manifest.add_output(thr_csv)
@@ -224,7 +205,7 @@ def cmd_solve(args) -> int:
                     worst_triple=worst.worst_triple,
                 )
                 value_csv = out / "value.csv"
-                write_solve_csv(value_csv, fin.values[-1], fin.policies[-1])
+                write_solve_csv(value_csv, fs.finite.values[-1], fs.finite.policies[-1])
                 manifest.add_output(value_csv)
         except policy.CertificationError as exc:
             manifest.add_check("certification", False, error=str(exc))
@@ -275,7 +256,7 @@ def cmd_sweep(args) -> int:
             hull = average.minimizer_set_diagnostic(sw)
             manifest.add_check("minimizer_hull_interior", hull.interior_ok, lo=hull.lo, hi=hull.hi)
             try:
-                avg_result = policy.average_sS(model, sweep_result=sw, tol=args.tol)
+                avg_result = policy.average_sS(model, sweep_result=sw)
             except policy.CertificationError as exc:
                 manifest.add_check("limit_thresholds", False, error=str(exc))
                 print(f"verification failure: {exc}", file=sys.stderr)
@@ -331,7 +312,7 @@ def cmd_sweep(args) -> int:
             )
             summary["simulated_average"] = sim.mean
         summary_path = out / "sweep_summary.json"
-        summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        write_json(summary_path, summary)
         manifest.add_output(summary_path)
     return _exit_code(manifest)
 
@@ -349,7 +330,7 @@ def _suite_renewal(model, args, manifest, out):
         "overshoot": {"lhs": over.lhs, "rhs": over.rhs, "margin": over.margin},
     }
     path = out / "renewal.json"
-    write_renewal_json(path, payload)
+    write_json(path, payload)
     manifest.add_output(path)
     return [
         ("renewal.wald_z_within_4", wald.passes, f"z={wald.z}"),
@@ -374,9 +355,7 @@ def _suite_sandwich(model, args, manifest, out):
     g_prev = zs.g0.values
     chain = True
     for t in range(horizon):
-        g_t = policy.build_G(
-            model, finF.values[t], alpha, kind="finite_t", t=t, terminal_id="v0_alpha"
-        ).values
+        g_t = policy.build_G(model, finF.values[t], alpha, kind="finite_t", t=t).values
         chain &= bool(np.all(g_prev <= g_t + 1e-12))
         g_prev = g_t
     chain &= bool(np.all(g_prev <= g_alpha.values + tol))

@@ -36,6 +36,8 @@ __all__ = [
     "policy_evaluation",
     "policy_order_steps",
     "sS_cycle_tables",
+    "check_optimality_inequality",
+    "OptimalityInequalityReport",
     "check_terminal_admissible",
     "AdmissibilityReport",
     "action_bound_set",
@@ -325,6 +327,50 @@ def policy_evaluation(
         "policy evaluation",
     )
     return ValueTable(grid=model.grid, values=v, tag=f"policy_value[a={alpha}]")
+
+
+@dataclass(eq=False)
+class OptimalityInequalityReport:
+    residuals: np.ndarray
+    interior_mask: np.ndarray
+    max_interior: float
+    max_boundary: float
+    slack: float
+    passes: bool
+
+
+def check_optimality_inequality(
+    model: InventoryModel,
+    policy,
+    rel,
+    slack: Optional[float] = None,
+) -> OptimalityInequalityReport:
+    """Residuals r(x) = c(x, phi(x)) + E u(x') - w - u(x) of the optimality inequality.
+
+    ``rel`` is an ``average.RelativeValue``: the relative value u, the
+    average-cost estimate w and the default slack.  States within one
+    maximum demand of either grid edge are excluded from the verdict
+    (clamped transitions distort u there) and reported separately.  The
+    default slack is ``rel.default_slack``.
+    """
+    s = rel.default_slack if slack is None else slack
+    steps = policy_order_steps(model, policy)
+    idx = np.arange(model.grid.n)
+    u = rel.u.values
+    r = model.one_step_cost(idx, steps) + model.kernel.expect(u)[idx + steps] - rel.w - u
+    d_max = model.demand.max_value
+    xs = model.grid.points
+    interior = (xs >= model.grid.x_lo + d_max) & (xs <= model.grid.x_hi - d_max)
+    max_int = float(r[interior].max()) if interior.any() else -np.inf
+    max_bnd = float(r[~interior].max()) if (~interior).any() else -np.inf
+    return OptimalityInequalityReport(
+        residuals=r,
+        interior_mask=interior,
+        max_interior=max_int,
+        max_boundary=max_bnd,
+        slack=float(s),
+        passes=bool(max_int <= s),
+    )
 
 
 def sS_cycle_tables(

@@ -17,13 +17,13 @@ import numpy as np
 __all__ = [
     "RunManifest",
     "write_manifest",
+    "write_json",
     "write_table_csv",
     "write_solve_csv",
     "write_solve_sidecar",
     "write_threshold_csv",
     "write_sweep_csv",
     "write_results_csv",
-    "write_renewal_json",
 ]
 
 
@@ -47,7 +47,9 @@ def write_table_csv(path, header, rows) -> None:
             w.writerow([_cell(c) for c in row])
 
 
-_write_rows = write_table_csv
+def write_json(path, payload: dict) -> None:
+    """Indented JSON with sorted keys and a trailing newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_solve_csv(path, value, policy) -> None:
@@ -65,12 +67,13 @@ def write_solve_sidecar(path, report, **extra) -> None:
         "clamp_events": report.clamp_events,
     }
     payload.update(extra)
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, payload)
 
 
 def write_threshold_csv(path, rows) -> None:
     """Rows: (context, s, S, g_min, K_convex_ok, extrapolation_count)."""
-    _write_rows(path, ["context", "s", "S", "g_min", "K_convex_ok", "extrapolation_count"], rows)
+    header = ["context", "s", "S", "g_min", "K_convex_ok", "extrapolation_count"]
+    write_table_csv(path, header, rows)
 
 
 def write_sweep_csv(path, sweep) -> None:
@@ -97,18 +100,14 @@ def write_sweep_csv(path, sweep) -> None:
         )
         for r in sweep.records
     )
-    _write_rows(path, header, rows)
+    write_table_csv(path, header, rows)
 
 
 def write_results_csv(path, rows) -> None:
     """Rows: (policy_id, criterion, mean, std_error, n_paths, horizon, seed)."""
-    _write_rows(
+    write_table_csv(
         path, ["policy_id", "criterion", "mean", "std_error", "n_paths", "horizon", "seed"], rows
     )
-
-
-def write_renewal_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 @dataclass
@@ -150,4 +149,4 @@ def write_manifest(path, manifest: RunManifest) -> None:
         "notes": manifest.notes,
     }
     payload.update(manifest.extra)
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, payload)

@@ -28,6 +28,7 @@ from .dp import (
     SolveReport,
     TerminalValue,
     _strict_suffix_min,
+    check_optimality_inequality,
     policy_evaluation,
     sS_cycle_tables,
     solve_finite,
@@ -69,10 +70,10 @@ class CertificationError(RuntimeError):
 class GFunction:
     """Order-up-to target cost g over the grid.
 
-    kind is one of ``finite_t`` (stage function, with ``t`` and the terminal
-    id), ``infinite``, or ``H_average``.  ``extrapolation_count`` is the
-    number of (state, atom) pairs whose value lookup fell below the grid and
-    was linearly extrapolated.
+    kind is one of ``finite_t`` (stage function, with ``t``), ``infinite``,
+    or ``H_average``.  ``extrapolation_count`` is the number of (state, atom)
+    pairs whose value lookup fell below the grid and was linearly
+    extrapolated.
     """
 
     grid: Grid
@@ -80,7 +81,6 @@ class GFunction:
     kind: str
     alpha: Optional[float] = None
     t: Optional[int] = None
-    terminal_id: Optional[str] = None
     extrapolation_count: int = 0
 
     def __post_init__(self) -> None:
@@ -96,7 +96,6 @@ class SsPolicy:
     S: float
     alpha: Optional[float] = None
     context: str = "infinite"  # infinite | t=<k> | average
-    terminal_id: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.s > self.S:
@@ -117,7 +116,6 @@ def build_G(
     alpha: float,
     kind: str = "infinite",
     t: Optional[int] = None,
-    terminal_id: Optional[str] = None,
     check_tol: float = G_CONSISTENCY_TOL,
 ) -> GFunction:
     """g(x) = c_bar x + E h(x-D) + alpha E v(x-D) on the grid.
@@ -151,7 +149,6 @@ def build_G(
         kind=kind,
         alpha=alpha,
         t=t,
-        terminal_id=terminal_id,
         extrapolation_count=kernel.clamp_events,
     )
     if kind == "infinite":
@@ -192,7 +189,6 @@ def extract_sS(g: GFunction, K: float) -> SsPolicy:
         S=float(xs[S_idx]),
         alpha=g.alpha,
         context=context,
-        terminal_id=g.terminal_id,
     )
 
 
@@ -266,7 +262,7 @@ def solve_zero_setup(model: InventoryModel, alpha: float, tol: float = 1e-8) -> 
     model0 = replace(model, K=0.0)
     report = solve_infinite(model0, alpha, tol=tol)
     v0 = ValueTable(grid=model.grid, values=report.value.values, tag=f"v0_alpha[a={alpha}]")
-    g0 = build_G(model0, v0, alpha, kind="infinite", terminal_id="zero")
+    g0 = build_G(model0, v0, alpha, kind="infinite")
     conv = is_K_convex(g0, K=0.0)
     if not conv.verdict:
         raise CertificationError(
@@ -278,7 +274,7 @@ def solve_zero_setup(model: InventoryModel, alpha: float, tol: float = 1e-8) -> 
 
 @dataclass(eq=False)
 class FiniteSsResult:
-    """Per-stage thresholds (s_t, S_t) from G_{t, v0_alpha, alpha}, t = 0..N-1.
+    """Per-stage thresholds (s_t, S_t) from the stage functions G_t, t = 0..N-1.
 
     The induced policy for the N-horizon problem uses the pair with index
     N - epoch - 1 at decision epoch ``epoch``.  ``agreement_ok`` confirms the
@@ -291,7 +287,6 @@ class FiniteSsResult:
     agreement_ok: bool
     mismatches: list
     finite: FiniteHorizonResult
-    zero_setup: ZeroSetupResult
     warnings: list
 
 
@@ -310,30 +305,35 @@ def finite_horizon_sS(
     alpha: float,
     n_periods: int,
     tol: float = 1e-8,
-    zero_setup: Optional[ZeroSetupResult] = None,
+    terminal: Optional[TerminalValue] = None,
 ) -> FiniteSsResult:
-    """Stagewise (s_t, S_t) extraction with the zero-setup terminal value.
+    """Stagewise (s_t, S_t) extraction from backward induction.
 
-    Each stage function is K-convexity certified; a failed certificate (the
-    discount factor sits below the usable threshold) downgrades to a warning
-    and the thresholds are still reported alongside the worst triple.
+    With ``terminal=None`` the terminal value is the zero-setup value
+    v0_alpha, solved at ``tol``, and a warning is added when its G lacks an
+    interior argmin.  Each stage function is K-convexity certified; a failed
+    certificate (the discount factor sits below the usable threshold)
+    downgrades to a warning and the thresholds are still reported alongside
+    the worst triple.
     """
-    zs = zero_setup or solve_zero_setup(model, alpha, tol)
     warnings: list[str] = []
-    g0v = zs.g0.values
-    argmin0 = int(np.argmin(g0v))
-    if not (0 < argmin0 < g0v.size - 1) or not g0v[0] > g0v[1] - 1e-12:
-        warnings.append(
-            "zero-setup G lacks an interior argmin rising toward x_lo; "
-            "alpha may be below the usable threshold"
-        )
-    fin = solve_finite(model, n_periods, zs.terminal(), alpha)
+    if terminal is None:
+        zs = solve_zero_setup(model, alpha, tol)
+        g0v = zs.g0.values
+        argmin0 = int(np.argmin(g0v))
+        if not (0 < argmin0 < g0v.size - 1) or not g0v[0] > g0v[1] - 1e-12:
+            warnings.append(
+                "zero-setup G lacks an interior argmin rising toward x_lo; "
+                "alpha may be below the usable threshold"
+            )
+        terminal = zs.terminal()
+    fin = solve_finite(model, n_periods, terminal, alpha)
     policies: list[Optional[SsPolicy]] = []
     certs: list[KConvexityReport] = []
     mismatches: list = []
     agreement = True
     for t in range(n_periods):
-        g_t = build_G(model, fin.values[t], alpha, kind="finite_t", t=t, terminal_id="v0_alpha")
+        g_t = build_G(model, fin.values[t], alpha, kind="finite_t", t=t)
         cert = is_K_convex(g_t, model.K)
         certs.append(cert)
         if not cert.verdict:
@@ -358,14 +358,13 @@ def finite_horizon_sS(
         agreement_ok=agreement,
         mismatches=mismatches,
         finite=fin,
-        zero_setup=zs,
         warnings=warnings,
     )
 
 
 @dataclass(eq=False)
 class DiscountedSsResult:
-    """Infinite-horizon thresholds plus the finite-stage threshold trace."""
+    """Infinite-horizon thresholds from the converged G, cross-validated."""
 
     policy: Optional[SsPolicy]
     solve: SolveReport
@@ -373,8 +372,6 @@ class DiscountedSsResult:
     k_convexity: KConvexityReport
     eval_gap: Optional[float]
     fallback_policy: Optional[object]
-    trace: list
-    trace_settle_t: Optional[int]
     explanation: Optional[str]
 
 
@@ -382,17 +379,15 @@ def discounted_sS(
     model: InventoryModel,
     alpha: float,
     tol: float = 1e-8,
-    horizon_trace: bool = True,
-    trace_t_max: int = 200,
     solve: Optional[SolveReport] = None,
-    zero_setup: Optional[ZeroSetupResult] = None,
 ) -> DiscountedSsResult:
     """Extract (s_alpha, S_alpha) from the converged G and cross-validate it.
 
     The extracted policy's evaluated value must match v_alpha within
     10 * tol gridwise.  If K-convexity certification fails (alpha too small)
     the thresholds are withheld and the raw argmin policy is returned
-    instead, with an explanation.
+    instead, with an explanation.  The finite-horizon pairs that converge
+    to these thresholds are ``finite_horizon_sS(...).policies``.
     """
     report = solve or solve_infinite(model, alpha, tol=tol)
     # the consistency gap is bounded by the certified solve error, so the
@@ -407,8 +402,6 @@ def discounted_sS(
             k_convexity=cert,
             eval_gap=None,
             fallback_policy=report.policy,
-            trace=[],
-            trace_settle_t=None,
             explanation=(
                 "G is not K-convex at this discount factor (worst triple "
                 f"{cert.worst_triple}, violation {cert.worst_violation:.3e}); "
@@ -422,26 +415,6 @@ def discounted_sS(
         raise CertificationError(
             f"(s,S) policy evaluation misses v_alpha by {gap:.3e} (> 10*tol)"
         )
-    trace: list = []
-    settle: Optional[int] = None
-    if horizon_trace:
-        zs = zero_setup or solve_zero_setup(model, alpha, tol)
-        fin = solve_finite(model, trace_t_max, zs.terminal(), alpha)
-        for t in range(trace_t_max):
-            g_t = build_G(
-                model, fin.values[t], alpha, kind="finite_t", t=t, terminal_id="v0_alpha"
-            )
-            try:
-                trace.append(extract_sS(g_t, model.K).pair())
-            except ModelError:
-                trace.append(None)
-        if trace:
-            last = trace[-1]
-            settle = None
-            for t in range(trace_t_max - 1, -1, -1):
-                if trace[t] != last:
-                    break
-                settle = t
     return DiscountedSsResult(
         policy=pol,
         solve=report,
@@ -449,8 +422,6 @@ def discounted_sS(
         k_convexity=cert,
         eval_gap=gap,
         fallback_policy=None,
-        trace=trace,
-        trace_settle_t=settle,
         explanation=None,
     )
 
@@ -468,22 +439,15 @@ class AverageSsResult:
     note: Optional[str]
 
 
-def average_sS(
-    model: InventoryModel,
-    schedule=None,
-    tol: float = 1e-7,
-    sweep_result=None,
-) -> AverageSsResult:
-    """Limit thresholds over a discount schedule increasing to 1.
+def average_sS(model: InventoryModel, sweep_result=None) -> AverageSsResult:
+    """Limit thresholds of a vanishing-discount sweep (``average.sweep``).
 
     With P(D > 0) = 0 the problem degenerates and the (0, 0) policy is
-    returned immediately.  Otherwise the per-alpha thresholds come from the
-    vanishing-discount sweep; the last pair is the limit estimate, flagged
-    as unsettled if the pairs still drift over the final three factors.  The
-    induced policy is checked against the average-cost optimality inequality.
+    returned without a sweep.  Otherwise ``sweep_result`` is required: its
+    last pair is the limit estimate, flagged as unsettled if the pairs still
+    drift over the final three factors.  The induced policy is checked
+    against the average-cost optimality inequality.
     """
-    from . import average as avg
-
     if model.demand.p_positive == 0.0:
         return AverageSsResult(
             policy=SsPolicy(s=0.0, S=0.0, alpha=None, context="average"),
@@ -498,7 +462,9 @@ def average_sS(
                 "for x > 0) so no constant optimal average cost exists"
             ),
         )
-    sw = sweep_result or avg.sweep(model, schedule, tol=tol)
+    if sweep_result is None:
+        raise ModelError("average_sS needs a sweep_result from average.sweep when P(D > 0) > 0")
+    sw = sweep_result
     seq = [(r.alpha, (r.s, r.S)) for r in sw.records if r.s is not None]
     if not seq:
         raise CertificationError("no alpha in the schedule produced thresholds")
@@ -510,8 +476,7 @@ def average_sS(
         model.grid.x_lo + margin <= p[0] and p[1] <= model.grid.x_hi - margin for p in tail
     )
     pol = SsPolicy(s=pairs[-1][0], S=pairs[-1][1], alpha=seq[-1][0], context="average")
-    rel = sw.relative_value()
-    oi = avg.check_optimality_inequality(model, pol, rel)
+    oi = check_optimality_inequality(model, pol, sw.relative_value())
     return AverageSsResult(
         policy=pol,
         degenerate=False,
@@ -546,7 +511,9 @@ def brute_force_sS_check(
     Every grid pair s <= S is valued exactly from ``sS_cycle_tables``, the
     extracted one by the same expression (so its own gap is 0); the check
     passes when no pair beats it by more than ``BRUTE_FORCE_MARGIN`` at any
-    state.  The best pair is the first largest gap, S ascending, then s.
+    state.  The best pair is the first largest gap, S ascending, then s;
+    when no pair beats the extracted one (worst gap <= 0) it is the extracted
+    pair itself, not one of the pairs that tie with it.
     The gap scan is O(n^3), so grids are capped at ``BRUTE_FORCE_GRID_CAP``.
     """
     n = model.grid.n
@@ -554,7 +521,7 @@ def brute_force_sS_check(
         raise ModelError(
             f"grid too large for exhaustive oracle: {n} points (cap {BRUTE_FORCE_GRID_CAP})"
         )
-    res = discounted_sS(model, alpha, tol=tol, horizon_trace=False, solve=solve)
+    res = discounted_sS(model, alpha, tol=tol, solve=solve)
     if res.policy is None:
         raise CertificationError("cannot brute-force check: thresholds were withheld")
     xs = model.grid.points
@@ -575,7 +542,7 @@ def brute_force_sS_check(
         gaps[s_idx:, s_idx] = np.max(ex_value[:, None] - pair_values(s_idx), axis=0)
     S_best, s_best = divmod(int(np.argmax(gaps)), n)
     worst = float(gaps[S_best, s_best])
-    best = (float(xs[s_best]), float(xs[S_best]))
+    best = (float(xs[s_best]), float(xs[S_best])) if worst > 0 else res.policy.pair()
     return BruteForceReport(
         worst_gap=worst,
         best_pair=best,

@@ -69,8 +69,6 @@ def policy_fn(policy, model: InventoryModel) -> tuple[Callable[[np.ndarray], np.
     if isinstance(policy, OrderUpTo):
         lvl = float(policy.level)
         return (lambda x: np.maximum(lvl - x, 0.0)), f"order_up_to({lvl})"
-    if isinstance(policy, tuple) and len(policy) == 2 and policy[0] == "order_up_to":
-        return policy_fn(OrderUpTo(policy[1]), model)
     if hasattr(policy, "s") and hasattr(policy, "S"):
         s, S = float(policy.s), float(policy.S)
         return (lambda x: np.where(x < s, S - x, 0.0)), f"sS(s={s},S={S})"

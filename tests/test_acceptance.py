@@ -114,7 +114,7 @@ def test_criterion_06_base_stock_degeneration(instance_a):
     m0 = replace(instance_a, K=0.0)
     fin = finite_horizon_sS(m0, 0.9, 8, tol=1e-8)
     assert all(p is not None and p.s == p.S for p in fin.policies), "finite horizon s != S"
-    res = discounted_sS(m0, 0.9, tol=1e-8, horizon_trace=False)
+    res = discounted_sS(m0, 0.9, tol=1e-8)
     assert res.policy.s == res.policy.S, "infinite horizon s != S"
     report(6, "K=0 collapses every threshold pair to s = S (base stock)")
 

@@ -41,7 +41,7 @@ def test_sweep_rejects_bad_schedules(instance_a):
 
 
 def test_sweep_zero_stub(zero_stub):
-    sw = sweep(zero_stub, geometric_schedule(4), tol=1e-8, thresholds=False)
+    sw = sweep(zero_stub, geometric_schedule(4), tol=1e-8)
     assert sw.w_estimate == 0.0
     assert all(r.m_alpha == 0.0 for r in sw.records)
     assert np.all(sw.records[-1].u == 0.0)
@@ -74,7 +74,7 @@ def test_assumption_b_flags_degenerate_growth():
     h = PiecewiseLinear.from_breakpoints([[0, 0], [20, 20]])
     d0 = DemandDistribution.from_atoms([(0.0, 1.0)])
     m = InventoryModel(K=2.0, c_bar=1.0, h=h, demand=d0, grid=grid)
-    sw = sweep(m, geometric_schedule(8), tol=1e-6, thresholds=False)
+    sw = sweep(m, geometric_schedule(8), tol=1e-6)
     last = sw.records[-1]
     expect = grid.points / (1 - last.alpha)
     assert np.max(np.abs(last.u - expect)) <= 1e-6 * 10
@@ -84,7 +84,7 @@ def test_assumption_b_flags_degenerate_growth():
 
 
 def test_assumption_b_needs_three_points(instance_a):
-    sw = sweep(instance_a, geometric_schedule(2), tol=1e-7, thresholds=False)
+    sw = sweep(instance_a, geometric_schedule(2), tol=1e-7)
     with pytest.raises(ModelError):
         assumption_B_diagnostic(sw)
 
@@ -100,12 +100,12 @@ def test_minimizer_hull_flags_tight_grid():
     h = PiecewiseLinear.from_breakpoints([[-1, 3], [0, 0], [1, 1]])
     demand = DemandDistribution.from_atoms([(0, 0.25), (1, 0.5), (2, 0.25)])
     m = InventoryModel(K=2.0, c_bar=1.0, h=h, demand=demand, grid=grid)
-    sw = sweep(m, geometric_schedule(4), tol=1e-7, thresholds=False)
+    sw = sweep(m, geometric_schedule(4), tol=1e-7)
     assert not minimizer_set_diagnostic(sw).interior_ok
 
 
 def test_optimality_inequality_zero_stub(zero_stub):
-    sw = sweep(zero_stub, geometric_schedule(3), tol=1e-8, thresholds=False)
+    sw = sweep(zero_stub, geometric_schedule(3), tol=1e-8)
     rel = sw.relative_value()
     rep = check_optimality_inequality(zero_stub, np.zeros(zero_stub.grid.n), rel)
     assert np.all(rep.residuals == 0.0)
@@ -147,7 +147,7 @@ def test_h_average_function_satisfies_min_form_inequality(instance_a, sweep_a):
 
 
 def test_track_discount_actions_zero_stub(zero_stub):
-    sw = sweep(zero_stub, geometric_schedule(3), tol=1e-8, thresholds=False)
+    sw = sweep(zero_stub, geometric_schedule(3), tol=1e-8)
     rep = track_discount_actions(sw, 0.0)
     assert np.all(rep.actions == 0.0)
     assert rep.settled and rep.settled_action == 0.0
@@ -205,7 +205,7 @@ def test_partial_sweep_on_iteration_cap(instance_a, monkeypatch):
         return real(model, alpha, tol=tol, **kw)
 
     monkeypatch.setattr(avg, "solve_infinite", capped)
-    sw = avg.sweep(instance_a, geometric_schedule(6), tol=1e-7, thresholds=False)
+    sw = avg.sweep(instance_a, geometric_schedule(6), tol=1e-7)
     assert sw.partial
     assert len(sw.records) == 4
     assert any("truncated" in w for w in sw.warnings)

@@ -1,0 +1,83 @@
+"""The package's modules form one layered stack: imports only at module level, no cycles.
+
+Lazy imports of third-party modules (``scipy``) inside functions stay
+allowed; they keep start-up cheap.  A lazy import of a package module would
+hide a cycle, so it is rejected.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ssdp"
+MODULES = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+
+
+def package_targets(node):
+    """Package modules that an import statement names (empty for third-party imports)."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 0:
+            if node.module is None or node.module.split(".")[0] != "ssdp":
+                return set()
+            parts = node.module.split(".")[1:]
+        else:
+            parts = node.module.split(".") if node.module else []
+        if parts:
+            return {parts[0]}
+        return {a.name if a.name in MODULES else "__init__" for a in node.names}
+    if isinstance(node, ast.Import):
+        return {
+            (a.name.split(".") + ["__init__"])[1]
+            for a in node.names
+            if a.name.split(".")[0] == "ssdp"
+        }
+    return set()
+
+
+def import_graph():
+    return {
+        name: set().union(*(package_targets(node) for node in tree.body)) - {name}
+        for name, tree in MODULES.items()
+    }
+
+
+def test_package_modules_found():
+    assert {"model", "dp", "policy", "average", "cli"} <= set(MODULES)
+
+
+def test_no_package_import_below_module_level():
+    lazy = []
+    for name, tree in MODULES.items():
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top:
+                if package_targets(node):
+                    lazy.append(f"{name}.py:{node.lineno}")
+    assert not lazy, f"package imports inside a function or block: {lazy}"
+
+
+def test_module_import_graph_is_acyclic():
+    graph = import_graph()
+    state = {}  # name -> "open" while on the DFS stack, "done" after
+
+    def visit(name, path):
+        state[name] = "open"
+        for dep in sorted(graph.get(name, ())):
+            if state.get(dep) == "open":
+                cycle = path[path.index(dep):] + [dep]
+                raise AssertionError("import cycle: " + " -> ".join(cycle))
+            if dep not in state:
+                visit(dep, path + [dep])
+        state[name] = "done"
+
+    for name in sorted(graph):
+        if name not in state:
+            visit(name, [name])
+
+
+def test_threshold_layers_in_order():
+    # model -> dp -> policy -> average -> cli, each importing the layers below
+    graph = import_graph()
+    assert "model" in graph["dp"]
+    assert "dp" in graph["policy"]
+    assert {"dp", "policy"} <= graph["average"]
+    assert {"policy", "average"} <= graph["cli"]

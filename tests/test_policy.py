@@ -316,7 +316,7 @@ def test_zero_setup_below_full_value(instance_a, solve_a_09, zero_setup_a_09):
 
 
 def test_finite_horizon_agreement(instance_a, zero_setup_a_09):
-    res = finite_horizon_sS(instance_a, 0.9, 3, tol=1e-8, zero_setup=zero_setup_a_09)
+    res = finite_horizon_sS(instance_a, 0.9, 3, tol=1e-8, terminal=zero_setup_a_09.terminal())
     assert res.agreement_ok, res.mismatches
     assert all(p is not None for p in res.policies)
     assert not res.warnings
@@ -332,8 +332,8 @@ def test_finite_horizon_base_stock_when_K_zero(instance_a):
 
 def test_finite_horizon_single_step_construction(instance_a, zero_setup_a_09):
     # the t=0 stage function is c_bar x + E h(x-D) + alpha E v0(x-D)
-    res = finite_horizon_sS(instance_a, 0.9, 1, tol=1e-8, zero_setup=zero_setup_a_09)
-    g0 = build_G(instance_a, zero_setup_a_09.v0, 0.9, kind="finite_t", t=0, terminal_id="v0_alpha")
+    res = finite_horizon_sS(instance_a, 0.9, 1, tol=1e-8, terminal=zero_setup_a_09.terminal())
+    g0 = build_G(instance_a, zero_setup_a_09.v0, 0.9, kind="finite_t", t=0)
     direct = extract_sS(g0, instance_a.K)
     assert res.policies[0].pair() == direct.pair()
 
@@ -347,18 +347,15 @@ def test_discounted_policy_matches_value(discounted_a_09):
     assert discounted_a_09.policy.pair() == (1.0, 2.0)
 
 
-def test_discounted_trace_settles(instance_a, solve_a_09, zero_setup_a_09):
-    res = discounted_sS(
-        instance_a, 0.9, tol=1e-8, solve=solve_a_09, zero_setup=zero_setup_a_09,
-        horizon_trace=True, trace_t_max=60,
-    )
-    assert res.trace_settle_t is not None
-    assert res.trace[-1] == res.policy.pair()
+def test_discounted_trace_settles(instance_a, zero_setup_a_09, discounted_a_09):
+    # the finite-horizon thresholds converge to the discounted ones
+    res = finite_horizon_sS(instance_a, 0.9, 60, terminal=zero_setup_a_09.terminal())
+    assert res.policies[-1].pair() == discounted_a_09.policy.pair()
 
 
 def test_discounted_degenerate_thresholds_nonpositive(degenerate_model):
     for alpha in (0.5, 0.9, 0.99):
-        res = discounted_sS(degenerate_model, alpha, tol=1e-8, horizon_trace=False)
+        res = discounted_sS(degenerate_model, alpha, tol=1e-8)
         assert res.policy.s <= res.policy.S <= 0.0
 
 
@@ -432,3 +429,17 @@ def test_brute_force_matches_dense_pair_solves(make):
     assert report.best_pair == best
     assert report.worst_gap == pytest.approx(worst, rel=0, abs=1e-12)
     assert report.worst_gap >= 0.0  # the extracted pair's own gap is exactly 0
+
+
+def test_brute_force_reports_extracted_pair_on_ties(degenerate_model):
+    # zero demand: no pair beats the extracted one anywhere, and many tie with it
+    report = brute_force_sS_check(degenerate_model, 0.9)
+    worst, first_tied = oracle_brute_force(degenerate_model, 0.9, report.extracted_pair)
+    assert worst == 0.0 and first_tied != report.extracted_pair
+    assert report.worst_gap == 0.0
+    assert report.best_pair == report.extracted_pair == (0.0, 0.0)
+
+
+def test_average_needs_a_sweep(instance_a):
+    with pytest.raises(ModelError, match="sweep_result"):
+        ssdp.average_sS(instance_a)
