@@ -112,7 +112,7 @@ class VanishingDiscountSweep:
         slack = (1.0 - last.alpha) * float(last.u.max())
         slack += 10.0 * abs(self.diffs[-1]) if self.diffs.size else 1e-6
         return RelativeValue(
-            u=ValueTable(grid=self.model.grid, values=last.u, tag=f"u[a={last.alpha}]"),
+            u=ValueTable(grid=self.model.grid, values=last.u),
             w=self.w_estimate,
             alpha=last.alpha,
             default_slack=float(slack),

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -107,11 +108,11 @@ def cmd_solve(args) -> int:
     _check_alpha(args.alpha)
     if args.horizon is not None and args.horizon < 1:
         raise ModelError("horizon must be at least 1")
-    model = load_model(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(args, "solve")
     with _recorded(out, manifest):
+        model = load_model(args.config)
         try:
             if args.horizon is None:
                 result = policy.discounted_sS(model, args.alpha, tol=args.tol)
@@ -130,16 +131,7 @@ def cmd_solve(args) -> int:
                     worst_triple=cert.worst_triple,
                 )
                 kconv_path = out / "k_convexity.json"
-                write_json(
-                    kconv_path,
-                    {
-                        "verdict": cert.verdict,
-                        "K": cert.K,
-                        "tol": cert.tol,
-                        "worst_violation": cert.worst_violation,
-                        "worst_triple": cert.worst_triple,
-                    },
-                )
+                write_json(kconv_path, asdict(cert))
                 manifest.add_output(kconv_path)
                 thr_csv = out / "thresholds.csv"
                 pol = result.policy
@@ -215,12 +207,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    model = load_model(args.config)
     schedule = _parse_schedule(args.schedule)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(args, "sweep")
     with _recorded(out, manifest):
+        model = load_model(args.config)
         if model.demand.p_positive == 0.0:
             result = policy.average_sS(model)
             manifest.notes.append(result.note)
@@ -397,7 +389,6 @@ def _suite_brute_force(model, args, manifest, out):
 
 def cmd_verify(args) -> int:
     _check_alpha(args.alpha)
-    model = load_model(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(args, "verify")
@@ -408,12 +399,13 @@ def cmd_verify(args) -> int:
         "brute-force-sS": _suite_brute_force,
     }
     selected = list(suites) if args.suite == "all" else [args.suite]
-    if args.suite == "all" and model.demand.p_positive == 0.0:
-        # renewal theory needs P(D > 0) > 0; asked for alone, the suite still fails
-        selected.remove("renewal")
-        manifest.notes.append("renewal suite skipped: zero demand almost surely, P(D > 0) = 0")
     failures = 0
     with _recorded(out, manifest):
+        model = load_model(args.config)
+        if args.suite == "all" and model.demand.p_positive == 0.0:
+            # renewal theory needs P(D > 0) > 0; asked for alone, the suite still fails
+            selected.remove("renewal")
+            manifest.notes.append("renewal suite skipped: zero demand almost surely, P(D > 0) = 0")
         try:
             for name in selected:
                 for check, passed, detail in suites[name](model, args, manifest, out):

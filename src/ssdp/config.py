@@ -68,13 +68,9 @@ def model_from_dict(cfg: dict) -> InventoryModel:
     else:
         spec = dcfg["continuous"]
         _reject_unknown(spec, {"family", "params", "n_atoms"}, "demand.continuous")
-        demand = discretize_demand(
-            ContinuousDemand(
-                family=_require(spec, "family", "demand.continuous"),
-                params=dict(_require(spec, "params", "demand.continuous")),
-            ),
-            int(spec.get("n_atoms", 64)),
-        )
+        family = _require(spec, "family", "demand.continuous")
+        params = _require(spec, "params", "demand.continuous")
+        demand = discretize_demand(ContinuousDemand(family, params), spec.get("n_atoms", 64))
 
     return InventoryModel(
         K=float(_require(ccfg, "K", "cost")),

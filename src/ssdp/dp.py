@@ -124,7 +124,7 @@ def bellman_update(
     if np.any(vals < -1e-12) or not np.all(np.isfinite(vals)):
         raise ModelError("bellman_update needs a finite nonnegative value table")
     new_vals, pt = _update(model, vals, alpha, eps_act)
-    return ValueTable(grid=model.grid, values=new_vals, tag="bellman_update"), pt
+    return ValueTable(grid=model.grid, values=new_vals), pt
 
 
 @dataclass(eq=False)
@@ -137,7 +137,6 @@ class FiniteHorizonResult:
     """
 
     alpha: float
-    terminal_id: str
     values: list
     policies: list
 
@@ -165,17 +164,13 @@ def solve_finite(
     _check_alpha(alpha)
     if n_periods < 0:
         raise ModelError("horizon must be nonnegative")
-    values = [ValueTable(grid=model.grid, values=terminal.values.copy(), tag=f"v0[{terminal.id}]")]
+    values = [ValueTable(grid=model.grid, values=terminal.values.copy())]
     policies: list[PolicyTable] = []
-    for t in range(n_periods):
+    for _ in range(n_periods):
         new_vals, pt = _update(model, values[-1].values, alpha, eps_act)
-        values.append(
-            ValueTable(grid=model.grid, values=new_vals, tag=f"v{t + 1}[{terminal.id},a={alpha}]")
-        )
+        values.append(ValueTable(grid=model.grid, values=new_vals))
         policies.append(pt)
-    return FiniteHorizonResult(
-        alpha=alpha, terminal_id=terminal.id, values=values, policies=policies
-    )
+    return FiniteHorizonResult(alpha=alpha, values=values, policies=policies)
 
 
 @dataclass(eq=False)
@@ -270,7 +265,7 @@ def solve_infinite(
     )
     tv, policy = _update(model, v, alpha, eps_act)
     return SolveReport(
-        value=ValueTable(grid=model.grid, values=v, tag=f"v_alpha[a={alpha},tol={tol}]"),
+        value=ValueTable(grid=model.grid, values=v),
         policy=policy,
         iterations=iterations,
         residual=float(np.max(np.abs(tv - v))),
@@ -326,7 +321,7 @@ def policy_evaluation(
         max_iterations,
         "policy evaluation",
     )
-    return ValueTable(grid=model.grid, values=v, tag=f"policy_value[a={alpha}]")
+    return ValueTable(grid=model.grid, values=v)
 
 
 @dataclass(eq=False)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +58,7 @@ def write_solve_csv(path, value, policy) -> None:
     write_table_csv(path, ["x", "v", "chosen_action", "n_eps_optimal"], rows)
 
 
-def write_solve_sidecar(path, report, **extra) -> None:
+def write_solve_sidecar(path, report) -> None:
     payload = {
         "alpha": report.alpha,
         "tol": report.tol,
@@ -66,7 +66,6 @@ def write_solve_sidecar(path, report, **extra) -> None:
         "residual": report.residual,
         "clamp_events": report.clamp_events,
     }
-    payload.update(extra)
     write_json(path, payload)
 
 
@@ -137,16 +136,6 @@ class RunManifest:
 
 
 def write_manifest(path, manifest: RunManifest) -> None:
-    payload = {
-        "command": manifest.command,
-        "config": manifest.config,
-        "seed": manifest.seed,
-        "version": manifest.version,
-        "started_at": manifest.started_at,
-        "finished_at": manifest.finished_at,
-        "outputs": manifest.outputs,
-        "checks": manifest.checks,
-        "notes": manifest.notes,
-    }
-    payload.update(manifest.extra)
+    payload = asdict(manifest)
+    payload.update(payload.pop("extra"))
     write_json(path, payload)

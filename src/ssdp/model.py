@@ -11,6 +11,7 @@ of the grid.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -249,31 +250,77 @@ class DemandDistribution:
         return self.values[np.searchsorted(self.cdf_grid(), u, side="left")]
 
 
+# family -> {parameter: (comparison, lower bound: a number or an earlier parameter)}
+DEMAND_FAMILIES = {
+    "uniform": {"low": (">=", 0.0), "high": (">", "low")},
+    "exponential": {"mean": (">", 0.0)},
+    "gamma": {"shape": (">", 0.0), "scale": (">", 0.0)},
+    "point": {"value": (">=", 0.0)},
+}
+
+
 @dataclass(frozen=True)
 class ContinuousDemand:
     """Parametric continuous demand to be quantile-discretized.
 
-    Families and parameter names: ``uniform`` {low, high}, ``exponential``
-    {mean}, ``gamma`` {shape, scale}, ``normal`` {mean, std} (always rejected:
-    it puts mass on negative demand), ``point`` {value}.
+    Families and parameters are those of ``DEMAND_FAMILIES``; ``normal`` is
+    always rejected, since it puts mass on negative demand.  Each parameter
+    must be a finite real, and an error names its config field.
     """
 
     family: str
     params: dict
 
-    def frozen(self):
-        from scipy import stats
+    def __post_init__(self) -> None:
+        where = "demand.continuous"
+        if self.family == "normal":
+            raise ModelError(f"{where}.family 'normal' has P(D < 0) > 0")
+        if not isinstance(self.family, str) or self.family not in DEMAND_FAMILIES:
+            raise ModelError(f"{where}.family {self.family!r} not in {list(DEMAND_FAMILIES)}")
+        rules = DEMAND_FAMILIES[self.family]
+        if not isinstance(self.params, dict):
+            raise ModelError(f"{where}.params must be an object, got {self.params!r}")
+        p = {}
+        for name, (op, bound) in rules.items():
+            if name not in self.params:
+                raise ModelError(f"{where}.params.{name} is required for {self.family} demand")
+            v = self.params[name]
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ModelError(f"{where}.params.{name} must be a finite number, got {v!r}")
+            floor = p[bound] if isinstance(bound, str) else bound
+            if not (v > floor if op == ">" else v >= floor):
+                raise ModelError(f"{where}.params.{name} must be {op} {bound}, got {v}")
+            p[name] = float(v)
+        extra = sorted(set(self.params) - set(p), key=str)
+        if extra:
+            raise ModelError(f"{where}.params.{extra[0]}: {self.family} takes only {list(p)}")
+        object.__setattr__(self, "params", p)
 
-        fam, p = self.family, self.params
-        if fam == "uniform":
-            return stats.uniform(loc=p["low"], scale=p["high"] - p["low"])
-        if fam == "exponential":
-            return stats.expon(scale=p["mean"])
-        if fam == "gamma":
-            return stats.gamma(p["shape"], scale=p["scale"])
-        if fam == "normal":
-            return stats.norm(loc=p["mean"], scale=p["std"])
-        raise ModelError(f"unknown demand family {fam!r}")
+    def quantile(self, q: np.ndarray) -> np.ndarray:
+        p = self.params
+        if self.family == "uniform":
+            return p["low"] + q * (p["high"] - p["low"])
+        if self.family == "exponential":
+            return -p["mean"] * np.log1p(-q)
+        from scipy.special import gammaincinv
+
+        return p["scale"] * gammaincinv(p["shape"], q)
+
+    def bin_means(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """E[D | lo < D < hi] per bin, in closed form (nan where hi == lo)."""
+        p = self.params
+        if self.family == "uniform":
+            return 0.5 * (lo + hi)
+        if self.family == "exponential":
+            # memoryless: D - lo given D > lo is exponential; no cancellation in narrow bins
+            w = (hi - lo) / p["mean"]
+            return lo + p["mean"] * (1.0 - w / np.expm1(w))
+        from scipy.special import gammainc
+
+        k, theta = p["shape"], p["scale"]
+        # t f(t; k, theta) = k theta f(t; k + 1, theta)
+        upper = gammainc(k + 1.0, hi / theta) - gammainc(k + 1.0, lo / theta)
+        return k * theta * upper / (gammainc(k, hi / theta) - gammainc(k, lo / theta))
 
 
 def discretize_demand(spec: ContinuousDemand, n_atoms: int) -> DemandDistribution:
@@ -281,34 +328,21 @@ def discretize_demand(spec: ContinuousDemand, n_atoms: int) -> DemandDistributio
 
     The distribution is truncated at its 1 - 1e-8 quantile, split into
     ``n_atoms`` equal-probability bins, and each bin is replaced by an atom
-    at its conditional mean.  By the tower property the atom mean equals the
-    truncated mean exactly, so means of closed-form families are preserved
-    to quadrature precision.
+    at its closed-form conditional mean.  By the tower property the atom
+    mean equals the truncated mean exactly.
     """
+    if isinstance(n_atoms, bool) or not isinstance(n_atoms, numbers.Integral) or n_atoms < 2:
+        raise ModelError(f"demand.continuous.n_atoms must be an integer >= 2, got {n_atoms!r}")
     if spec.family == "point":
-        value = float(spec.params["value"])
-        if value < 0:
-            raise ModelError("demand must be nonnegative: P(D < 0) > 0")
+        value = spec.params["value"]
         return DemandDistribution.from_atoms([(value, 1.0)], source="discretized-continuous")
-    if n_atoms < 2:
-        raise ModelError("n_atoms must be at least 2")
-    dist = spec.frozen()
-    if dist.cdf(0.0) > 1e-15 or dist.ppf(0.0) < -1e-12:
-        raise ModelError(f"demand family {spec.family!r} has P(D < 0) > 0")
-    p_hi = TRUNCATION_FLOOR
-    edges = dist.ppf(np.linspace(0.0, p_hi, n_atoms + 1))
+    edges = spec.quantile(np.linspace(0.0, TRUNCATION_FLOOR, n_atoms + 1))
     edges[0] = max(edges[0], 0.0)
-    atoms = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi <= lo:
-            mean = lo
-        else:
-            mean = dist.expect(lambda t: t, lb=lo, ub=hi, conditional=True)
-        atoms.append((float(mean), 1.0 / n_atoms * p_hi))
-    out = DemandDistribution.from_atoms(atoms, source="discretized-continuous")
-    if not math.isfinite(out.mean):
-        raise ModelError("discretized demand has non-finite mean")
-    return out
+    lo, hi = edges[:-1], edges[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        means = np.where(hi > lo, spec.bin_means(lo, hi), lo)
+    atoms = [(float(m), 1.0 / n_atoms * TRUNCATION_FLOOR) for m in means]
+    return DemandDistribution.from_atoms(atoms, source="discretized-continuous")
 
 
 def _expected_h_curve(h: PiecewiseLinear, demand: DemandDistribution) -> PiecewiseLinear:
@@ -549,11 +583,10 @@ def build_cost(model: InventoryModel) -> CostTable:
 
 @dataclass(eq=False)
 class ValueTable:
-    """Per-state nonnegative costs with a provenance tag."""
+    """Per-state nonnegative costs on a grid."""
 
     grid: Grid
     values: np.ndarray
-    tag: str = ""
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)

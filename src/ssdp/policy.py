@@ -261,7 +261,7 @@ def solve_zero_setup(model: InventoryModel, alpha: float, tol: float = 1e-8) -> 
     """
     model0 = replace(model, K=0.0)
     report = solve_infinite(model0, alpha, tol=tol)
-    v0 = ValueTable(grid=model.grid, values=report.value.values, tag=f"v0_alpha[a={alpha}]")
+    v0 = ValueTable(grid=model.grid, values=report.value.values)
     g0 = build_G(model0, v0, alpha, kind="infinite")
     conv = is_K_convex(g0, K=0.0)
     if not conv.verdict:
@@ -371,7 +371,6 @@ class DiscountedSsResult:
     g: GFunction
     k_convexity: KConvexityReport
     eval_gap: Optional[float]
-    fallback_policy: Optional[object]
     explanation: Optional[str]
 
 
@@ -385,8 +384,8 @@ def discounted_sS(
 
     The extracted policy's evaluated value must match v_alpha within
     10 * tol gridwise.  If K-convexity certification fails (alpha too small)
-    the thresholds are withheld and the raw argmin policy is returned
-    instead, with an explanation.  The finite-horizon pairs that converge
+    the thresholds are withheld, with an explanation, and the raw argmin
+    policy stays in ``solve.policy``.  The finite-horizon pairs that converge
     to these thresholds are ``finite_horizon_sS(...).policies``.
     """
     report = solve or solve_infinite(model, alpha, tol=tol)
@@ -401,7 +400,6 @@ def discounted_sS(
             g=g,
             k_convexity=cert,
             eval_gap=None,
-            fallback_policy=report.policy,
             explanation=(
                 "G is not K-convex at this discount factor (worst triple "
                 f"{cert.worst_triple}, violation {cert.worst_violation:.3e}); "
@@ -421,7 +419,6 @@ def discounted_sS(
         g=g,
         k_convexity=cert,
         eval_gap=gap,
-        fallback_policy=None,
         explanation=None,
     )
 
@@ -434,7 +431,6 @@ class AverageSsResult:
     degenerate: bool
     settled: bool
     bounded_ok: bool
-    sweep: Optional[object]
     optimality: Optional[object]
     note: Optional[str]
 
@@ -454,7 +450,6 @@ def average_sS(model: InventoryModel, sweep_result=None) -> AverageSsResult:
             degenerate=True,
             settled=True,
             bounded_ok=True,
-            sweep=None,
             optimality=None,
             note=(
                 "zero demand almost surely: returned the (0,0) policy; the "
@@ -482,7 +477,6 @@ def average_sS(model: InventoryModel, sweep_result=None) -> AverageSsResult:
         degenerate=False,
         settled=settled,
         bounded_ok=bounded_ok,
-        sweep=sw,
         optimality=oi,
         note=None if settled else "thresholds still drifting at the end of the schedule",
     )

@@ -99,9 +99,7 @@ class SimResult:
 
 
 def _demand_matrix(model: InventoryModel, cfg: SimConfig) -> np.ndarray:
-    rng = np.random.default_rng(cfg.seed)
-    u = rng.random((cfg.n_paths, cfg.horizon))
-    return model.demand.values[np.searchsorted(model.demand.cdf_grid(), u, side="left")]
+    return model.demand.sample(np.random.default_rng(cfg.seed), (cfg.n_paths, cfg.horizon))
 
 
 def _run_paths(

@@ -132,6 +132,31 @@ def test_bad_config_keys_rejected(tmp_path):
     assert "unknown keys" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "continuous, field",
+    [
+        ({"family": "exponential", "params": {"mu": 1}}, "params.mean"),
+        ({"family": "exponential", "params": {"mean": "nan"}}, "params.mean"),
+        ({"family": "exponential", "params": {"mean": 1}, "n_atoms": "x"}, "n_atoms"),
+        ({"family": "exponential", "params": {"mean": -1}}, "params.mean"),
+        ({"family": "gamma", "params": {"shape": 0, "scale": 1}}, "params.shape"),
+        ({"family": "uniform", "params": {"low": 2, "high": 1}}, "params.high"),
+        ({"family": "exponential", "params": {"mean": 1, "extra": 3}}, "params.extra"),
+    ],
+)
+def test_bad_continuous_demand_fails_fast_naming_the_field(tmp_path, continuous, field):
+    cfg = json.loads((CONFIGS / "exponential_demand.json").read_text())
+    cfg["demand"] = {"continuous": continuous}
+    path = tmp_path / "bad_demand.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    r = run_cli("solve", path, "--alpha", "0.9", "--out", out)
+    assert r.returncode == 2, r.stderr
+    assert f"demand.continuous.{field}" in r.stderr and "Traceback" not in r.stderr
+    notes = json.loads((out / "manifest.json").read_text())["notes"]
+    assert len(notes) == 1 and notes[0].startswith(f"ModelError: demand.continuous.{field}")
+
+
 def test_sweep_full_schedule_passes_and_emits_results(tmp_path):
     out = tmp_path / "sw"
     r = run_cli("sweep", INSTANCE_A, "--out", out)

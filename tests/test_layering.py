@@ -6,9 +6,12 @@ hide a cycle, so it is rejected.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ssdp"
+CONFIGS = PACKAGE.parents[1] / "configs"
 MODULES = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
 
 
@@ -81,3 +84,21 @@ def test_threshold_layers_in_order():
     assert "dp" in graph["policy"]
     assert {"dp", "policy"} <= graph["average"]
     assert {"policy", "average"} <= graph["cli"]
+
+
+def test_loading_shipped_configs_imports_no_scipy_stats_or_special():
+    # scipy.stats costs ~1.2 s of a fresh process; the demand atoms are closed-form,
+    # and scipy.special is needed only for gamma demand, which no shipped config uses
+    code = (
+        "import sys, ssdp.cli\n"
+        "from ssdp.config import load_model\n"
+        "for path in sys.argv[1:]:\n"
+        "    load_model(path)\n"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))\n"
+    )
+    configs = sorted(str(p) for p in CONFIGS.glob("*.json"))
+    assert len(configs) >= 3
+    r = subprocess.run(
+        [sys.executable, "-c", code, *configs], capture_output=True, text=True, check=True
+    )
+    assert r.stdout.strip() == "[]"

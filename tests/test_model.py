@@ -14,6 +14,7 @@ from ssdp.model import (
     InventoryModel,
     ModelError,
     PiecewiseLinear,
+    TRUNCATION_FLOOR,
     build_cost,
     build_kernel,
     discretize_demand,
@@ -24,7 +25,9 @@ from conftest import (
     OPERATOR_MODELS,
     make_instance_a,
     make_zero_stub,
+    mpmath_gamma_atoms,
     oracle_cost,
+    oracle_discretize,
     oracle_post_expectation,
 )
 
@@ -97,6 +100,89 @@ def test_discretize_exponential_mean_preserved():
 def test_discretize_rejects_negative_support():
     with pytest.raises(ModelError):
         discretize_demand(ContinuousDemand("normal", {"mean": 1.0, "std": 1.0}), 8)
+
+
+def _truncated_mean(family, p):
+    """E[D | D <= q] at the truncation quantile q = 1 - 1e-8, in closed form."""
+    from scipy.special import gammainc, gammaincinv
+
+    q = TRUNCATION_FLOOR
+    if family == "uniform":
+        return p["low"] + 0.5 * q * (p["high"] - p["low"])
+    if family == "exponential":
+        b = -p["mean"] * math.log1p(-q)
+        return p["mean"] - b * (1.0 - q) / q
+    z = gammaincinv(p["shape"], q)
+    return p["shape"] * p["scale"] * gammainc(p["shape"] + 1.0, z) / q
+
+
+positive = st.floats(min_value=1e-3, max_value=1e3)
+continuous_specs = st.one_of(
+    st.builds(lambda m: ("exponential", {"mean": m}), positive),
+    st.builds(
+        lambda lo, w: ("uniform", {"low": lo, "high": lo + w}),
+        st.floats(min_value=0.0, max_value=1e3),
+        positive,
+    ),
+    # quadrature is accurate to 1e-12 only where the gamma density is smooth at 0
+    st.builds(
+        lambda k, s: ("gamma", {"shape": k, "scale": s}),
+        st.one_of(st.sampled_from([1.0, 2.0]), st.floats(min_value=3.0, max_value=60.0)),
+        st.floats(min_value=1e-2, max_value=1e2),
+    ),
+)
+
+
+@given(spec=continuous_specs, n=st.integers(min_value=2, max_value=128))
+@settings(max_examples=20, deadline=None)
+def test_discretize_matches_quadrature_oracle(spec, n):
+    family, params = spec
+    d = discretize_demand(ContinuousDemand(family, dict(params)), n)
+    ref = oracle_discretize(family, params, n)
+    assert d.n_atoms == ref.n_atoms
+    np.testing.assert_allclose(d.values, ref.values, rtol=1e-12, atol=0.0)
+    assert d.truncation_mass == ref.truncation_mass
+    assert d.mean == pytest.approx(_truncated_mean(family, params), rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [0.3, 0.7, 1.3, 1.5])
+def test_discretize_gamma_matches_mpmath_where_quadrature_is_coarse(shape):
+    # the quadrature oracle is 2.5e-9 off at shape 0.7 and 1e-10 at 1.3
+    ref = mpmath_gamma_atoms(shape, 1.3, 32)
+    d = discretize_demand(ContinuousDemand("gamma", {"shape": shape, "scale": 1.3}), 32)
+    np.testing.assert_allclose(d.values, ref, rtol=1e-12, atol=0.0)
+    params = {"shape": shape, "scale": 1.3}
+    assert d.mean == pytest.approx(_truncated_mean("gamma", params), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "family, params, field",
+    [
+        ("exponential", {"mu": 1}, "params.mean"),
+        ("exponential", {"mean": 1, "extra": 3}, "params.extra"),
+        ("exponential", {"mean": "nan"}, "params.mean"),
+        ("exponential", {"mean": float("nan")}, "params.mean"),
+        ("exponential", {"mean": True}, "params.mean"),
+        ("exponential", {"mean": -1}, "params.mean"),
+        ("exponential", {"mean": 0}, "params.mean"),
+        ("gamma", {"shape": 0, "scale": 1}, "params.shape"),
+        ("gamma", {"shape": 2, "scale": float("inf")}, "params.scale"),
+        ("uniform", {"low": 2, "high": 1}, "params.high"),
+        ("uniform", {"low": -1, "high": 1}, "params.low"),
+        ("point", {"value": -0.5}, "params.value"),
+        ("normal", {"mean": 1, "std": 1}, "family"),
+        ("lognormal", {"mean": 1}, "family"),
+    ],
+)
+def test_continuous_demand_rejects_bad_params_naming_the_field(family, params, field):
+    with pytest.raises(ModelError, match=f"demand.continuous.{field}"):
+        ContinuousDemand(family, params)
+
+
+@pytest.mark.parametrize("n_atoms", [1, 0, "x", 2.0, True, None])
+def test_discretize_rejects_bad_n_atoms(n_atoms):
+    with pytest.raises(ModelError, match="demand.continuous.n_atoms"):
+        discretize_demand(ContinuousDemand("exponential", {"mean": 1}), n_atoms)
 
 
 # --------------------------------------------------------------- h / model
