@@ -37,6 +37,8 @@ def _require(mapping: dict, key: str, where: str):
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ModelError(f"config: {where} must be an object, got {mapping!r}")
     extra = set(mapping) - allowed
     if extra:
         raise ModelError(f"config: unknown keys in {where}: {sorted(extra)}")

@@ -241,13 +241,10 @@ class DemandDistribution:
     def p_positive(self) -> float:
         return float(self.probs[self.values > 0].sum())
 
-    def cdf_grid(self) -> np.ndarray:
-        return np.cumsum(self.probs)
-
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         """Inverse-CDF draws over the atom table."""
         u = rng.random(size)
-        return self.values[np.searchsorted(self.cdf_grid(), u, side="left")]
+        return self.values[np.searchsorted(np.cumsum(self.probs), u, side="left")]
 
 
 # family -> {parameter: (comparison, lower bound: a number or an earlier parameter)}
@@ -296,7 +293,8 @@ class ContinuousDemand:
             raise ModelError(f"{where}.params.{extra[0]}: {self.family} takes only {list(p)}")
         object.__setattr__(self, "params", p)
 
-    def quantile(self, q: np.ndarray) -> np.ndarray:
+    def _quantile(self, q: np.ndarray) -> np.ndarray:
+        """Quantiles of D at the probability levels q, in closed form."""
         p = self.params
         if self.family == "uniform":
             return p["low"] + q * (p["high"] - p["low"])
@@ -306,11 +304,11 @@ class ContinuousDemand:
 
         return p["scale"] * gammaincinv(p["shape"], q)
 
-    def bin_means(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    def _bin_means(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """E[D | lo < D < hi] per bin, in closed form (nan where hi == lo)."""
         p = self.params
         if self.family == "uniform":
-            return 0.5 * (lo + hi)
+            return lo + 0.5 * (hi - lo)
         if self.family == "exponential":
             # memoryless: D - lo given D > lo is exponential; no cancellation in narrow bins
             w = (hi - lo) / p["mean"]
@@ -336,11 +334,11 @@ def discretize_demand(spec: ContinuousDemand, n_atoms: int) -> DemandDistributio
     if spec.family == "point":
         value = spec.params["value"]
         return DemandDistribution.from_atoms([(value, 1.0)], source="discretized-continuous")
-    edges = spec.quantile(np.linspace(0.0, TRUNCATION_FLOOR, n_atoms + 1))
+    edges = spec._quantile(np.linspace(0.0, TRUNCATION_FLOOR, n_atoms + 1))
     edges[0] = max(edges[0], 0.0)
     lo, hi = edges[:-1], edges[1:]
     with np.errstate(divide="ignore", invalid="ignore"):
-        means = np.where(hi > lo, spec.bin_means(lo, hi), lo)
+        means = np.where(hi > lo, spec._bin_means(lo, hi), lo)
     atoms = [(float(m), 1.0 / n_atoms * TRUNCATION_FLOOR) for m in means]
     return DemandDistribution.from_atoms(atoms, source="discretized-continuous")
 

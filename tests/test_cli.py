@@ -157,6 +157,16 @@ def test_bad_continuous_demand_fails_fast_naming_the_field(tmp_path, continuous,
     assert len(notes) == 1 and notes[0].startswith(f"ModelError: demand.continuous.{field}")
 
 
+def test_non_object_config_section_is_a_config_error(tmp_path):
+    cfg = json.loads((CONFIGS / "exponential_demand.json").read_text())
+    cfg["demand"]["continuous"] = 5
+    path = tmp_path / "bad_section.json"
+    path.write_text(json.dumps(cfg))
+    r = run_cli("solve", path, "--alpha", "0.9", "--out", tmp_path / "o")
+    assert r.returncode == 2, r.stderr
+    assert "demand.continuous must be an object" in r.stderr
+
+
 def test_sweep_full_schedule_passes_and_emits_results(tmp_path):
     out = tmp_path / "sw"
     r = run_cli("sweep", INSTANCE_A, "--out", out)
