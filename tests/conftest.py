@@ -312,9 +312,9 @@ def oracle_discretize(family, params, n_atoms):
 
     Edges are ``scipy.stats`` quantiles of the truncated range; each atom is
     the bin's conditional mean from ``dist.expect``.  Quadrature loses
-    accuracy where the density is not smooth at 0 (gamma with 1 < shape < 2
-    is ~1e-10 off, shape < 1 worse), so those cases take the mpmath
-    reference ``mpmath_gamma_atoms`` instead.
+    accuracy where the density is not smooth at 0 (gamma with a non-integer
+    shape below about 2 is up to ~1e-10 off, below 1 worse), so those cases
+    take the mpmath reference ``mpmath_gamma_atoms`` instead.
     """
     from scipy import stats
 

@@ -137,7 +137,7 @@ continuous_specs = st.one_of(
 @settings(max_examples=20, deadline=None)
 def test_discretize_matches_quadrature_oracle(spec, n):
     family, params = spec
-    d = discretize_demand(ContinuousDemand(family, dict(params)), n)
+    d = discretize_demand(ContinuousDemand(family, params), n)
     ref = oracle_discretize(family, params, n)
     assert d.n_atoms == ref.n_atoms
     np.testing.assert_allclose(d.values, ref.values, rtol=1e-12, atol=0.0)
@@ -148,10 +148,9 @@ def test_discretize_matches_quadrature_oracle(spec, n):
 @pytest.mark.parametrize("shape", [0.3, 0.7, 1.3, 1.5])
 def test_discretize_gamma_matches_mpmath_where_quadrature_is_coarse(shape):
     # the quadrature oracle is 2.5e-9 off at shape 0.7 and 1e-10 at 1.3
-    ref = mpmath_gamma_atoms(shape, 1.3, 32)
-    d = discretize_demand(ContinuousDemand("gamma", {"shape": shape, "scale": 1.3}), 32)
-    np.testing.assert_allclose(d.values, ref, rtol=1e-12, atol=0.0)
     params = {"shape": shape, "scale": 1.3}
+    d = discretize_demand(ContinuousDemand("gamma", params), 32)
+    np.testing.assert_allclose(d.values, mpmath_gamma_atoms(shape, 1.3, 32), rtol=1e-12, atol=0.0)
     assert d.mean == pytest.approx(_truncated_mean("gamma", params), rel=1e-12)
 
 
