@@ -15,7 +15,9 @@ directory and removed afterwards:
 Runs are sequential; a full set of 10 pairs of 30-second runs takes about
 15 minutes.  A metric counts as improved when the change is better in at
 least nine tenths of the pairs and the medians differ by more than the
-parent's interquartile range.
+parent's interquartile range; it counts as worsened, the mirror image,
+when the change is worse in at least nine tenths of the pairs and the
+medians differ by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ def summarize(runs: list[dict], better: dict) -> dict:
         wins = sum(sign * (p - c) > 0 for p, c in pairs)
         losses = sum(sign * (p - c) < 0 for p, c in pairs)
         gain = sign * (parent["median"] - change["median"])
+        decisive = 0.9 * len(pairs)
         out[name] = {
             "better": direction,
             "parent": parent,
@@ -91,7 +94,8 @@ def summarize(runs: list[dict], better: dict) -> dict:
             "change_better_pairs": wins,
             "change_worse_pairs": losses,
             "median_ratio": parent["median"] / change["median"] if change["median"] else None,
-            "improved": wins >= 0.9 * len(pairs) and gain > parent["iqr"],
+            "improved": wins >= decisive and gain > parent["iqr"],
+            "worsened": losses >= decisive and -gain > parent["iqr"],
         }
     return out
 
@@ -152,7 +156,7 @@ def main() -> int:
         print(f"{name:12s} parent {s['parent']['median']:.4g} (IQR {s['parent']['iqr']:.3g})  "
               f"change {s['change']['median']:.4g} (IQR {s['change']['iqr']:.3g})  "
               f"change better in {s['change_better_pairs']}/{len(seeds)}  "
-              f"improved={s['improved']}")
+              f"improved={s['improved']} worsened={s['worsened']}")
     print(f"wrote {path}")
     return 0
 

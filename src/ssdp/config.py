@@ -15,6 +15,7 @@ Schema (field names are fixed):
 from __future__ import annotations
 
 import json
+import numbers
 from pathlib import Path
 
 from .model import (
@@ -25,6 +26,7 @@ from .model import (
     ModelError,
     PiecewiseLinear,
     discretize_demand,
+    finite_number,
 )
 
 __all__ = ["load_model", "model_from_dict"]
@@ -44,29 +46,41 @@ def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
         raise ModelError(f"config: unknown keys in {where}: {sorted(extra)}")
 
 
+def _pairs(mapping: dict, key: str, where: str) -> list:
+    """``mapping[key]`` if it is a list of [number, number] pairs (finiteness is checked later)."""
+    value, where = _require(mapping, key, where), f"{where}.{key}"
+    number = lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)  # noqa: E731
+    if not isinstance(value, list):
+        raise ModelError(f"{where} must be a list of pairs, got {value!r}")
+    for k, p in enumerate(value):
+        if not (isinstance(p, list) and len(p) == 2 and number(p[0]) and number(p[1])):
+            raise ModelError(f"{where}[{k}] must be a pair of two numbers, got {p!r}")
+    return value
+
+
 def model_from_dict(cfg: dict) -> InventoryModel:
     _reject_unknown(cfg, {"grid", "cost", "demand"}, "<root>")
     gcfg = _require(cfg, "grid", "<root>")
     _reject_unknown(gcfg, {"x_lo", "x_hi", "step", "integer_mode"}, "grid")
     grid = Grid(
-        x_lo=float(_require(gcfg, "x_lo", "grid")),
-        x_hi=float(_require(gcfg, "x_hi", "grid")),
-        step=float(gcfg.get("step", 1.0)),
-        integer_mode=bool(gcfg.get("integer_mode", False)),
+        x_lo=finite_number(_require(gcfg, "x_lo", "grid"), "grid.x_lo"),
+        x_hi=finite_number(_require(gcfg, "x_hi", "grid"), "grid.x_hi"),
+        step=finite_number(gcfg.get("step", 1.0), "grid.step"),
+        integer_mode=gcfg.get("integer_mode", False),
     )
 
     ccfg = _require(cfg, "cost", "<root>")
     _reject_unknown(ccfg, {"K", "c_bar", "h"}, "cost")
     hcfg = _require(ccfg, "h", "cost")
     _reject_unknown(hcfg, {"breakpoints"}, "cost.h")
-    h = PiecewiseLinear.from_breakpoints(_require(hcfg, "breakpoints", "cost.h"))
+    h = PiecewiseLinear.from_breakpoints(_pairs(hcfg, "breakpoints", "cost.h"))
 
     dcfg = _require(cfg, "demand", "<root>")
     _reject_unknown(dcfg, {"atoms", "continuous"}, "demand")
     if ("atoms" in dcfg) == ("continuous" in dcfg):
         raise ModelError("config: demand needs exactly one of 'atoms' or 'continuous'")
     if "atoms" in dcfg:
-        demand = DemandDistribution.from_atoms(dcfg["atoms"])
+        demand = DemandDistribution.from_atoms(_pairs(dcfg, "atoms", "demand"))
     else:
         spec = dcfg["continuous"]
         _reject_unknown(spec, {"family", "params", "n_atoms"}, "demand.continuous")
@@ -75,8 +89,8 @@ def model_from_dict(cfg: dict) -> InventoryModel:
         demand = discretize_demand(ContinuousDemand(family, params), spec.get("n_atoms", 64))
 
     return InventoryModel(
-        K=float(_require(ccfg, "K", "cost")),
-        c_bar=float(_require(ccfg, "c_bar", "cost")),
+        K=finite_number(_require(ccfg, "K", "cost"), "cost.K"),
+        c_bar=finite_number(_require(ccfg, "c_bar", "cost"), "cost.c_bar"),
         h=h,
         demand=demand,
         grid=grid,

@@ -518,11 +518,12 @@ def track_action_convergence(
             "terminal value fails the admissibility inequalities; "
             "action-convergence tracking is not meaningful"
         )
-    dist = np.empty((t_max, model.grid.n))
+    chosen = np.empty((t_max, model.grid.n))
     v, _ = _update(model, terminal.values, alpha)  # chosen_t comes from the update of v_t, t >= 1
     for t in range(1, t_max + 1):
         v, pt = _update(model, v, alpha, eps_act)
-        dist[t - 1] = ref.policy.distance(pt.chosen)
+        chosen[t - 1] = pt.chosen
+    dist = ref.policy.distance(chosen)
     settle = _suffix_settle(dist <= model.grid.step + 1e-12)
     exact = _suffix_settle(dist <= 1e-12)
     return ActionConvergenceReport(

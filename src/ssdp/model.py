@@ -48,6 +48,13 @@ class ModelError(ValueError):
     """Raised when a grid, demand, cost, or model specification is invalid."""
 
 
+def finite_number(value, field: str) -> float:
+    """``value`` as a float, or a ModelError naming ``field`` (bools and strings too)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ModelError(f"{field} must be a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform lattice of inventory levels spanning [x_lo, x_hi]."""
@@ -59,10 +66,11 @@ class Grid:
 
     def __post_init__(self) -> None:
         for name in ("x_lo", "x_hi", "step"):
-            if not math.isfinite(getattr(self, name)):
-                raise ModelError(f"grid {name} must be finite, got {getattr(self, name)}")
+            finite_number(getattr(self, name), f"grid.{name}")
         if not self.step > 0:
             raise ModelError(f"grid step must be positive, got {self.step}")
+        if not isinstance(self.integer_mode, bool):
+            raise ModelError(f"grid.integer_mode must be true or false, got {self.integer_mode!r}")
         if not self.x_lo < self.x_hi:
             raise ModelError(f"grid needs x_lo < x_hi, got [{self.x_lo}, {self.x_hi}]")
         n_real = (self.x_hi - self.x_lo) / self.step + 1.0
@@ -241,10 +249,25 @@ class DemandDistribution:
     def p_positive(self) -> float:
         return float(self.probs[self.values > 0].sum())
 
+    @cached_property
+    def _guide(self) -> tuple[np.ndarray, np.ndarray]:
+        """CDF edges (-inf first; +inf last, as sums may end below 1) and guide atoms."""
+        edges = np.concatenate(([-np.inf], np.cumsum(self.probs)[:-1], [np.inf]))
+        return edges, np.searchsorted(edges, np.linspace(0.0, 1.0, 4 * self.n_atoms + 1)) - 1
+
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        """Inverse-CDF draws over the atom table."""
+        """Inverse-CDF draws by guide table (Chen & Asau 1974; Devroye 1986, III.2.4):
+        the atom k of level b / (4 atoms) is stepped until edges[k] < u <= edges[k + 1]."""
         u = rng.random(size)
-        return self.values[np.searchsorted(np.cumsum(self.probs), u, side="left")]
+        edges, guide = self._guide
+        for v in np.split(u.reshape(-1), range(8192, u.size, 8192)):
+            k = guide[(v * (guide.size - 1)).astype(np.intp)]
+            while (up := edges[k + 1] < v).any():
+                k += up
+            while (down := edges[k] >= v).any():
+                k -= down
+            v[:] = self.values[k]  # the draw overwrites its level
+        return u
 
 
 # family -> {parameter: (comparison, lower bound: a number or an earlier parameter)}
@@ -281,13 +304,11 @@ class ContinuousDemand:
         for name, (op, bound) in rules.items():
             if name not in self.params:
                 raise ModelError(f"{where}.params.{name} is required for {self.family} demand")
-            v = self.params[name]
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
-                raise ModelError(f"{where}.params.{name} must be a finite number, got {v!r}")
+            v = finite_number(self.params[name], f"{where}.params.{name}")
             floor = p[bound] if isinstance(bound, str) else bound
             if not (v > floor if op == ">" else v >= floor):
                 raise ModelError(f"{where}.params.{name} must be {op} {bound}, got {v}")
-            p[name] = float(v)
+            p[name] = v
         extra = sorted(set(self.params) - set(p), key=str)
         if extra:
             raise ModelError(f"{where}.params.{extra[0]}: {self.family} takes only {list(p)}")
@@ -383,12 +404,9 @@ class InventoryModel:
     grid: Grid
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.K) and self.K >= 0):
-            raise ModelError(f"fixed ordering cost K must be finite and nonnegative, got {self.K}")
-        if not (math.isfinite(self.c_bar) and self.c_bar >= 0):
-            raise ModelError(
-                f"unit ordering cost c_bar must be finite and nonnegative, got {self.c_bar}"
-            )
+        for name in ("K", "c_bar"):
+            if not finite_number(getattr(self, name), f"cost.{name}") >= 0:
+                raise ModelError(f"cost.{name} must be nonnegative, got {getattr(self, name)}")
         if not self.h.is_convex():
             raise ModelError("holding/backorder cost h must be convex")
         try:
@@ -572,10 +590,6 @@ class CostTable:
 
 def build_cost(model: InventoryModel) -> CostTable:
     """c(x, a) over the grid and all feasible order-up-to actions."""
-    if model.demand.n_atoms == 0:
-        raise ModelError("demand atom list is empty")
-    if not model.h.is_convex():
-        raise ModelError("holding/backorder cost h must be convex")
     return CostTable(model=model, eh=model.eh)
 
 
@@ -597,6 +611,24 @@ class ValueTable:
         object.__setattr__(self, "values", v)
 
 
+def _suffix_min_levels(G: np.ndarray) -> np.ndarray:
+    """``levels[L, p] = min(G[p : p + 2**L])``, +inf past the end (column n is +inf)."""
+    levels = [np.append(G, np.inf)]
+    for w in (1 << L for L in range(G.size.bit_length() - 1)):
+        prev = levels[-1]
+        levels.append(np.concatenate((np.minimum(prev[:-w], prev[w:]), prev[-w:])))
+    return np.array(levels)
+
+
+def _first_at_most(levels: np.ndarray, p: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Smallest j >= p with G[j] <= t (n if none), elementwise, by an exact
+    binary descent that skips each 2**L block whose minimum exceeds t."""
+    pos = np.array(p, dtype=np.intp)
+    for L in range(levels.shape[0] - 1, -1, -1):  # positions past n read column n
+        np.add(pos, 1 << L, out=pos, where=levels[L].take(pos, mode="clip") > t)
+    return np.minimum(pos, levels.shape[1] - 1)
+
+
 @dataclass(eq=False)
 class PolicyTable:
     """The eps-optimal order-up-to actions of one Bellman update.
@@ -605,10 +637,10 @@ class PolicyTable:
     ``m[i] = min(g[i], K + min_{j > i} g[j])`` the minimized cost at state i.
     Ordering nothing is eps-optimal at state i iff ``g[i] <= m[i] + eps``, and
     ordering k > 0 grid steps iff ``K + g[i+k] <= m[i] + eps``.  The table
-    stores only these O(n) arrays; the chosen actions, set sizes, membership
-    and distances are derived from them with whole-array comparisons.
-    ``chosen`` is the smallest eps-optimal order, so "do not order" wins
-    near-ties.
+    stores these O(n) arrays and, from first use, power-of-two suffix-minimum
+    tables of ``K + g``, forwards and mirrored, so the first member at or after
+    a position, or the last before it, is one log2(n) descent.  ``chosen`` is
+    the smallest eps-optimal order ("do not order" wins near-ties).
     """
 
     grid: Grid
@@ -623,21 +655,25 @@ class PolicyTable:
         if not self.eps >= 0:
             raise ModelError(f"action tolerance eps must be nonnegative, got {self.eps}")
 
-    def _members(self) -> np.ndarray:
-        """members[i, j]: moving from state i to post-order position j is eps-optimal."""
-        thr = self.m + self.eps
-        members = np.triu((self.K + self.g)[None, :] <= thr[:, None], 1)
-        members[np.diag_indices(self.grid.n)] = self.g <= thr
-        return members
+    _forward = cached_property(lambda self: _suffix_min_levels(self.K + self.g))
+    _mirrored = cached_property(lambda self: _suffix_min_levels((self.K + self.g)[::-1]))
 
     @cached_property
     def chosen(self) -> np.ndarray:
         """Smallest eps-optimal order quantity per state."""
-        return (self._members().argmax(axis=1) - np.arange(self.grid.n)) * self.grid.step
+        thr, i = self.m + self.eps, np.arange(self.grid.n)
+        # j = n (no member) -> 0, as the argmax of an empty row of the set
+        j = np.where(self.g <= thr, i, _first_at_most(self._forward, i + 1, thr) % self.grid.n)
+        return (j - i) * self.grid.step
 
     def set_sizes(self) -> np.ndarray:
-        """Number of eps-optimal actions per state."""
-        return self._members().sum(axis=1)
+        """Number of eps-optimal actions per state, counted in row blocks."""
+        n, G, thr = self.grid.n, self.K + self.g, self.m + self.eps
+        sizes, rows = (self.g <= thr).astype(int), max(1, 2**16 // n)
+        for r in range(0, n, rows):
+            i = np.arange(r, min(r + rows, n))[:, None]
+            sizes[r : r + rows] += ((G[r + 1 :] <= thr[i]) & (np.arange(r + 1, n) > i)).sum(axis=1)
+        return sizes
 
     def contains(self, i, k) -> np.ndarray:
         """Whether ordering k grid steps from state i is eps-optimal (elementwise)."""
@@ -649,11 +685,19 @@ class PolicyTable:
         return feasible & member
 
     def distance(self, actions) -> np.ndarray:
-        """Per state i, the distance from ``actions[i]`` to the eps-optimal set at i."""
-        idx = np.arange(self.grid.n)
-        offered = (idx[None, :] - idx[:, None]) * self.grid.step
-        gaps = np.abs(offered - np.asarray(actions, dtype=float)[:, None])
-        return np.where(self._members(), gaps, np.inf).min(axis=1)
+        """Per state i, ``min |(j - i) step - a|`` over the eps-optimal j, for actions
+        of shape (n,) or (T, n).  It rises with j away from the least k >= 1 with
+        k step >= a, so only j = i and the members nearest i + k on each side count."""
+        a, n, step = np.asarray(actions, dtype=float), self.grid.n, self.grid.step
+        i = np.broadcast_to(np.arange(n), a.shape)
+        thr = self.m[i] + self.eps
+        k = np.minimum(np.searchsorted(np.arange(1, n + 1) * step, a, side="left") + 1, n - i)
+        up = _first_at_most(self._forward, i + k, thr)
+        down = n - 1 - _first_at_most(self._mirrored, n - i - k, thr)
+        return np.minimum.reduce([
+            np.where(ok, np.abs((j - i) * step - a), np.inf)
+            for j, ok in ((i, self.g[i] <= thr), (up, up < n), (down, down > i))
+        ])
 
     def order_steps(self) -> np.ndarray:
         return np.round(self.chosen / self.grid.step).astype(int)
