@@ -249,6 +249,29 @@ def oracle_policy_chain(model, order_steps):
     return P, c
 
 
+def oracle_members(table):
+    """Dense n x n eps-optimal sets of a PolicyTable: ``members[i, j]`` when moving
+    from state i to post-order position j is eps-optimal (j = i: g[i] <= m[i] +
+    eps; j > i: K + g[j] <= m[i] + eps)."""
+    thr = table.m + table.eps
+    members = np.triu((table.K + table.g)[None, :] <= thr[:, None], 1)
+    members[np.diag_indices(table.grid.n)] = table.g <= thr
+    return members
+
+
+def oracle_action_sets(table, actions):
+    """Chosen orders, set sizes and the distances of ``actions`` (shape (n,) or
+    (T, n)) from the dense sets: the first member of each row, its count, and
+    the least |(j - i) step - a| over the members j."""
+    members = oracle_members(table)
+    idx = np.arange(table.grid.n)
+    chosen = (members.argmax(axis=1) - idx) * table.grid.step
+    offered = (idx[None, :] - idx[:, None]) * table.grid.step
+    rows = np.atleast_2d(np.asarray(actions, dtype=float))
+    dist = [np.where(members, np.abs(offered - a[:, None]), np.inf).min(axis=1) for a in rows]
+    return chosen, members.sum(axis=1), np.array(dist).reshape(np.shape(actions))
+
+
 def oracle_k_convexity(values, xs, K):
     """Worst K-convexity violation and its triple, by the direct O(n^3) scan.
 

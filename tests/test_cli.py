@@ -167,6 +167,34 @@ def test_non_object_config_section_is_a_config_error(tmp_path):
     assert "demand.continuous must be an object" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "section, key, value, field",
+    [
+        ("grid", "x_lo", "abc", "grid.x_lo"),
+        ("cost", "K", "abc", "cost.K"),
+        ("cost", "h", {"breakpoints": [["-1", 3], [0, 0], [1, 1]]}, "cost.h.breakpoints[0]"),
+        ("demand", "atoms", [[0, 0.25], ["1", 0.5], [2, 0.25]], "demand.atoms[1]"),
+        ("demand", "atoms", 5, "demand.atoms"),
+        ("cost", "K", "2", "cost.K"),
+        ("grid", "integer_mode", "no", "grid.integer_mode"),
+        ("cost", "c_bar", True, "cost.c_bar"),
+        ("demand", "atoms", [[0, 0.25], [1, True], [2, 0.25]], "demand.atoms[1]"),
+        ("cost", "h", {"breakpoints": [[-1, 3, 9], [0, 0], [1, 1]]}, "cost.h.breakpoints[0]"),
+    ],
+)
+def test_bad_config_field_fails_fast_naming_it(tmp_path, section, key, value, field):
+    cfg = json.loads(INSTANCE_A.read_text())
+    cfg[section][key] = value
+    path = tmp_path / "bad_field.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    r = run_cli("solve", path, "--alpha", "0.9", "--out", out)
+    assert r.returncode == 2, r.stderr
+    assert f"{field} must be" in r.stderr and "Traceback" not in r.stderr
+    notes = json.loads((out / "manifest.json").read_text())["notes"]
+    assert len(notes) == 1 and notes[0].startswith(f"ModelError: {field} must be")
+
+
 def test_sweep_full_schedule_passes_and_emits_results(tmp_path):
     out = tmp_path / "sw"
     r = run_cli("sweep", INSTANCE_A, "--out", out)

@@ -14,18 +14,22 @@ from ssdp.model import (
     InventoryModel,
     ModelError,
     PiecewiseLinear,
+    PolicyTable,
     TRUNCATION_FLOOR,
     build_cost,
     build_kernel,
     discretize_demand,
 )
+from ssdp.dp import EPS_ACT
 from ssdp.model import _expected_h_curve
 
 from conftest import (
+    CONFIGS,
     OPERATOR_MODELS,
     make_instance_a,
     make_zero_stub,
     mpmath_gamma_atoms,
+    oracle_action_sets,
     oracle_cost,
     oracle_discretize,
     oracle_post_expectation,
@@ -494,3 +498,152 @@ def test_value_table_validation():
         ssdp.ValueTable(grid=g, values=np.array([0.0, -1.0, 0.0, 0.0]))
     with pytest.raises(ModelError):
         ssdp.ValueTable(grid=g, values=np.zeros(3))
+
+
+# ------------------------------------------------- eps-optimal action sets
+
+
+@st.composite
+def policy_tables(draw):
+    """PolicyTables of a Bellman update, with g built from a few levels (0, 1, K,
+    1 + K, 2) plus offsets around eps, so near-ties within eps are common."""
+    n = draw(st.integers(2, 40))
+    step = draw(st.sampled_from([1.0, 0.25, 0.3, 1.0 / 3.0]))
+    K = draw(st.sampled_from([0.0, draw(st.floats(0.01, 3.0))]))
+    eps = draw(st.sampled_from([0.0, EPS_ACT, 1e-3]))
+    levels = st.sampled_from([0.0, 1.0, K, 1.0 + K, 2.0])
+    offsets = st.sampled_from([0.0, 0.5, 1.0, 1.5, -0.5, -1.0]).map(lambda f: f * eps)
+    tiny = st.sampled_from([0.0, 1e-13, -1e-13])
+    g = np.array(
+        [
+            draw(st.one_of(st.floats(0.0, 3.0), levels.map(float))) + draw(offsets) + draw(tiny)
+            for _ in range(n)
+        ]
+    )
+    later_min = np.array([g[i + 1 :].min() if i < n - 1 else np.inf for i in range(n)])
+    grid = Grid(x_lo=-(n // 2) * step, x_hi=(n - 1 - n // 2) * step, step=step)
+    return PolicyTable(grid=grid, g=g, m=np.minimum(g, K + later_min), K=K, eps=eps)
+
+
+@st.composite
+def action_rows(draw, table):
+    """Actions of shape (n,) or (T, n): grid orders (also negative and past the
+    grid), off-grid values, and the table's own chosen orders."""
+    n, step = table.grid.n, table.grid.step
+    one = st.one_of(
+        st.integers(-3, n + 3).map(lambda k: k * step),
+        st.floats(-3.0 * step, (n + 3) * step),
+        st.integers(0, n - 1).map(lambda i: float(table.chosen[i])),
+        st.integers(-3, n + 3).map(lambda k: float(np.nextafter(k * step, np.inf))),
+    )
+    T = draw(st.sampled_from([None, 1, 3]))
+    rows = [[draw(one) for _ in range(n)] for _ in range(T or 1)]
+    return np.array(rows[0] if T is None else rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_policy_table_matches_dense_sets(data):
+    table = data.draw(policy_tables())
+    actions = data.draw(action_rows(table))
+    chosen, sizes, dist = oracle_action_sets(table, actions)
+    assert np.array_equal(table.chosen, chosen)
+    assert np.array_equal(table.set_sizes(), sizes)
+    assert np.array_equal(table.distance(actions), dist)
+    if actions.ndim == 2:  # stacked rows answer as row by row
+        assert np.array_equal(table.distance(actions), [table.distance(a) for a in actions])
+
+
+def test_policy_table_memory_is_below_n_squared():
+    import tracemalloc
+
+    grid = Grid(x_lo=-10.0, x_hi=10.0, step=0.01)
+    assert grid.n == 2001
+    g = (grid.points - 3.0) ** 2 + np.sin(7.0 * grid.points)
+    later_min = np.append(np.minimum.accumulate(g[::-1])[::-1][1:], np.inf)
+    table = PolicyTable(grid=grid, g=g, m=np.minimum(g, 1.0 + later_min), K=1.0, eps=EPS_ACT)
+    actions = np.linspace(-1.0, 25.0, grid.n)
+    tracemalloc.start()
+    try:
+        out = table.chosen, table.set_sizes(), table.distance(actions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.n**2, f"peak {peak} bytes"
+    assert np.all(np.isfinite(out[2])) and np.all(out[1] >= 1)
+
+
+# ----------------------------------------------------------- demand draws
+
+
+class _Levels:
+    """A stand-in generator whose ``random`` returns given levels."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        return np.broadcast_to(self.u, size).copy() if self.u.ndim == 0 else self.u.copy()
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        [1.0],
+        [0.25] * 4,
+        [0.25, 0.5, 0.25],
+        [0.7, 1e-6, 0.1, 0.2 - 1e-6],
+        [1 / 3] * 3,
+        # 20 buckets: level 0.15 falls in bucket 3, whose mark 0.15000000000000002
+        # lies past the first atom, so the guided atom must step down
+        [0.15, 0.2, 0.2, 0.2, 0.25],
+    ],
+    ids=["one-atom", "equal", "unequal", "tiny-atom", "thirds", "guide-overshoot"],
+)
+def test_sample_is_the_inverse_cdf(probs):
+    probs = np.array(probs) / np.sum(probs)
+    demand = DemandDistribution(values=np.arange(probs.size) * 1.5, probs=probs)
+    m = 4 * probs.size  # the guide table's bucket count
+    marks = np.concatenate((np.arange(m + 1) / m, np.linspace(0.0, 1.0, m + 1), np.cumsum(probs)))
+    u = np.concatenate(
+        (np.random.default_rng(7).random(20_000), marks, np.nextafter(marks, 2.0),
+         np.nextafter(marks, -1.0), [0.0, 1.0 - 2.0**-53])
+    )
+    u = u[(u >= 0.0) & (u < 1.0)]
+    atom = np.minimum(np.searchsorted(np.cumsum(probs), u, side="left"), probs.size - 1)
+    assert np.array_equal(demand.sample(_Levels(u), u.size), demand.values[atom])
+
+
+def test_sample_keeps_the_generator_stream():
+    demand = make_instance_a().demand
+    draws = demand.sample(np.random.default_rng(3), (40, 500))
+    u = np.random.default_rng(3).random((40, 500))
+    assert draws.shape == (40, 500)
+    assert np.array_equal(draws, demand.values[np.searchsorted(np.cumsum(demand.probs), u)])
+
+
+def test_sample_clamps_a_level_past_the_probability_sum():
+    # the sum may end up to 1e-12 below 1; a level above it takes the last atom
+    demand = DemandDistribution(values=np.array([0.0, 1.0]), probs=np.array([0.5, 0.5 - 1e-13]))
+    assert np.cumsum(demand.probs)[-1] < 1.0 - 2.0**-53
+    assert np.array_equal(demand.sample(_Levels(1.0 - 2.0**-53), 3), [1.0, 1.0, 1.0])
+
+
+def test_sample_memory_stays_below_the_searchsorted_draw():
+    import tracemalloc
+
+    demand = ssdp.load_model(CONFIGS / "exponential_demand.json").demand
+    cdf = np.cumsum(demand.probs)
+    peaks = []
+    for draw in (
+        lambda rng: demand.values[np.searchsorted(cdf, rng.random(1_000_000), side="left")],
+        lambda rng: demand.sample(rng, 1_000_000),
+    ):
+        tracemalloc.start()
+        try:
+            draws = draw(np.random.default_rng(5))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert draws.size == 1_000_000
+    assert peaks[1] < peaks[0], f"peaks {peaks} bytes"

@@ -29,3 +29,49 @@ def test_instance_a_script():
     assert "(s,S) = (1.0, 2.0), K-convex ok = True" in r.stdout
     assert "vanishing-discount sweep (6 factors):" in r.stdout
     assert "policy comparison (common random numbers, average cost):" in r.stdout
+
+
+def load_bench():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bench", SCRIPTS / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def synthetic_runs(parent, change):
+    """Benchmark runs with one metric ``job_s``, one parent and one change run per seed."""
+    runs = []
+    for seed, (p, c) in enumerate(zip(parent, change)):
+        runs.append({"seed": seed, "side": "parent", "metrics": {"job_s": p}})
+        runs.append({"seed": seed, "side": "change", "metrics": {"job_s": c}})
+    return runs
+
+
+def test_bench_summary_flags_improved_and_worsened():
+    summarize = load_bench().summarize
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]
+    faster = [p / 2 for p in parent]
+    slower = [p * 1.5 for p in parent]
+    s = summarize(synthetic_runs(parent, faster), {"job_s": "lower"})["job_s"]
+    assert (s["improved"], s["worsened"], s["change_better_pairs"]) == (True, False, 10)
+    s = summarize(synthetic_runs(parent, slower), {"job_s": "lower"})["job_s"]
+    assert (s["improved"], s["worsened"], s["change_worse_pairs"]) == (False, True, 10)
+    # for a higher-is-better metric the same numbers swap roles
+    s = summarize(synthetic_runs(parent, slower), {"job_s": "higher"})["job_s"]
+    assert (s["improved"], s["worsened"]) == (True, False)
+
+
+def test_bench_summary_needs_nine_pairs_and_a_gap_beyond_the_iqr():
+    summarize = load_bench().summarize
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]
+    # worse in 8 of 10 pairs only
+    mixed = [p * 1.5 for p in parent[:8]] + [p * 0.5 for p in parent[8:]]
+    s = summarize(synthetic_runs(parent, mixed), {"job_s": "lower"})["job_s"]
+    assert (s["change_worse_pairs"], s["improved"], s["worsened"]) == (8, False, False)
+    # worse in every pair, but by less than the parent's interquartile range
+    close = [p + 0.001 for p in parent]
+    s = summarize(synthetic_runs(parent, close), {"job_s": "lower"})["job_s"]
+    assert s["change_worse_pairs"] == 10 and s["parent"]["iqr"] > 0.001
+    assert (s["improved"], s["worsened"]) == (False, False)
