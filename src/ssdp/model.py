@@ -255,19 +255,36 @@ class DemandDistribution:
         edges = np.concatenate(([-np.inf], np.cumsum(self.probs)[:-1], [np.inf]))
         return edges, np.searchsorted(edges, np.linspace(0.0, 1.0, 4 * self.n_atoms + 1)) - 1
 
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        """Inverse-CDF draws by guide table (Chen & Asau 1974; Devroye 1986, III.2.4):
-        the atom k of level b / (4 atoms) is stepped until edges[k] < u <= edges[k + 1]."""
+    def sample_atoms(self, rng: np.random.Generator, size) -> np.ndarray:
+        """Atom indices of inverse-CDF draws, in the smallest unsigned dtype that holds them.
+
+        Guide table (Chen & Asau 1974; Devroye 1986, III.2.4): the atom k of
+        level b / (4 atoms) is stepped until edges[k] < u <= edges[k + 1].
+        """
         u = rng.random(size)
         edges, guide = self._guide
-        for v in np.split(u.reshape(-1), range(8192, u.size, 8192)):
+        atoms = np.empty(u.shape, dtype=np.min_scalar_type(self.n_atoms - 1))
+        for v, out in zip(_chunks(u), _chunks(atoms)):
             k = guide[(v * (guide.size - 1)).astype(np.intp)]
             while (up := edges[k + 1] < v).any():
                 k += up
             while (down := edges[k] >= v).any():
                 k -= down
-            v[:] = self.values[k]  # the draw overwrites its level
-        return u
+            out[:] = k
+        return atoms
+
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+        """Values of ``sample_atoms``, gathered in chunks so the intp index copies stay small."""
+        atoms = self.sample_atoms(rng, size)
+        draws = np.empty(atoms.shape)
+        for k, out in zip(_chunks(atoms), _chunks(draws)):
+            self.values.take(k, out=out)
+        return draws
+
+
+def _chunks(a: np.ndarray, size: int = 8192) -> list[np.ndarray]:
+    """Consecutive views of ``size`` elements over the flattened array."""
+    return np.split(a.reshape(-1), range(size, a.size, size))
 
 
 # family -> {parameter: (comparison, lower bound: a number or an earlier parameter)}

@@ -60,6 +60,7 @@ BRUTE_FORCE_GRID_CAP = 201
 BRUTE_FORCE_MARGIN = 1e-6
 G_CONSISTENCY_TOL = 1e-7
 KCONVEX_TOL = 1e-9
+KCONVEX_BLOCK = 4096  # cells per row block of the K-convexity scan
 
 
 class CertificationError(RuntimeError):
@@ -212,9 +213,11 @@ def is_K_convex(g: GFunction, K: float, tol: float = KCONVEX_TOL) -> KConvexityR
 
         max over m of  g(m) - g(x) - (m-x) min_{y > m} sigma_x(y):
 
-    one reversed running minimum over y and one argmax over m.  That makes
-    the scan O(n^2) time with O(n) working memory; no n x n array is built.
-    Among tied triples the smallest x, then m, then y is reported.
+    one reversed running minimum over y and one argmax over m.  Rows are
+    scanned in blocks of about ``KCONVEX_BLOCK`` cells, whose columns start
+    one past the block's first row; cells with y <= x or m <= x are masked.
+    That makes the scan O(n^2) time with O(n) working memory; no n x n array
+    is built.  Among tied triples the smallest x, then m, then y is reported.
     """
     if K < 0:
         raise ModelError("K must be nonnegative")
@@ -223,18 +226,26 @@ def is_K_convex(g: GFunction, K: float, tol: float = KCONVEX_TOL) -> KConvexityR
     n = vals.size
     if n < 3:
         return KConvexityReport(True, 0.0, None, tol, K)
-    worst = -np.inf
-    worst_triple = None
-    for i in range(n - 2):
-        sigma = (vals[i + 1 :] + K - vals[i]) / (xs[i + 1 :] - xs[i])
-        # viol[k]: middle point m = i + 1 + k against the best y > m
-        tail = _strict_suffix_min(sigma)[:-1]
-        viol = vals[i + 1 : -1] - vals[i] - (xs[i + 1 : -1] - xs[i]) * tail
-        k = int(np.argmax(viol))
-        if viol[k] > worst:
-            worst = float(viol[k])
-            y = i + 2 + k + int(np.argmin(sigma[k + 1 :]))
-            worst_triple = (float(xs[i]), float(xs[i + 1 + k]), float(xs[y]))
+    worst, worst_triple = -np.inf, None
+    r0 = 0
+    while r0 < n - 2:
+        # rows x in [r0, r1), columns y (and m) from r0 + 1 to n - 1
+        r1 = min(n - 2, r0 + max(1, KCONVEX_BLOCK // (n - 1 - r0)))
+        rows = np.arange(r0, r1)[:, None]
+        above = np.arange(r0 + 1, n) > rows
+        sigma = np.divide(vals[r0 + 1 :] + K - vals[rows], xs[r0 + 1 :] - xs[rows],
+                          out=np.full(above.shape, np.inf), where=above)
+        # tail[:, c]: min of sigma over the columns after c, for m at column c
+        tail = np.minimum.accumulate(sigma[:, :0:-1], axis=1)[:, ::-1]
+        viol = vals[r0 + 1 : -1] - vals[rows] - (xs[r0 + 1 : -1] - xs[rows]) * tail
+        viol[~above[:, :-1]] = -np.inf
+        # the first largest cell in row-major order: smallest x, then m
+        i, k = divmod(int(viol.argmax()), viol.shape[1])
+        if viol[i, k] > worst:
+            worst = float(viol[i, k])
+            y = r0 + 2 + k + int(np.argmin(sigma[i, k + 1 :]))
+            worst_triple = (float(xs[r0 + i]), float(xs[r0 + 1 + k]), float(xs[y]))
+        r0 = r1
     return KConvexityReport(
         verdict=worst <= tol, worst_violation=worst, worst_triple=worst_triple, tol=tol, K=K
     )

@@ -59,23 +59,21 @@ def sample_renewal(
     if n_paths < 1:
         raise ModelError("need at least one path")
     rng = np.random.default_rng(seed)
-    sums = np.zeros(n_paths)
-    counts = np.zeros(n_paths, dtype=np.int64)
-    passage = np.zeros(n_paths)
+    counts = np.empty(n_paths, dtype=np.int64)
+    passage = np.empty(n_paths)
     active = np.arange(n_paths)
+    sums = np.zeros(n_paths)  # partial sums of the active paths, in the same order
     rounds = 0
     while active.size:
         rounds += 1
         if rounds > _MAX_ROUNDS:
             raise ModelError("renewal sampling did not terminate; check the demand table")
-        draws = demand.sample(rng, active.size)
-        totals = sums[active] + draws
-        done = totals > y
-        passage[active[done]] = totals[done]
-        keep = active[~done]
-        sums[keep] = totals[~done]
-        counts[keep] += 1
-        active = keep
+        sums += demand.sample(rng, active.size)
+        done = sums > y
+        finished = active[done]
+        passage[finished] = sums[done]
+        counts[finished] = rounds - 1
+        active, sums = active[~done], sums[~done]
     return RenewalSample(
         y=float(y),
         seed=seed,

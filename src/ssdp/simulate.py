@@ -1,22 +1,27 @@
 """Monte-Carlo policy evaluation: the independent check on the DP output.
 
-Two chains run on the same demand draws.  The continuous chain steps
-unclamped real-valued states even when the policy came from a grid, so a
-disagreement with the DP beyond the confidence interval points at grid
-truncation; per-step costs use the exact model cost
+Two chains run on the same demand draws, carried as one matrix of atom
+indices (``DemandDistribution.sample_atoms``, uint8 for up to 256 atoms)
+whose values are gathered one block of steps at a time.  The continuous
+chain steps unclamped real-valued states even when the policy came from a
+grid, so a disagreement with the DP beyond the confidence interval points
+at grid truncation; per-step costs use the exact model cost
 c(x, a) = K 1{a>0} + c_bar a + E h(x + a - D) (atom-exact expectation), so
 the one-step cost is deterministic given (x, a).  The grid chain, run by
 ``simulate_average`` for policies that stay on the lattice, is the Markov
 chain the DP solves: grid-index states, the kernel's own split of each
 demand draw between two neighbouring grid points, clamping at x_lo, and
-step cost order cost + ``model.eh[post]``.  The sweep's Monte-Carlo check
-compares its mean with the exact w(s,S) of ``average.exact_average_cost``.
+step cost order cost + ``model.eh[post]``.  The split is tabled once per
+policy for every (state, atom) pair, so a step is two table lookups.  The
+sweep's Monte-Carlo check compares its mean with the exact w(s,S) of
+``average.exact_average_cost``; ``compare_policies`` runs the continuous
+chain alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -98,52 +103,51 @@ class SimResult:
     grid_chain: Optional["SimResult"] = field(default=None, repr=False)
 
 
-def _demand_matrix(model: InventoryModel, cfg: SimConfig) -> np.ndarray:
-    return model.demand.sample(np.random.default_rng(cfg.seed), (cfg.n_paths, cfg.horizon))
+def _atom_matrix(model: InventoryModel, cfg: SimConfig) -> np.ndarray:
+    return model.demand.sample_atoms(np.random.default_rng(cfg.seed), (cfg.n_paths, cfg.horizon))
 
 
 def _run_paths(
     model: InventoryModel,
     cfg: SimConfig,
-    demands: np.ndarray,
+    atoms: np.ndarray,
     policy,
 ) -> tuple[np.ndarray, float, Optional[bool]]:
     """Step the fleet of paths; returns (per-step costs, max step cost, sS check).
 
-    States advance one step at a time.  The step costs and the (s,S)
-    invariant are evaluated once per block of ``BLOCK`` steps from the
-    buffered pre-order states and orders; both are elementwise, so every
-    float is the one a step-by-step evaluation gives.
+    States advance one step at a time into block rows of states, orders and
+    post-order states.  The step costs and the (s,S) invariant are evaluated
+    once per block of ``BLOCK`` steps from those rows; both are elementwise,
+    so every float is the one a step-by-step evaluation gives.
     """
     fn, _ = policy_fn(policy, model)
     is_ss = hasattr(policy, "s") and hasattr(policy, "S") and not isinstance(policy, PolicyTable)
-    n, horizon = demands.shape
-    x = np.full(n, float(cfg.x0))
+    n, horizon = atoms.shape
     costs = np.empty((n, horizon))
-    # block buffers hold one step per row, so each step writes contiguous memory
-    xb = np.empty((min(BLOCK, horizon), n))
-    ab = np.empty_like(xb)
+    # one step per row, so each step writes contiguous memory; row k + 1 of
+    # xb is the state after step k, and the last row seeds the next block
+    xb, ab, pb = np.empty((3, min(BLOCK, horizon) + 1, n))
+    xb[0] = cfg.x0
     ss_ok = True if is_ss else None
     for t0 in range(0, horizon, BLOCK):
-        d = demands[:, t0 : t0 + BLOCK].T.copy()
+        d = model.demand.values.take(atoms[:, t0 : t0 + BLOCK].T)
         width = d.shape[0]
         for k in range(width):
-            a = fn(x)
-            xb[k] = x
-            ab[k] = a
-            x = x + a - d[k]
-        xs, a = xb[:width], ab[:width]
-        post = xs + a
+            ab[k] = fn(xb[k])
+            np.add(xb[k], ab[k], out=pb[k])
+            np.subtract(pb[k], d[k], out=xb[k + 1])
+        xs, a, post = xb[:width], ab[:width], pb[:width]
         costs[:, t0 : t0 + width] = (model.order_cost(a) + model.expected_h(post)).T
         if ss_ok and (
             not np.array_equal(a > 0, xs < policy.s) or np.any(post > policy.S + 1e-9)
         ):
             ss_ok = False
+        xb[0] = xb[width]
     return costs, float(costs.max()) if costs.size else 0.0, ss_ok
 
 
 def _run_grid_chain(
-    model: InventoryModel, cfg: SimConfig, demands: np.ndarray, burn: int
+    model: InventoryModel, cfg: SimConfig, atoms: np.ndarray, burn: int
 ) -> Optional[np.ndarray]:
     """Per-path mean step cost after ``burn`` steps of the grid chain.
 
@@ -151,8 +155,8 @@ def _run_grid_chain(
     lattice from some grid state.  The chain reuses the continuous chain's
     demand draws.  Each step splits x_post - d between the two grid points
     around it with the weights ``post_expectation_matrix`` uses, computed
-    by the same float operations; the uniforms that pick the side come
-    from a child stream of ``cfg.seed``, drawn per block.
+    once per (state, atom) by the same float operations; the uniforms that
+    pick the side come from a child stream of ``cfg.seed``, drawn per block.
     """
     g = model.grid
     fn, _ = policy_fn(cfg.policy, model)
@@ -163,101 +167,91 @@ def _run_grid_chain(
         return None
     idx = np.arange(g.n)
     cost = model.one_step_cost(idx, steps)
-    post_x = g.points[idx + steps]
+    # row-major [state, atom]: pos = (x_post - d - x_lo) / step clamped to [0, n-1]
+    pos = g.points[idx + steps][:, None] - model.demand.values
+    pos -= g.x_lo
+    pos /= g.step
+    np.clip(pos, 0.0, g.n - 1.0, out=pos)
+    lower = pos.astype(np.intp)  # floor, as pos >= 0
+    np.minimum(lower, g.n - 2, out=lower)
+    weight = pos - lower  # of the upper neighbour; take() reads both tables flat
+    m = model.demand.n_atoms
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    n, horizon = demands.shape
+    n, horizon = atoms.shape
     state = np.full(n, start)
     total = np.zeros(n)
     for t0 in range(0, horizon, BLOCK):
-        d = demands[:, t0 : t0 + BLOCK].T.copy()
-        u = rng.random(d.shape)
-        for k in range(d.shape[0]):
+        a = atoms[:, t0 : t0 + BLOCK].T.copy()
+        u = rng.random(a.shape)
+        for k in range(a.shape[0]):
             if t0 + k >= burn:
                 total += cost.take(state)
-            # pos = (x_post - d - x_lo) / step clamped to [0, n-1], in place
-            pos = post_x.take(state)
-            pos -= d[k]
-            pos -= g.x_lo
-            pos /= g.step
-            np.maximum(pos, 0.0, out=pos)
-            np.minimum(pos, g.n - 1.0, out=pos)
-            lower = pos.astype(int)  # floor, as pos >= 0
-            np.minimum(lower, g.n - 2, out=lower)
-            pos -= lower  # the weight of the upper neighbour
-            state = lower + (u[k] < pos)
+            j = state * m + a[k]
+            state = lower.take(j) + (u[k] < weight.take(j))
     return total / (horizon - burn)
 
 
-def simulate_discounted(
-    model: InventoryModel, cfg: SimConfig, demands: Optional[np.ndarray] = None
-) -> SimResult:
+def _result(model: InventoryModel, cfg: SimConfig, path_stats, criterion, **extra) -> SimResult:
+    se = float(path_stats.std(ddof=1) / math.sqrt(cfg.n_paths)) if cfg.n_paths > 1 else 0.0
+    return SimResult(
+        policy_id=policy_fn(cfg.policy, model)[1],
+        criterion=criterion,
+        mean=float(path_stats.mean()),
+        std_error=se,
+        n_paths=cfg.n_paths,
+        horizon=cfg.horizon,
+        seed=cfg.seed,
+        path_stats=path_stats,
+        **extra,
+    )
+
+
+def _discounted(model: InventoryModel, cfg: SimConfig, atoms: np.ndarray) -> SimResult:
+    if cfg.alpha is None or not (0.0 <= cfg.alpha < 1.0):
+        raise ModelError("simulate_discounted needs alpha in [0,1)")
+    costs, c_max, ss_ok = _run_paths(model, cfg, atoms, cfg.policy)
+    totals = costs @ cfg.alpha ** np.arange(cfg.horizon)
+    tail = (cfg.alpha**cfg.horizon) * c_max / (1.0 - cfg.alpha) if cfg.alpha > 0 else 0.0
+    return _result(
+        model, cfg, totals, "discounted", bias_bound=float(tail), ss_invariant_ok=ss_ok
+    )
+
+
+def _average(model: InventoryModel, cfg: SimConfig, atoms: np.ndarray) -> SimResult:
+    if cfg.horizon < 1000:
+        raise ModelError("average-cost simulation needs horizon >= 1000")
+    costs, _, ss_ok = _run_paths(model, cfg, atoms, cfg.policy)
+    burn = cfg.horizon // 10
+    return _result(
+        model, cfg, costs[:, burn:].mean(axis=1), "average",
+        burn_in_used=burn, ss_invariant_ok=ss_ok,
+    )
+
+
+def simulate_discounted(model: InventoryModel, cfg: SimConfig) -> SimResult:
     """Sample mean and standard error of the horizon-truncated discounted cost.
 
     The reported ``bias_bound`` is alpha^horizon / (1 - alpha) times the
     largest one-step cost seen, a ceiling on the truncated tail.
     """
-    if cfg.alpha is None or not (0.0 <= cfg.alpha < 1.0):
-        raise ModelError("simulate_discounted needs alpha in [0,1)")
-    d = demands if demands is not None else _demand_matrix(model, cfg)
-    costs, c_max, ss_ok = _run_paths(model, cfg, d, cfg.policy)
-    disc = cfg.alpha ** np.arange(cfg.horizon)
-    totals = costs @ disc
-    mean = float(totals.mean())
-    se = float(totals.std(ddof=1) / math.sqrt(cfg.n_paths)) if cfg.n_paths > 1 else 0.0
-    tail = (cfg.alpha**cfg.horizon) * c_max / (1.0 - cfg.alpha) if cfg.alpha > 0 else 0.0
-    _, pid = policy_fn(cfg.policy, model)
-    return SimResult(
-        policy_id=pid,
-        criterion="discounted",
-        mean=mean,
-        std_error=se,
-        n_paths=cfg.n_paths,
-        horizon=cfg.horizon,
-        seed=cfg.seed,
-        bias_bound=float(tail),
-        ss_invariant_ok=ss_ok,
-        path_stats=totals,
-    )
+    return _discounted(model, cfg, _atom_matrix(model, cfg))
 
 
-def simulate_average(
-    model: InventoryModel, cfg: SimConfig, demands: Optional[np.ndarray] = None
-) -> SimResult:
+def simulate_average(model: InventoryModel, cfg: SimConfig) -> SimResult:
     """Long-run average cost per period, discarding a 10% burn-in.
 
     The result is the continuous chain's; when the policy maps grid states
     to grid states and x0 is a grid point, ``grid_chain`` holds the grid
     chain's result on the same demand draws.
     """
-    if cfg.horizon < 1000:
-        raise ModelError("average-cost simulation needs horizon >= 1000")
-    d = demands if demands is not None else _demand_matrix(model, cfg)
-    costs, _, ss_ok = _run_paths(model, cfg, d, cfg.policy)
-    burn = cfg.horizon // 10
-    _, pid = policy_fn(cfg.policy, model)
-
-    def result(path_means, criterion, **extra) -> SimResult:
-        se = float(path_means.std(ddof=1) / math.sqrt(cfg.n_paths)) if cfg.n_paths > 1 else 0.0
-        return SimResult(
-            policy_id=pid,
-            criterion=criterion,
-            mean=float(path_means.mean()),
-            std_error=se,
-            n_paths=cfg.n_paths,
-            horizon=cfg.horizon,
-            seed=cfg.seed,
-            burn_in_used=burn,
-            path_stats=path_means,
-            **extra,
+    atoms = _atom_matrix(model, cfg)
+    res = _average(model, cfg, atoms)
+    grid_means = _run_grid_chain(model, cfg, atoms, res.burn_in_used)
+    if grid_means is not None:
+        res.grid_chain = _result(
+            model, cfg, grid_means, "average_grid_chain", burn_in_used=res.burn_in_used
         )
-
-    grid_means = _run_grid_chain(model, cfg, d, burn)
-    return result(
-        costs[:, burn:].mean(axis=1),
-        "average",
-        ss_invariant_ok=ss_ok,
-        grid_chain=None if grid_means is None else result(grid_means, "average_grid_chain"),
-    )
+    return res
 
 
 @dataclass(frozen=True)
@@ -290,21 +284,9 @@ def compare_policies(
     """
     if len(policies) < 2:
         raise ModelError("compare_policies needs at least two policies")
-    demands = _demand_matrix(model, cfg)
-    runs = []
-    for p in policies:
-        one = SimConfig(
-            x0=cfg.x0,
-            horizon=cfg.horizon,
-            n_paths=cfg.n_paths,
-            seed=cfg.seed,
-            alpha=cfg.alpha,
-            policy=p,
-        )
-        if cfg.alpha is not None:
-            runs.append(simulate_discounted(model, one, demands=demands))
-        else:
-            runs.append(simulate_average(model, one, demands=demands))
+    atoms = _atom_matrix(model, cfg)
+    run = _average if cfg.alpha is None else _discounted
+    runs = [run(model, replace(cfg, policy=p), atoms) for p in policies]
     base = runs[0].path_stats
     rows = []
     for r in runs:

@@ -299,6 +299,61 @@ def oracle_k_convexity(values, xs, K):
     return worst, worst_triple
 
 
+def oracle_k_convexity_rows(values, xs, K):
+    """Worst K-convexity violation and its triple by the O(n^2) scan, one row x
+    at a time: sigma_x(y) = (g(y) + K - g(x)) / (y - x), a reversed running
+    minimum over y > m, then the first argmax over m.  A row replaces the
+    running worst only when strictly larger.  Returns (worst, (x, m, y)), or
+    (0.0, None) below three points.
+    """
+    vals = np.asarray(values, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    n = vals.size
+    if n < 3:
+        return 0.0, None
+    worst, worst_triple = -np.inf, None
+    for i in range(n - 2):
+        sigma = (vals[i + 1 :] + K - vals[i]) / (xs[i + 1 :] - xs[i])
+        tail = np.minimum.accumulate(sigma[::-1])[::-1][1:]  # min over y > m
+        viol = vals[i + 1 : -1] - vals[i] - (xs[i + 1 : -1] - xs[i]) * tail
+        k = int(np.argmax(viol))
+        if viol[k] > worst:
+            worst = float(viol[k])
+            y = i + 2 + k + int(np.argmin(sigma[k + 1 :]))
+            worst_triple = (float(xs[i]), float(xs[i + 1 + k]), float(xs[y]))
+    return worst, worst_triple
+
+
+def oracle_grid_chain(model, cfg, order_steps, demands, burn, block):
+    """Per-path mean step cost after ``burn`` steps of the grid chain, one step
+    at a time from the demand values (paths x steps).  Each step clamps
+    x_post - d to [x_lo, x_hi] and moves to the upper neighbour when its
+    uniform is below the upper weight; the uniforms come from the first child
+    stream of ``cfg.seed``, drawn ``block`` steps at a time.
+    """
+    g = model.grid
+    idx = np.arange(g.n)
+    cost = model.one_step_cost(idx, order_steps)
+    post_x = g.points[idx + order_steps]
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    n, horizon = demands.shape
+    state = np.full(n, g.index_of(cfg.x0))
+    total = np.zeros(n)
+    for t in range(horizon):
+        if t % block == 0:
+            u = rng.random((min(block, horizon - t), n))
+        if t >= burn:
+            total += cost[state]
+        pos = post_x[state]
+        pos -= demands[:, t]
+        pos -= g.x_lo
+        pos /= g.step
+        pos = np.minimum(np.maximum(pos, 0.0), g.n - 1.0)
+        lower = np.minimum(pos.astype(int), g.n - 2)
+        state = lower + (u[t % block] < pos - lower)
+    return total / (horizon - burn)
+
+
 def oracle_brute_force(model, alpha, extracted):
     """Worst gap and best pair of the exhaustive (s,S) search, one dense solve
     per pair: max over states of v_extracted - v_pair, scanned S ascending,

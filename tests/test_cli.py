@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 INSTANCE_A = CONFIGS / "instance_a.json"
 DEGENERATE = CONFIGS / "degenerate_zero_demand.json"
+EXPONENTIAL = CONFIGS / "exponential_demand.json"
 
 
 def run_cli(*args):
@@ -216,6 +218,28 @@ def test_sweep_full_schedule_passes_and_emits_results(tmp_path):
     rows = (out / "results.csv").read_text().splitlines()
     assert rows[0] == "policy_id,criterion,mean,std_error,n_paths,horizon,seed"
     assert rows[1].startswith('"sS(')  # comma inside the id gets RFC-4180 quoting
+
+
+def test_sweep_exponential_pinned_values(tmp_path):
+    # the Monte-Carlo figures at seed 3, as drawn before the atom-index draws
+    out = tmp_path / "sw"
+    r = run_cli("sweep", EXPONENTIAL, "--seed", "3", "--out", out)
+    assert r.returncode == 0, r.stderr
+    row = next(csv.DictReader((out / "results.csv").open()))
+    assert float(row["mean"]) == 2.9802333422766756
+    assert float(row["std_error"]) == 0.0014108269234346382
+    sim = json.loads((out / "manifest.json").read_text())["checks"]["simulated_average_matches_w"]
+    assert sim["grid_chain_mean"] == 2.983255119317434
+
+
+def test_verify_renewal_pinned_values(tmp_path):
+    out = tmp_path / "ren"
+    r = run_cli("verify", EXPONENTIAL, "--suite", "renewal", "--alpha", "0.9", "--seed", "3",
+                "--out", out)
+    assert r.returncode == 0, r.stderr
+    renewal = json.loads((out / "renewal.json").read_text())
+    assert renewal["mean_N"] == 9.9785
+    assert renewal["wald"]["lhs"] == 10.983294009591411
 
 
 def test_sweep_failure_still_writes_manifest(tmp_path):

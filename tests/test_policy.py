@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ssdp
+from ssdp import policy
 from ssdp.model import DemandDistribution, Grid, ModelError
 from ssdp.policy import (
     CertificationError,
@@ -25,6 +28,7 @@ from conftest import (
     make_instance_a,
     oracle_brute_force,
     oracle_k_convexity,
+    oracle_k_convexity_rows,
     oracle_post_expectation,
 )
 
@@ -206,6 +210,40 @@ def test_k_convexity_matches_triple_scan(case):
     lam = (xs[m] - xs[x]) / (xs[y] - xs[x])
     at_triple = vals[m] - (1 - lam) * vals[x] - lam * vals[y] - lam * K
     assert abs(at_triple - rep.worst_violation) <= 1e-12
+
+
+@given(
+    n=st.integers(3, 80),
+    K=st.sampled_from([0.0, 0.5, 2.0]),
+    kind=st.sampled_from(["random", "convex", "near_tied"]),
+    decimals=st.sampled_from([None, 0, 1]),
+    cells=st.sampled_from([policy.KCONVEX_BLOCK, 100, 1]),
+    data=st.data(),
+)
+# at the default block size n = 80 scans rows 0-50, then 51-77: a partial block
+@example(n=80, K=0.0, kind="random", decimals=0, cells=policy.KCONVEX_BLOCK, data=None)
+@settings(max_examples=200, deadline=None)
+def test_k_convexity_blocks_equal_row_scan(n, K, kind, decimals, cells, data):
+    grid = Grid(x_lo=-1.0, x_hi=-1.0 + 0.25 * (n - 1), step=0.25)
+    if data is None:
+        vals = np.round(np.random.default_rng(n).normal(size=n) * 3.0)
+    elif kind == "random":
+        vals = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    elif kind == "convex":
+        d2 = data.draw(st.lists(st.floats(0.0, 3.0), min_size=n - 1, max_size=n - 1))
+        slopes = np.cumsum(d2) - data.draw(st.floats(0.0, 3.0 * n))
+        vals = np.concatenate(([0.0], np.cumsum(slopes * grid.step)))
+    else:
+        theta = data.draw(st.integers(1, n - 1))
+        vals = data.draw(st.floats(-2.0, 2.0)) * grid.points + K * (np.arange(n) < theta)
+    if decimals is not None:
+        vals = np.round(vals, decimals)  # repeated values make tied triples
+    with mock.patch.object(policy, "KCONVEX_BLOCK", cells):
+        rep = is_K_convex(g_from(grid, vals), K)
+    worst, triple = oracle_k_convexity_rows(vals, grid.points, K)
+    assert rep.worst_violation == worst
+    assert rep.worst_triple == triple
+    assert rep.verdict == (worst <= rep.tol)
 
 
 def test_k_convexity_memory_is_linear_per_row():

@@ -1,9 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ssdp
 from ssdp import simulate
 from ssdp.average import exact_average_cost
+from ssdp.dp import policy_order_steps
 from ssdp.model import ModelError
 from ssdp.policy import SsPolicy
 from ssdp.simulate import (
@@ -15,7 +19,7 @@ from ssdp.simulate import (
     simulate_discounted,
 )
 
-from conftest import make_exponential
+from conftest import make_exponential, make_instance_a, make_off_lattice, oracle_grid_chain
 
 
 def test_zero_stub_costs_nothing(zero_stub):
@@ -110,6 +114,21 @@ def test_compare_never_order_diverges_from_backlog(instance_a, average_a):
     assert row.diff_mean > 100 * row.diff_std_error  # decisive domination
 
 
+def test_compare_average_runs_the_continuous_chain_alone(instance_a, average_a, monkeypatch):
+    cfg = SimConfig(x0=0.0, horizon=1500, n_paths=16, seed=53)
+    policies = [average_a.policy, OrderUpTo(0.0)]
+    alone = [simulate_average(instance_a, SimConfig(**{**vars(cfg), "policy": p}))
+             for p in policies]
+    assert all(r.grid_chain is not None for r in alone)
+
+    def unread(*args):
+        raise AssertionError("compare_policies never reads the grid chain")
+
+    monkeypatch.setattr(simulate, "_run_grid_chain", unread)
+    cmp = compare_policies(instance_a, policies, cfg)
+    assert [(r.mean, r.std_error) for r in cmp.rows] == [(r.mean, r.std_error) for r in alone]
+
+
 def test_needs_two_policies(instance_a):
     with pytest.raises(ModelError):
         compare_policies(
@@ -125,7 +144,8 @@ def test_unknown_policy_rejected(instance_a):
 
 
 def _stepwise_costs(model, cfg, demands, policy):
-    """Reference: the continuous chain with every cost evaluated step by step."""
+    """Reference: the continuous chain with every cost evaluated step by step
+    from the demand values (paths x steps)."""
     fn, _ = policy_fn(policy, model)
     x = np.full(demands.shape[0], float(cfg.x0))
     costs = np.empty(demands.shape)
@@ -137,18 +157,68 @@ def _stepwise_costs(model, cfg, demands, policy):
     return costs
 
 
+@pytest.fixture(scope="module")
+def exponential_table():
+    model = make_exponential()
+    return model, ssdp.solve_infinite(model, 0.9, tol=1e-8).policy
+
+
 @pytest.mark.parametrize(
     "policy", [SsPolicy(s=1.0, S=2.0), OrderUpTo(0.5), "never_order", "table"]
 )
-def test_blocked_costs_equal_stepwise(instance_a, solve_a_09, policy):
-    policy = solve_a_09.policy if policy == "table" else policy
-    # a horizon that is not a whole number of blocks
-    cfg = SimConfig(x0=-3.0, horizon=simulate.BLOCK * 2 + 37, n_paths=5, seed=3, policy=policy)
-    demands = simulate._demand_matrix(instance_a, cfg)
-    costs, c_max, _ = simulate._run_paths(instance_a, cfg, demands, policy)
-    ref = _stepwise_costs(instance_a, cfg, demands, policy)
-    assert np.array_equal(costs, ref)
-    assert c_max == ref.max()
+def test_blocked_costs_equal_stepwise(instance_a, solve_a_09, exponential_table, policy):
+    # the exponential atoms differ from their indices, so atom indices read
+    # as demand values would show there (on instance_a atom k is demand k)
+    for model, table in ((instance_a, solve_a_09.policy), exponential_table):
+        pol = table if policy == "table" else policy
+        # a horizon that is not a whole number of blocks
+        cfg = SimConfig(x0=-3.0, horizon=simulate.BLOCK * 2 + 37, n_paths=5, seed=3, policy=pol)
+        atoms = simulate._atom_matrix(model, cfg)
+        costs, c_max, _ = simulate._run_paths(model, cfg, atoms, pol)
+        ref = _stepwise_costs(model, cfg, model.demand.values[atoms], pol)
+        assert np.array_equal(costs, ref), model.demand.source
+        assert c_max == ref.max()
+
+
+@functools.cache
+def _chain_model(name):
+    model = {"instance_a": make_instance_a, "off_lattice": make_off_lattice,
+             "exponential": make_exponential}[name]()
+    return model, ssdp.solve_infinite(model, 0.9, tol=1e-8).policy
+
+
+@given(
+    name=st.sampled_from(["instance_a", "off_lattice", "exponential"]),
+    kind=st.sampled_from(["table", "order_up_to", "never_order"]),
+    x0_at=st.floats(0.0, 1.0),
+    level_at=st.floats(0.0, 1.0),
+    horizon=st.integers(1, 2 * simulate.BLOCK + 40),
+    burn_at=st.floats(0.0, 1.0, exclude_max=True),
+    n_paths=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+# never ordering from near x_lo clamps within a few steps; off_lattice's
+# largest atom reaches below x_lo from every post-order state under -1.25
+@example(name="instance_a", kind="never_order", x0_at=0.05, level_at=0.0,
+         horizon=simulate.BLOCK + 7, burn_at=0.0, n_paths=4, seed=1)
+@example(name="off_lattice", kind="order_up_to", x0_at=0.5, level_at=0.2,
+         horizon=3 * simulate.BLOCK - 1, burn_at=0.5, n_paths=3, seed=2)
+@settings(max_examples=60, deadline=None)
+def test_grid_chain_equals_stepwise_oracle(
+    name, kind, x0_at, level_at, horizon, burn_at, n_paths, seed
+):
+    model, table = _chain_model(name)
+    g = model.grid
+    x0 = float(g.points[int(x0_at * (g.n - 1))])
+    policy = {"table": table, "never_order": "never_order",
+              "order_up_to": OrderUpTo(float(g.points[int(level_at * (g.n - 1))]))}[kind]
+    cfg = SimConfig(x0=x0, horizon=horizon, n_paths=n_paths, seed=seed, policy=policy)
+    atoms = simulate._atom_matrix(model, cfg)
+    burn = int(burn_at * horizon)
+    steps = policy_order_steps(model, policy_fn(policy, model)[0](g.points))
+    got = simulate._run_grid_chain(model, cfg, atoms, burn)
+    ref = oracle_grid_chain(model, cfg, steps, model.demand.values[atoms], burn, simulate.BLOCK)
+    assert np.array_equal(got, ref)
 
 
 def test_grid_chain_equals_continuous_chain_on_lattice(instance_a):
