@@ -1,4 +1,5 @@
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -117,8 +118,7 @@ def test_compare_never_order_diverges_from_backlog(instance_a, average_a):
 def test_compare_average_runs_the_continuous_chain_alone(instance_a, average_a, monkeypatch):
     cfg = SimConfig(x0=0.0, horizon=1500, n_paths=16, seed=53)
     policies = [average_a.policy, OrderUpTo(0.0)]
-    alone = [simulate_average(instance_a, SimConfig(**{**vars(cfg), "policy": p}))
-             for p in policies]
+    alone = [simulate_average(instance_a, replace(cfg, policy=p)) for p in policies]
     assert all(r.grid_chain is not None for r in alone)
 
     def unread(*args):
@@ -157,19 +157,21 @@ def _stepwise_costs(model, cfg, demands, policy):
     return costs
 
 
-@pytest.fixture(scope="module")
-def exponential_table():
-    model = make_exponential()
+@functools.cache
+def _chain_model(name):
+    """A model and the PolicyTable of its alpha = 0.9 solve."""
+    model = {"instance_a": make_instance_a, "off_lattice": make_off_lattice,
+             "exponential": make_exponential}[name]()
     return model, ssdp.solve_infinite(model, 0.9, tol=1e-8).policy
 
 
 @pytest.mark.parametrize(
     "policy", [SsPolicy(s=1.0, S=2.0), OrderUpTo(0.5), "never_order", "table"]
 )
-def test_blocked_costs_equal_stepwise(instance_a, solve_a_09, exponential_table, policy):
+def test_blocked_costs_equal_stepwise(policy):
     # the exponential atoms differ from their indices, so atom indices read
     # as demand values would show there (on instance_a atom k is demand k)
-    for model, table in ((instance_a, solve_a_09.policy), exponential_table):
+    for model, table in (_chain_model("instance_a"), _chain_model("exponential")):
         pol = table if policy == "table" else policy
         # a horizon that is not a whole number of blocks
         cfg = SimConfig(x0=-3.0, horizon=simulate.BLOCK * 2 + 37, n_paths=5, seed=3, policy=pol)
@@ -178,13 +180,6 @@ def test_blocked_costs_equal_stepwise(instance_a, solve_a_09, exponential_table,
         ref = _stepwise_costs(model, cfg, model.demand.values[atoms], pol)
         assert np.array_equal(costs, ref), model.demand.source
         assert c_max == ref.max()
-
-
-@functools.cache
-def _chain_model(name):
-    model = {"instance_a": make_instance_a, "off_lattice": make_off_lattice,
-             "exponential": make_exponential}[name]()
-    return model, ssdp.solve_infinite(model, 0.9, tol=1e-8).policy
 
 
 @given(
