@@ -221,7 +221,8 @@ def test_sweep_full_schedule_passes_and_emits_results(tmp_path):
 
 
 def test_sweep_exponential_pinned_values(tmp_path):
-    # the Monte-Carlo figures at seed 3, as drawn before the atom-index draws
+    # the Monte-Carlo figures at seed 3, to the last bit: a change to the draws,
+    # the chains or their float operations shows here
     out = tmp_path / "sw"
     r = run_cli("sweep", EXPONENTIAL, "--seed", "3", "--out", out)
     assert r.returncode == 0, r.stderr
