@@ -19,6 +19,7 @@ from .model import InventoryModel, ModelError, ValueTable
 from .dp import (
     ConvergenceError,
     OptimalityInequalityReport,
+    _scan_cycle_blocks,
     check_optimality_inequality,
     sS_cycle_tables,
     solve_infinite,
@@ -257,25 +258,15 @@ def exact_average_cost(model: InventoryModel, policy) -> float:
     """Long-run average cost w(s,S) of an (s,S) policy on the grid chain, exactly.
 
     Renewal reward over order cycles: w = (K + c_bar x_S + gamma_S) / N_S
-    with the alpha = 1 recursions of ``sS_cycle_tables`` for this one s,
-    solved as one banded triangular system on the states s..S with two
-    right-hand sides.  Needs s above x_lo (otherwise the chain never orders)
-    and P(D > 0) > 0 (otherwise no cycle ends).
+    from column s of the alpha = 1 tables of ``sS_cycle_tables``.  Needs s
+    above x_lo (otherwise the chain never orders) and P(D > 0) > 0
+    (otherwise no cycle ends; the tables raise ModelError).
     """
-    from scipy import sparse
-    from scipy.sparse.linalg import spsolve_triangular
-
-    g = model.grid
-    s, S = g.index_of(policy.s), g.index_of(policy.S)
+    s, S = model.grid.index_of(policy.s), model.grid.index_of(policy.S)
     if s == 0:
         raise ModelError("w(s,S) needs s above x_lo: the chain never orders")
-    if model.demand.p_positive == 0.0:
-        raise ModelError("w(s,S) needs P(D > 0) > 0: an order cycle never ends")
-    rows = model.kernel.matrix[s : S + 1]
-    lhs = sparse.eye_array(S + 1 - s, format="csr") - rows[:, s : S + 1]
-    gamma_rhs = model.eh[s : S + 1] + rows[:, :s] @ (-model.c_bar * g.points[:s])
-    N, gamma = spsolve_triangular(lhs, np.column_stack((np.ones(S + 1 - s), gamma_rhs))).T
-    return float((model.K + model.c_bar * g.points[S] + gamma[-1]) / N[-1])
+    _, gamma, N = sS_cycle_tables(model, 1.0, s, s + 1)
+    return float((model.K + model.c_bar * model.grid.points[S] + gamma[S, 0]) / N[S, 0])
 
 
 def optimal_average_cost(model: InventoryModel) -> tuple[float, tuple[float, float]]:
@@ -283,15 +274,21 @@ def optimal_average_cost(model: InventoryModel) -> tuple[float, tuple[float, flo
 
     w(s,S) = (K + c_bar x_S + gamma[S, s]) / N[S, s] from the order-cycle
     tables at alpha = 1 (``sS_cycle_tables``), for every pair with s above
-    x_lo (s = x_lo never orders).  Among equal costs the first pair with S
-    ascending, then s ascending, is returned.  Needs P(D > 0) > 0.
+    x_lo (s = x_lo never orders), streamed in blocks of reorder indices.
+    Among equal costs the first pair with S ascending, then s ascending, is
+    returned.  Needs P(D > 0) > 0.
     """
-    _, gamma, N = sS_cycle_tables(model, 1.0)
-    S, s = np.tril_indices(model.grid.n, -1)  # pairs 1 <= s <= S, S ascending, then s
-    s += 1
-    w = (model.K + model.c_bar * model.grid.points[S] + gamma[S, s]) / N[S, s]
-    i = int(np.argmin(w))
-    return float(w[i]), (float(model.grid.points[s[i]]), float(model.grid.points[S[i]]))
+    xs = model.grid.points
+    head = model.K + model.c_bar * xs
+    rows = np.arange(model.grid.n)[:, None]
+
+    def block_min(s, _, gamma, N):  # the first least (w, S, s) of a block
+        w = np.divide(head[:, None] + gamma, N, out=np.full_like(N, np.inf), where=rows >= s)
+        S, c = np.unravel_index(np.argmin(w), w.shape)
+        return float(w[S, c]), int(S), int(s[c])
+
+    w_star, S, s = min(_scan_cycle_blocks(model, 1.0, 1, block_min))
+    return w_star, (float(xs[s]), float(xs[S]))
 
 
 @dataclass(eq=False)

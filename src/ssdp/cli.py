@@ -96,6 +96,11 @@ def _recorded(out_dir: Path, manifest: RunManifest):
         print(f"manifest: {path}")
 
 
+def _output(manifest: RunManifest, out: Path, name: str, write, *args) -> None:
+    write(out / name, *args)
+    manifest.add_output(out / name)
+
+
 def _exit_code(manifest: RunManifest) -> int:
     if not manifest.all_passed:
         failed = [k for k, v in manifest.checks.items() if not v["passed"]]
@@ -116,13 +121,10 @@ def cmd_solve(args) -> int:
         try:
             if args.horizon is None:
                 result = policy.discounted_sS(model, args.alpha, tol=args.tol)
-                value_csv = out / "value.csv"
-                write_solve_csv(value_csv, result.solve.value, result.solve.policy)
-                manifest.add_output(value_csv)
-                sidecar = out / "value_meta.json"
-                write_solve_sidecar(sidecar, result.solve)
-                manifest.add_output(sidecar)
-                manifest.extra["certified_error_bound"] = result.solve.certified_error_bound
+                solve = result.solve
+                _output(manifest, out, "value.csv", write_solve_csv, solve.value, solve.policy)
+                _output(manifest, out, "value_meta.json", write_solve_sidecar, solve)
+                manifest.extra["certified_error_bound"] = solve.certified_error_bound
                 cert = result.k_convexity
                 manifest.add_check(
                     "k_convex",
@@ -130,33 +132,19 @@ def cmd_solve(args) -> int:
                     worst_violation=cert.worst_violation,
                     worst_triple=cert.worst_triple,
                 )
-                kconv_path = out / "k_convexity.json"
-                write_json(kconv_path, asdict(cert))
-                manifest.add_output(kconv_path)
-                thr_csv = out / "thresholds.csv"
+                _output(manifest, out, "k_convexity.json", write_json, asdict(cert))
                 pol = result.policy
-                write_threshold_csv(
-                    thr_csv,
-                    [
-                        (
-                            f"alpha={args.alpha}",
-                            None if pol is None else pol.s,
-                            None if pol is None else pol.S,
-                            float(result.g.values.min()),
-                            cert.verdict,
-                            result.g.extrapolation_count,
-                        )
-                    ],
-                )
-                manifest.add_output(thr_csv)
+                s, S = (None, None) if pol is None else (pol.s, pol.S)
+                g_min, extrapolated = float(result.g.values.min()), result.g.extrapolation_count
+                row = (f"alpha={args.alpha}", s, S, g_min, cert.verdict, extrapolated)
+                _output(manifest, out, "thresholds.csv", write_threshold_csv, [row])
                 if pol is not None:
                     manifest.add_check(
                         "policy_evaluation_gap",
                         result.eval_gap <= 10 * args.tol,
                         gap=result.eval_gap,
                     )
-                    manifest.extra["s"] = pol.s
-                    manifest.extra["S"] = pol.S
+                    manifest.extra.update(s=s, S=S)
                 else:
                     manifest.notes.append(result.explanation)
             else:
@@ -186,9 +174,7 @@ def cmd_solve(args) -> int:
                     )
                     for t, (sp, cert) in enumerate(zip(fs.policies, certs))
                 ]
-                thr_csv = out / "thresholds.csv"
-                write_threshold_csv(thr_csv, rows)
-                manifest.add_output(thr_csv)
+                _output(manifest, out, "thresholds.csv", write_threshold_csv, rows)
                 worst = max(certs, key=lambda c: c.worst_violation)
                 manifest.add_check(
                     "k_convex",
@@ -196,9 +182,8 @@ def cmd_solve(args) -> int:
                     worst_violation=worst.worst_violation,
                     worst_triple=worst.worst_triple,
                 )
-                value_csv = out / "value.csv"
-                write_solve_csv(value_csv, fs.finite.values[-1], fs.finite.policies[-1])
-                manifest.add_output(value_csv)
+                final = (fs.finite.values[-1], fs.finite.policies[-1])
+                _output(manifest, out, "value.csv", write_solve_csv, *final)
         except policy.CertificationError as exc:
             manifest.add_check("certification", False, error=str(exc))
             print(f"verification failure: {exc}", file=sys.stderr)
@@ -216,17 +201,12 @@ def cmd_sweep(args) -> int:
         if model.demand.p_positive == 0.0:
             result = policy.average_sS(model)
             manifest.notes.append(result.note)
-            thr_csv = out / "thresholds.csv"
-            write_threshold_csv(
-                thr_csv, [("average", result.policy.s, result.policy.S, None, None, None)]
-            )
-            manifest.add_output(thr_csv)
+            row = ("average", result.policy.s, result.policy.S, None, None, None)
+            _output(manifest, out, "thresholds.csv", write_threshold_csv, [row])
             manifest.extra["degenerate_zero_demand"] = True
             return EXIT_OK
         sw = average.sweep(model, schedule, tol=args.tol)
-        sweep_csv = out / "sweep.csv"
-        write_sweep_csv(sweep_csv, sw)
-        manifest.add_output(sweep_csv)
+        _output(manifest, out, "sweep.csv", write_sweep_csv, sw)
         for w in sw.warnings:
             manifest.notes.append(w)
         limit_ok = len(sw.records) >= 3
@@ -280,13 +260,9 @@ def cmd_sweep(args) -> int:
                     policy=avg_result.policy,
                 ),
             )
-            results_csv = out / "results.csv"
-            write_results_csv(
-                results_csv,
-                [(sim.policy_id, sim.criterion, sim.mean, sim.std_error, sim.n_paths,
-                  sim.horizon, sim.seed)],
-            )
-            manifest.add_output(results_csv)
+            row = (sim.policy_id, sim.criterion, sim.mean, sim.std_error, sim.n_paths,
+                   sim.horizon, sim.seed)
+            _output(manifest, out, "results.csv", write_results_csv, [row])
             # the grid chain is the chain w(s,S) describes; the continuous chain
             # (results.csv) is reported against w_estimate but not checked
             grid_sim = sim.grid_chain
@@ -303,9 +279,7 @@ def cmd_sweep(args) -> int:
                 continuous_three_se=3.0 * sim.std_error,
             )
             summary["simulated_average"] = sim.mean
-        summary_path = out / "sweep_summary.json"
-        write_json(summary_path, summary)
-        manifest.add_output(summary_path)
+        _output(manifest, out, "sweep_summary.json", write_json, summary)
     return _exit_code(manifest)
 
 
@@ -321,9 +295,7 @@ def _suite_renewal(model, args, manifest, out):
         "wald": {"lhs": wald.lhs, "rhs": wald.rhs, "z": wald.z},
         "overshoot": {"lhs": over.lhs, "rhs": over.rhs, "margin": over.margin},
     }
-    path = out / "renewal.json"
-    write_json(path, payload)
-    manifest.add_output(path)
+    _output(manifest, out, "renewal.json", write_json, payload)
     return [
         ("renewal.wald_z_within_4", wald.passes, f"z={wald.z}"),
         ("renewal.overshoot_bound", over.passes, f"margin={over.margin}"),

@@ -48,6 +48,7 @@ __all__ = [
 
 EPS_ACT = 1e-9  # absolute tolerance for eps-optimal action sets
 BOUND_SET_EPS = 1e-9
+CYCLE_BLOCK = 2**20  # table cells (states x reorder indices) per streamed cycle-table block
 
 
 class ConvergenceError(RuntimeError):
@@ -218,8 +219,9 @@ def _iterate(
     Iteration stops when that bracket is at most tol/2 wide and returns its
     lower end, which lies below the fixed point and satisfies T v >= v.
 
-    Returns (value, sweeps, certified error bound).  Raises ConvergenceError
-    past ``max_iterations`` sweeps (default: ``_iteration_cap``).
+    Returns (value, sweeps, certified error bound).  Raises ModelError at a
+    non-finite span, ConvergenceError past ``max_iterations`` sweeps
+    (default: ``_iteration_cap``).
     """
     if not tol > 0:
         raise ModelError("tol must be positive")
@@ -232,6 +234,11 @@ def _iterate(
         diff = tv - v
         lo = float(diff.min())
         bound = scale * (float(diff.max()) - lo)
+        if not math.isfinite(bound):  # overflowing costs: stop now, not at the cap
+            bad = np.flatnonzero(~np.isfinite(diff))
+            i = bad[0] if bad.size else int(np.argmax(np.abs(diff)))  # or the span overflowed
+            raise ModelError(f"{what}: span bound {bound} at sweep {sweeps} (alpha={alpha}); "
+                             f"state index {i} has T v - v = {diff[i]}")
         if bound <= tol / 2:
             return tv + scale * lo, sweeps, bound
         v = tv
@@ -369,13 +376,13 @@ def check_optimality_inequality(
 
 
 def sS_cycle_tables(
-    model: InventoryModel, alpha: float
+    model: InventoryModel, alpha: float, s_lo: int = 0, s_hi: Optional[int] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Order-cycle tables (beta, gamma, N) of every reorder index s at once.
+    """Order-cycle tables (beta, gamma, N) of the reorder indices s_lo <= s < s_hi.
 
-    Column s belongs to the policy that orders when the state index is below
-    s; a cycle ends when the state first falls below s.  On j < s the tables
-    hold beta = 1, gamma = -c_bar x_j, N = 0; on j >= s they solve
+    Column s - s_lo belongs to the policy that orders when the state index
+    is below s; a cycle ends when the state first falls below s.  On j < s
+    the tables hold beta = 1, gamma = -c_bar x_j, N = 0; on j >= s they solve
 
         beta = alpha W beta,   gamma = E h + alpha W gamma,   N = 1 + alpha W N
 
@@ -386,33 +393,46 @@ def sS_cycle_tables(
     average cost is (K + c_bar x_S + gamma[S, s]) / N[S, s].  Demand is
     nonnegative, so W is lower triangular up to floor() roundoff (entries
     above the diagonal, ~1e-16, are dropped): forward substitution over the
-    rows, all s at once, costs O(n^2 band).  At alpha = 1 the s = 0 column
-    never renews and holds beta = 0, gamma = N = inf, and P(D > 0) > 0 is
-    required.
+    rows costs O(n band) per column.  einsum sums each row's inflow in an
+    order that does not depend on the range, so a column is bitwise the same
+    solved alone, in a block or in the full range.  At alpha = 1 the s = 0
+    column never renews and holds beta = 0, gamma = N = inf, and
+    P(D > 0) > 0 is required.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ModelError("alpha must lie in [0,1]")
     if alpha == 1.0 and model.demand.p_positive == 0.0:
         raise ModelError("at alpha = 1 an order cycle needs P(D > 0) > 0 to end")
     n = model.grid.n
+    s_hi = n if s_hi is None else s_hi
     W = model.kernel.matrix
-    below_s = np.triu(np.ones((n, n)), 1)  # [j, s]: 1 where j < s
-    x = model.grid.points[:, None]
-    # tables[j, k, s] with k = 0, 1, 2 for beta, gamma, N
-    tables = np.stack((below_s, -model.c_bar * x * below_s, np.zeros((n, n))), axis=1)
-    first = int(alpha == 1.0)  # the first column solved
-    tables[:, 1:, :first] = np.inf
+    below_s = np.arange(n)[:, None] < np.arange(s_lo, s_hi)  # [j, c]: j < s
+    # tables[j, k, c] with k = 0, 1, 2 for beta, gamma, N and s = s_lo + c
+    tables = np.zeros((n, 3, s_hi - s_lo))
+    tables[:, 0] = below_s
+    np.multiply(-model.c_bar * model.grid.points[:, None], below_s, out=tables[:, 1])
+    first = max(s_lo, int(alpha == 1.0))  # the first reorder index solved
+    tables[:, 1:, : first - s_lo] = np.inf
     rhs = np.column_stack((np.zeros(n), model.eh, np.ones(n)))
     for j in range(first, n):
         row = slice(W.indptr[j], W.indptr[j + 1])
         cols, vals = W.indices[row], W.data[row]
         lower = cols < j
-        active = slice(first, j + 1)
-        inflow = np.tensordot(vals[lower], tables[cols[lower], :, active], axes=1)
+        active = slice(first - s_lo, min(j + 1, s_hi) - s_lo)
+        inflow = np.einsum("i,ijk->jk", vals[lower], tables[cols[lower], :, active])
         tables[j, :, active] = (rhs[j, :, None] + alpha * inflow) / (
             1.0 - alpha * vals[cols == j].sum()
         )
     return tables[:, 0], tables[:, 1], tables[:, 2]
+
+
+def _scan_cycle_blocks(model: InventoryModel, alpha: float, s_lo: int, reduce) -> list:
+    """[reduce(s, beta, gamma, N)] over blocks of about ``CYCLE_BLOCK`` cells,
+    s from s_lo up; each block is freed before the next is built."""
+    n = model.grid.n
+    width = max(1, CYCLE_BLOCK // n)
+    blocks = [(s0, min(n, s0 + width)) for s0 in range(s_lo, n, width)]
+    return [reduce(np.arange(a, b), *sS_cycle_tables(model, alpha, a, b)) for a, b in blocks]
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .dp import (
     FiniteHorizonResult,
     SolveReport,
     TerminalValue,
+    _scan_cycle_blocks,
     _strict_suffix_min,
     check_optimality_inequality,
     policy_evaluation,
@@ -56,7 +57,6 @@ __all__ = [
 ]
 
 TIE_EPS = 1e-9
-BRUTE_FORCE_GRID_CAP = 201
 BRUTE_FORCE_MARGIN = 1e-6
 G_CONSISTENCY_TOL = 1e-7
 KCONVEX_TOL = 1e-9
@@ -514,40 +514,50 @@ def brute_force_sS_check(
     """Exhaustive (s,S)-pair search against the extracted thresholds.
 
     Every grid pair s <= S is valued exactly from ``sS_cycle_tables``, the
-    extracted one by the same expression (so its own gap is 0); the check
+    extracted one from its own column (so its own gap is 0); the check
     passes when no pair beats it by more than ``BRUTE_FORCE_MARGIN`` at any
-    state.  The best pair is the first largest gap, S ascending, then s;
-    when no pair beats the extracted one (worst gap <= 0) it is the extracted
-    pair itself, not one of the pairs that tie with it.
-    The gap scan is O(n^3), so grids are capped at ``BRUTE_FORCE_GRID_CAP``.
+    state.  A pair's value gamma[:, s] + beta[:, s] C never falls as its
+    cycle cost C grows (beta >= 0, rounding is monotone), so each s is
+    scanned at its least C only, on streamed tables.  The best pair is the
+    first largest gap, S ascending, then s; when no pair beats the extracted
+    one (worst gap <= 0) it is the extracted pair itself, not one of the
+    pairs that tie with it.
     """
-    n = model.grid.n
-    if n > BRUTE_FORCE_GRID_CAP:
-        raise ModelError(
-            f"grid too large for exhaustive oracle: {n} points (cap {BRUTE_FORCE_GRID_CAP})"
-        )
     res = discounted_sS(model, alpha, tol=tol, solve=solve)
     if res.policy is None:
         raise CertificationError("cannot brute-force check: thresholds were withheld")
     xs = model.grid.points
-    beta, gamma, _ = sS_cycle_tables(model, alpha)
+    head = model.K + model.c_bar * xs
+    rows = np.arange(model.grid.n)[:, None]
 
-    def pair_values(s_idx: int) -> np.ndarray:
-        """Values of the pairs (s, S), S = s..n-1, one column each."""
-        C = (model.K + model.c_bar * xs[s_idx:] + gamma[s_idx:, s_idx]) / (
-            1.0 - beta[s_idx:, s_idx]
-        )
-        return gamma[:, s_idx, None] + beta[:, s_idx, None] * C
+    def cycle_cost(s, beta, gamma):  # C[S, c] of the pair (s[c], S), +inf where S < s[c]
+        num = head[:, None] + gamma
+        return np.divide(num, 1.0 - beta, out=np.full_like(num, np.inf), where=rows >= s)
 
     s_ex, S_ex = model.grid.index_of(res.policy.s), model.grid.index_of(res.policy.S)
-    ex_value = pair_values(s_ex)[:, S_ex - s_ex]
-    # gaps[S, s]: how far the pair (s, S) beats the extracted policy
-    gaps = np.full((n, n), -np.inf)
-    for s_idx in range(n):
-        gaps[s_idx:, s_idx] = np.max(ex_value[:, None] - pair_values(s_idx), axis=0)
-    S_best, s_best = divmod(int(np.argmax(gaps)), n)
-    worst = float(gaps[S_best, s_best])
-    best = (float(xs[s_best]), float(xs[S_best])) if worst > 0 else res.policy.pair()
+    beta, gamma, _ = sS_cycle_tables(model, alpha, s_ex, s_ex + 1)
+    ex_value = gamma[:, 0] + beta[:, 0] * cycle_cost(s_ex, beta, gamma)[S_ex, 0]
+
+    def gap(beta, gamma, C):  # per column: how far the pairs of costs C beat ex_value
+        return np.max(ex_value[:, None] - (gamma + beta * C), axis=0)
+
+    def gap_at_least_cost(s, beta, gamma, _):
+        return gap(beta, gamma, cycle_cost(s, beta, gamma).min(axis=0))
+
+    worst_of_s = np.concatenate(_scan_cycle_blocks(model, alpha, 0, gap_at_least_cost))
+    worst = float(worst_of_s.max())
+    best = res.policy.pair()
+    if worst > 0:  # name the first pair at the worst gap: of each s there, those of least C
+        tied = []
+        for s in np.flatnonzero(worst_of_s == worst):
+            beta, gamma, _ = sS_cycle_tables(model, alpha, s, s + 1)
+            C = cycle_cost(s, beta, gamma)[:, 0]
+            for S in s + np.argsort(C[s:]):
+                if gap(beta, gamma, C[S])[0] < worst:
+                    break
+                tied.append((S, s))
+        S, s = min(tied)
+        best = (float(xs[s]), float(xs[S]))
     return BruteForceReport(
         worst_gap=worst,
         best_pair=best,

@@ -10,9 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import ssdp
 from ssdp import average
+from ssdp.dp import sS_cycle_tables
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CONFIGS = SRC.parent / "configs"
@@ -383,6 +385,69 @@ def oracle_brute_force(model, alpha, extracted):
             if gap > worst:
                 worst, best = gap, (float(g.points[s_idx]), float(g.points[S_idx]))
     return worst, best
+
+
+def oracle_cycle_table_scan(model, alpha, extracted):
+    """Worst gap and best pair of the full-table scan over every pair: the
+    n x n array gaps[S, s] of max over states of v_extracted - v_pair from the
+    full-range ``sS_cycle_tables``, its first largest entry, S ascending, then
+    s; the extracted pair when no pair beats it."""
+    n = model.grid.n
+    xs = model.grid.points
+    beta, gamma, _ = sS_cycle_tables(model, alpha)
+
+    def pair_values(s_idx):
+        C = (model.K + model.c_bar * xs[s_idx:] + gamma[s_idx:, s_idx]) / (
+            1.0 - beta[s_idx:, s_idx]
+        )
+        return gamma[:, s_idx, None] + beta[:, s_idx, None] * C
+
+    s_ex, S_ex = model.grid.index_of(extracted[0]), model.grid.index_of(extracted[1])
+    ex_value = pair_values(s_ex)[:, S_ex - s_ex]
+    gaps = np.full((n, n), -np.inf)
+    for s_idx in range(n):
+        gaps[s_idx:, s_idx] = np.max(ex_value[:, None] - pair_values(s_idx), axis=0)
+    S_best, s_best = divmod(int(np.argmax(gaps)), n)
+    worst = float(gaps[S_best, s_best])
+    best = (float(xs[s_best]), float(xs[S_best])) if worst > 0 else tuple(extracted)
+    return worst, best, int(np.sum(gaps == worst))
+
+
+def oracle_optimal_average_cost(model):
+    """w* and its pair from the full alpha = 1 tables: the argmin over every
+    pair 1 <= s <= S, listed S ascending, then s ascending."""
+    _, gamma, N = sS_cycle_tables(model, 1.0)
+    S, s = np.tril_indices(model.grid.n, -1)
+    s += 1
+    w = (model.K + model.c_bar * model.grid.points[S] + gamma[S, s]) / N[S, s]
+    i = int(np.argmin(w))
+    return float(w[i]), (float(model.grid.points[s[i]]), float(model.grid.points[S[i]]))
+
+
+@st.composite
+def small_models(draw, max_n=10):
+    """Small random models: integer or off-lattice atoms, K = 0 or K > 0, P(D > 0) > 0."""
+    n = draw(st.integers(3, max_n))
+    step = draw(st.sampled_from([1.0, 0.5, 0.3]))  # 0.3: floor() roundoff above the diagonal
+    x_lo = -step * draw(st.integers(0, n - 1))
+    if draw(st.booleans()):
+        values = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True))
+    else:
+        values = draw(st.lists(st.floats(0.0, 2.5), min_size=1, max_size=3, unique=True))
+    values = [float(v) for v in values] + [draw(st.floats(0.05, 2.5))]
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(values), max_size=len(values)))
+    probs = np.array(weights) / sum(weights)
+    K = draw(st.sampled_from([0.0, draw(st.floats(0.1, 5.0))]))
+    h = ssdp.PiecewiseLinear.from_breakpoints(
+        [[-1, draw(st.floats(0.5, 4.0))], [0, 0], [1, draw(st.floats(0.1, 2.0))]]
+    )
+    return ssdp.InventoryModel(
+        K=K,
+        c_bar=draw(st.floats(0.0, 2.0)),
+        h=h,
+        demand=ssdp.DemandDistribution.from_atoms(zip(values, probs)),
+        grid=ssdp.Grid(x_lo=x_lo, x_hi=x_lo + step * (n - 1), step=step),
+    )
 
 
 def oracle_discretize(family, params, n_atoms):

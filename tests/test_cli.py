@@ -110,7 +110,8 @@ def test_verify_renewal_alone_fails_on_zero_demand(tmp_path):
     assert any("degenerate" in n for n in manifest["notes"])
 
 
-def test_verify_brute_force_grid_guard(tmp_path):
+def test_verify_brute_force_on_401_points(tmp_path):
+    # the streamed cycle tables have no grid-size cap
     big = tmp_path / "big.json"
     big.write_text(
         json.dumps(
@@ -121,9 +122,24 @@ def test_verify_brute_force_grid_guard(tmp_path):
             }
         )
     )
-    r = run_cli("verify", big, "--suite", "brute-force-sS", "--out", tmp_path / "v")
+    out = tmp_path / "v"
+    r = run_cli("verify", big, "--suite", "brute-force-sS", "--out", out)
+    assert r.returncode == 0, r.stderr
+    assert "PASS brute_force_sS.no_better_pair: worst_gap=0.0 pair=(1.0, 2.0)" in r.stdout
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["checks"]["brute_force_sS.no_better_pair"]["passed"]
+
+
+def test_solve_overflowing_costs_exit_2(tmp_path):
+    # c_bar x overflows to inf on the grid: value iteration stops at its first sweep
+    cfg = json.loads(EXPONENTIAL.read_text())
+    cfg["cost"]["c_bar"] = 1e308
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    r = run_cli("solve", path, "--alpha", "0.9", "--out", tmp_path / "o")
     assert r.returncode == 2
-    assert "grid too large for exhaustive oracle" in r.stderr
+    assert "value iteration: span bound nan at sweep 1" in r.stderr
+    assert "state index 0 has T v - v = nan" in r.stderr
 
 
 def test_bad_config_keys_rejected(tmp_path):

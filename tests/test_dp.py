@@ -18,7 +18,13 @@ from ssdp.dp import (
 from ssdp.model import ModelError, build_cost
 from ssdp.simulate import SimConfig, simulate_discounted
 
-from conftest import oracle_average_cost, oracle_bellman, oracle_pair_value, oracle_policy_value
+from conftest import (
+    oracle_average_cost,
+    oracle_bellman,
+    oracle_pair_value,
+    oracle_policy_value,
+    small_models,
+)
 
 
 def test_bellman_matches_enumeration_from_zero(instance_a):
@@ -325,32 +331,6 @@ def test_track_convergence_instance_a(instance_a):
 # ---------------------------------------------------------------- (s,S) cycle tables
 
 
-@st.composite
-def small_models(draw):
-    """Small random models: integer or off-lattice atoms, K = 0 or K > 0, P(D > 0) > 0."""
-    n = draw(st.integers(3, 10))
-    step = draw(st.sampled_from([1.0, 0.5, 0.3]))  # 0.3: floor() roundoff above the diagonal
-    x_lo = -step * draw(st.integers(0, n - 1))
-    if draw(st.booleans()):
-        values = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True))
-    else:
-        values = draw(st.lists(st.floats(0.0, 2.5), min_size=1, max_size=3, unique=True))
-    values = [float(v) for v in values] + [draw(st.floats(0.05, 2.5))]
-    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(values), max_size=len(values)))
-    probs = np.array(weights) / sum(weights)
-    K = draw(st.sampled_from([0.0, draw(st.floats(0.1, 5.0))]))
-    h = ssdp.PiecewiseLinear.from_breakpoints(
-        [[-1, draw(st.floats(0.5, 4.0))], [0, 0], [1, draw(st.floats(0.1, 2.0))]]
-    )
-    return ssdp.InventoryModel(
-        K=K,
-        c_bar=draw(st.floats(0.0, 2.0)),
-        h=h,
-        demand=ssdp.DemandDistribution.from_atoms(zip(values, probs)),
-        grid=ssdp.Grid(x_lo=x_lo, x_hi=x_lo + step * (n - 1), step=step),
-    )
-
-
 @given(model=small_models())
 @settings(max_examples=40, deadline=None)
 def test_cycle_tables_match_dense_pair_solves(model):
@@ -371,6 +351,25 @@ def test_cycle_tables_match_dense_pair_solves(model):
             w = (head[S] + gamma[S, s]) / N[S, s]
             expect = oracle_average_cost(model, np.where(idx < s, S - idx, 0))
             assert w == pytest.approx(expect, rel=1e-10, abs=1e-10)
+
+
+@given(model=small_models(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_cycle_table_columns_do_not_depend_on_the_range(model, data):
+    # the streamed scans rely on this: a column solved alone, inside a block
+    # and in the full range is bitwise the same
+    n = model.grid.n
+    for alpha in (0.5, 0.9, 0.99, 1.0):
+        lo = data.draw(st.integers(0, n - 1))
+        hi = data.draw(st.integers(lo + 1, n))
+        s = data.draw(st.integers(lo, hi - 1))
+        full = sS_cycle_tables(model, alpha)
+        block = sS_cycle_tables(model, alpha, lo, hi)
+        alone = sS_cycle_tables(model, alpha, s, s + 1)
+        for f, b, a in zip(full, block, alone):
+            assert b.shape == (n, hi - lo) and a.shape == (n, 1)
+            assert f[:, lo:hi].tobytes() == b.tobytes()
+            assert f[:, s].tobytes() == a[:, 0].tobytes()
 
 
 def test_cycle_tables_boundary_and_discounted_length(instance_a):

@@ -102,3 +102,19 @@ def test_loading_shipped_configs_imports_no_scipy_stats_or_special():
         [sys.executable, "-c", code, *configs], capture_output=True, text=True, check=True
     )
     assert r.stdout.strip() == "[]"
+
+
+def test_sweep_imports_no_sparse_linalg(tmp_path):
+    # the exact w(s,S) comes from the cycle tables, so no sparse solver is loaded
+    code = (
+        "import sys, ssdp.cli\n"
+        "assert ssdp.cli.main(['sweep', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "print('scipy.sparse.linalg' in sys.modules)\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code, str(CONFIGS / "exponential_demand.json"), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert r.stdout.splitlines()[-1] == "False"

@@ -1,3 +1,4 @@
+import json
 from unittest import mock
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ssdp
-from ssdp import policy
+from ssdp import dp, policy
+from ssdp.average import optimal_average_cost
+from ssdp.config import model_from_dict
 from ssdp.model import DemandDistribution, Grid, ModelError
 from ssdp.policy import (
     CertificationError,
@@ -23,13 +26,17 @@ from ssdp.policy import (
 from ssdp.dp import solve_finite, solve_infinite
 
 from conftest import (
+    CONFIGS,
     OPERATOR_MODELS,
     make_exponential,
     make_instance_a,
     oracle_brute_force,
+    oracle_cycle_table_scan,
     oracle_k_convexity,
     oracle_k_convexity_rows,
+    oracle_optimal_average_cost,
     oracle_post_expectation,
+    small_models,
 )
 
 
@@ -476,6 +483,75 @@ def test_brute_force_reports_extracted_pair_on_ties(degenerate_model):
     assert worst == 0.0 and first_tied != report.extracted_pair
     assert report.worst_gap == 0.0
     assert report.best_pair == report.extracted_pair == (0.0, 0.0)
+
+
+def _integer_model(x_lo, x_hi, atoms, K, c_bar, slopes):
+    return ssdp.InventoryModel(
+        K=K,
+        c_bar=c_bar,
+        h=ssdp.PiecewiseLinear.from_breakpoints([[-1, slopes[0]], [0, 0], [1, slopes[1]]]),
+        demand=DemandDistribution.from_atoms((d, 1.0 / len(atoms)) for d in atoms),
+        grid=Grid(x_lo=x_lo, x_hi=x_hi, step=1.0),
+    )
+
+
+@pytest.mark.parametrize("width", [None, 7, 1])
+@given(model=small_models(max_n=30))
+# at alpha = 0.5 the least-S pair at the worst gap is not its s's least-C pair
+@example(model=_integer_model(-1, 11, [0, 2], K=1.0, c_bar=1.0, slopes=(1.5, 0.5)))
+# four pairs tie at w*: (s, S) = (6, 7), (7, 7), (5, 8), (6, 8) as indices
+@example(model=_integer_model(-5, 3, [2], K=2.0, c_bar=0.5, slopes=(1.5, 0.5)))
+@settings(max_examples=60, deadline=None)
+def test_streamed_scans_equal_full_table_scans(model, width):
+    # width 7 or 1: the tables are streamed in blocks of 7 or 1 reorder indices
+    cells = dp.CYCLE_BLOCK if width is None else width * model.grid.n
+    with mock.patch.object(dp, "CYCLE_BLOCK", cells):
+        for alpha in (0.5, 0.9, 0.99):
+            try:
+                report = brute_force_sS_check(model, alpha)
+            except (ModelError, CertificationError):
+                continue  # no certified thresholds to check against
+            worst, best, _ = oracle_cycle_table_scan(model, alpha, report.extracted_pair)
+            assert repr(report.worst_gap) == repr(worst)
+            assert report.best_pair == best
+        assert optimal_average_cost(model) == oracle_optimal_average_cost(model)
+
+
+def test_brute_force_tie_at_a_positive_gap():
+    # a rounding-level worst gap reached by 36 pairs over 3 values of s
+    model = ssdp.InventoryModel(
+        K=0.5,
+        c_bar=0.5,
+        h=ssdp.PiecewiseLinear.from_breakpoints([[-1, 1.5], [0, 0], [1, 1.5]]),
+        demand=DemandDistribution.from_atoms([(0.08, 1.0)]),
+        grid=Grid(x_lo=-17, x_hi=18, step=1.0),
+    )
+    report = brute_force_sS_check(model, 0.5)
+    worst, best, ties = oracle_cycle_table_scan(model, 0.5, report.extracted_pair)
+    assert worst > 0 and ties == 36
+    assert repr(report.worst_gap) == repr(worst) and report.best_pair == best
+
+
+def test_exact_scans_memory_at_2001_points():
+    # the three full n x n tables alone would take 96 MB here
+    import tracemalloc
+
+    cfg = json.loads((CONFIGS / "exponential_demand.json").read_text())
+    cfg["grid"]["step"] = 0.015
+    model = model_from_dict(cfg)
+    assert model.grid.n == 2001
+    model.kernel, model.eh  # built and cached before the measured calls
+    for call, limit_mb in (
+        (lambda: optimal_average_cost(model), 64),
+        (lambda: brute_force_sS_check(model, 0.9), 96),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mb * 1e6, (call, peak)
 
 
 def test_average_needs_a_sweep(instance_a):
