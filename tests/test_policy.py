@@ -519,13 +519,7 @@ def test_streamed_scans_equal_full_table_scans(model, width):
 
 def test_brute_force_tie_at_a_positive_gap():
     # a rounding-level worst gap reached by 36 pairs over 3 values of s
-    model = ssdp.InventoryModel(
-        K=0.5,
-        c_bar=0.5,
-        h=ssdp.PiecewiseLinear.from_breakpoints([[-1, 1.5], [0, 0], [1, 1.5]]),
-        demand=DemandDistribution.from_atoms([(0.08, 1.0)]),
-        grid=Grid(x_lo=-17, x_hi=18, step=1.0),
-    )
+    model = _integer_model(-17, 18, [0.08], K=0.5, c_bar=0.5, slopes=(1.5, 1.5))
     report = brute_force_sS_check(model, 0.5)
     worst, best, ties = oracle_cycle_table_scan(model, 0.5, report.extracted_pair)
     assert worst > 0 and ties == 36
