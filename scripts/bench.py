@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -62,8 +63,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
-        "environment": info["environment"],
+        "environment": environment(info["environment"]),
     }
+
+
+def environment(reported: dict) -> dict:
+    """A run's reported environment plus PYTHONDONTWRITEBYTECODE, which the runs
+    inherit from this process: when it is set, every set-up probe compiles
+    src/ssdp afresh, so setup_s then grows with the lines under src/."""
+    return {**reported, "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
 
 def quartiles(values: list[float]) -> dict:

@@ -258,14 +258,14 @@ def exact_average_cost(model: InventoryModel, policy) -> float:
     """Long-run average cost w(s,S) of an (s,S) policy on the grid chain, exactly.
 
     Renewal reward over order cycles: w = (K + c_bar x_S + gamma_S) / N_S
-    from column s of the alpha = 1 tables of ``sS_cycle_tables``.  Needs s
-    above x_lo (otherwise the chain never orders) and P(D > 0) > 0
-    (otherwise no cycle ends; the tables raise ModelError).
+    from column s of the alpha = 1 tables of ``sS_cycle_tables``, solved up
+    to row S.  Needs s above x_lo (otherwise the chain never orders) and
+    P(D > 0) > 0 (otherwise no cycle ends; the tables raise ModelError).
     """
     s, S = model.grid.index_of(policy.s), model.grid.index_of(policy.S)
     if s == 0:
         raise ModelError("w(s,S) needs s above x_lo: the chain never orders")
-    _, gamma, N = sS_cycle_tables(model, 1.0, s, s + 1)
+    _, gamma, N = sS_cycle_tables(model, 1.0, s, s + 1, S + 1)
     return float((model.K + model.c_bar * model.grid.points[S] + gamma[S, 0]) / N[S, 0])
 
 

@@ -15,6 +15,7 @@ for a fixed config and seed at any worker count.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -164,14 +165,7 @@ def cmd_solve(args) -> int:
                 manifest.notes.extend(fs.warnings)
                 certs = fs.certifications
                 rows = [
-                    (
-                        f"t={t}",
-                        None if sp is None else sp.s,
-                        None if sp is None else sp.S,
-                        None,
-                        cert.verdict,
-                        None,
-                    )
+                    (f"t={t}", *((None, None) if sp is None else sp.pair()), None, cert.verdict, None)
                     for t, (sp, cert) in enumerate(zip(fs.policies, certs))
                 ]
                 _output(manifest, out, "thresholds.csv", write_threshold_csv, rows)
@@ -283,7 +277,7 @@ def cmd_sweep(args) -> int:
     return _exit_code(manifest)
 
 
-def _suite_renewal(model, args, manifest, out):
+def _suite_renewal(model, args, manifest, out, zero_setup):
     sample = sample_renewal(model.demand, y=10.0, n_paths=args.paths, seed=args.seed)
     wald = wald_check(sample, model.demand)
     over = overshoot_bound_check(model, x=0.0, y=10.0, n_paths=args.paths, seed=args.seed, sample=sample)
@@ -302,10 +296,10 @@ def _suite_renewal(model, args, manifest, out):
     ]
 
 
-def _suite_sandwich(model, args, manifest, out):
+def _suite_sandwich(model, args, manifest, out, zero_setup):
     alpha, tol, horizon = args.alpha, args.tol, 40
     report = solve_infinite(model, alpha, tol=tol)
-    zs = policy.solve_zero_setup(model, alpha, tol=tol)
+    zs = zero_setup()
     fin0 = solve_finite(model, horizon, TerminalValue.zero(model.grid), alpha)
     v0_stack = np.stack([vt.values for vt in fin0.values])
     monotone = bool(np.all(np.diff(v0_stack, axis=0) >= -1e-12))
@@ -330,25 +324,17 @@ def _suite_sandwich(model, args, manifest, out):
     ]
 
 
-def _suite_action_convergence(model, args, manifest, out):
-    alpha = args.alpha
+def _suite_action_convergence(model, args, manifest, out, zero_setup):
     checks = []
-    zs = policy.solve_zero_setup(model, alpha, tol=args.tol)
-    for terminal in (TerminalValue.zero(model.grid), zs.terminal()):
-        rep = track_action_convergence(model, alpha, terminal, t_max=args.t_max)
-        ok = rep.all_settled
-        worst = int(rep.settle_t.max()) if ok else -1
-        checks.append(
-            (
-                f"action_convergence.terminal_{terminal.id}",
-                ok,
-                f"max_t_star={worst}" if ok else f"unsettled_states={rep.unsettled.tolist()}",
-            )
-        )
+    for terminal in (TerminalValue.zero(model.grid), zero_setup().terminal()):
+        rep = track_action_convergence(model, args.alpha, terminal, t_max=args.t_max)
+        detail = (f"max_t_star={int(rep.settle_t.max())}" if rep.all_settled
+                  else f"unsettled_states={rep.unsettled.tolist()}")
+        checks.append((f"action_convergence.terminal_{terminal.id}", rep.all_settled, detail))
     return checks
 
 
-def _suite_brute_force(model, args, manifest, out):
+def _suite_brute_force(model, args, manifest, out, zero_setup):
     report = policy.brute_force_sS_check(model, args.alpha, tol=args.tol)
     return [
         (
@@ -378,9 +364,11 @@ def cmd_verify(args) -> int:
             # renewal theory needs P(D > 0) > 0; asked for alone, the suite still fails
             selected.remove("renewal")
             manifest.notes.append("renewal suite skipped: zero demand almost surely, P(D > 0) = 0")
+        # the K = 0 solve, made once for the suites that read it
+        zero_setup = functools.cache(lambda: policy.solve_zero_setup(model, args.alpha, tol=args.tol))
         try:
             for name in selected:
-                for check, passed, detail in suites[name](model, args, manifest, out):
+                for check, passed, detail in suites[name](model, args, manifest, out, zero_setup):
                     manifest.add_check(check, passed, detail=detail)
                     print(f"{'PASS' if passed else 'FAIL'} {check}: {detail}")
                     failures += 0 if passed else 1

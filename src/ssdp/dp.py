@@ -49,6 +49,7 @@ __all__ = [
 EPS_ACT = 1e-9  # absolute tolerance for eps-optimal action sets
 BOUND_SET_EPS = 1e-9
 CYCLE_BLOCK = 2**20  # table cells (states x reorder indices) per streamed cycle-table block
+ACTION_BLOCK = 2**13  # table cells (stages x states) per block of tracked actions
 
 
 class ConvergenceError(RuntimeError):
@@ -84,29 +85,28 @@ def _strict_suffix_min(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_values(v) -> np.ndarray:
-    if isinstance(v, ValueTable):
-        return v.values
-    if isinstance(v, TerminalValue):
-        return v.values
-    return np.asarray(v, dtype=float)
-
-
 def _check_alpha(alpha: float) -> None:
     if not (0.0 <= alpha < 1.0):
         raise ModelError("alpha must lie in [0,1)")
+
+
+def _stage(model: InventoryModel, v: np.ndarray, alpha: float, g: np.ndarray, m: np.ndarray):
+    """One Bellman sweep from v: g and m written into the given rows, T v returned."""
+    cbar_x = model.c_bar * model.grid.points
+    np.add(cbar_x, model.eh, out=g)
+    if alpha != 0.0:
+        g += alpha * model.kernel.expect(v)
+    np.minimum(g, model.K + _strict_suffix_min(g), out=m)
+    return m - cbar_x
 
 
 def _update(
     model: InventoryModel, v: np.ndarray, alpha: float, eps_act: float = EPS_ACT
 ) -> tuple[np.ndarray, PolicyTable]:
     """One Bellman sweep: the updated values and the policy table of the update."""
-    cbar_x = model.c_bar * model.grid.points
-    g = cbar_x + model.eh
-    if alpha != 0.0:
-        g = g + alpha * model.kernel.expect(v)
-    m = np.minimum(g, model.K + _strict_suffix_min(g))
-    return m - cbar_x, PolicyTable(grid=model.grid, g=g, m=m, K=model.K, eps=eps_act)
+    g, m = np.empty((2, model.grid.n))
+    tv = _stage(model, v, alpha, g, m)
+    return tv, PolicyTable(grid=model.grid, g=g, m=m, K=model.K, eps=eps_act)
 
 
 def bellman_update(
@@ -121,7 +121,7 @@ def bellman_update(
     so "do not order" wins whenever it is within ``eps_act`` of the minimum.
     """
     _check_alpha(alpha)
-    vals = _as_values(v)
+    vals = v.values if isinstance(v, (ValueTable, TerminalValue)) else np.asarray(v, dtype=float)
     if np.any(vals < -1e-12) or not np.all(np.isfinite(vals)):
         raise ModelError("bellman_update needs a finite nonnegative value table")
     new_vals, pt = _update(model, vals, alpha, eps_act)
@@ -376,9 +376,11 @@ def check_optimality_inequality(
 
 
 def sS_cycle_tables(
-    model: InventoryModel, alpha: float, s_lo: int = 0, s_hi: Optional[int] = None
+    model: InventoryModel, alpha: float, s_lo: int = 0,
+    s_hi: Optional[int] = None, j_hi: Optional[int] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Order-cycle tables (beta, gamma, N) of the reorder indices s_lo <= s < s_hi.
+    """Order-cycle tables (beta, gamma, N) of the reorder indices s_lo <= s < s_hi
+    on the states j < j_hi (default: all).
 
     Column s - s_lo belongs to the policy that orders when the state index
     is below s; a cycle ends when the state first falls below s.  On j < s
@@ -395,7 +397,8 @@ def sS_cycle_tables(
     above the diagonal, ~1e-16, are dropped): forward substitution over the
     rows costs O(n band) per column.  einsum sums each row's inflow in an
     order that does not depend on the range, so a column is bitwise the same
-    solved alone, in a block or in the full range.  At alpha = 1 the s = 0
+    solved alone, in a block or in the full range, and a row does not depend
+    on the rows above it, so the row loop stops at j_hi.  At alpha = 1 the s = 0
     column never renews and holds beta = 0, gamma = N = inf, and
     P(D > 0) > 0 is required.
     """
@@ -405,16 +408,17 @@ def sS_cycle_tables(
         raise ModelError("at alpha = 1 an order cycle needs P(D > 0) > 0 to end")
     n = model.grid.n
     s_hi = n if s_hi is None else s_hi
+    j_hi = n if j_hi is None else j_hi
     W = model.kernel.matrix
-    below_s = np.arange(n)[:, None] < np.arange(s_lo, s_hi)  # [j, c]: j < s
+    below_s = np.arange(j_hi)[:, None] < np.arange(s_lo, s_hi)  # [j, c]: j < s
     # tables[j, k, c] with k = 0, 1, 2 for beta, gamma, N and s = s_lo + c
-    tables = np.zeros((n, 3, s_hi - s_lo))
+    tables = np.zeros((j_hi, 3, s_hi - s_lo))
     tables[:, 0] = below_s
-    np.multiply(-model.c_bar * model.grid.points[:, None], below_s, out=tables[:, 1])
+    np.multiply(-model.c_bar * model.grid.points[:j_hi, None], below_s, out=tables[:, 1])
     first = max(s_lo, int(alpha == 1.0))  # the first reorder index solved
     tables[:, 1:, : first - s_lo] = np.inf
     rhs = np.column_stack((np.zeros(n), model.eh, np.ones(n)))
-    for j in range(first, n):
+    for j in range(first, j_hi):
         row = slice(W.indptr[j], W.indptr[j + 1])
         cols, vals = W.indices[row], W.data[row]
         lower = cols < j
@@ -508,13 +512,8 @@ class ActionConvergenceReport:
 
 def _suffix_settle(cond: np.ndarray) -> np.ndarray:
     """Per column: first t (1-based) from which ``cond`` holds to the end, else -1."""
-    t_max, n = cond.shape
-    out = np.full(n, -1, dtype=int)
-    ok = np.ones(n, dtype=bool)
-    for t in range(t_max - 1, -1, -1):
-        ok &= cond[t]
-        out[ok] = t + 1
-    return out
+    tail = np.logical_and.accumulate(cond[::-1], axis=0).sum(axis=0)  # rows holding at the end
+    return np.where(tail > 0, cond.shape[0] + 1 - tail, -1)
 
 
 def track_action_convergence(
@@ -529,7 +528,10 @@ def track_action_convergence(
 
     Requires an admissible terminal value.  The reference solve runs at a
     tight tolerance so that eps-optimal membership is not blurred by the
-    value-iteration error.
+    value-iteration error.  The stages' g and m rows go into a buffer of about
+    ``ACTION_BLOCK`` cells; each full buffer is one stacked ``PolicyTable``
+    whose chosen actions and distances are resolved at once, so only the
+    t_max x n distances outlive a block.
     """
     ref = solve_infinite(model, alpha, tol=tol, eps_act=eps_act)
     adm = check_terminal_admissible(terminal, model, alpha, ref.value)
@@ -538,12 +540,16 @@ def track_action_convergence(
             "terminal value fails the admissibility inequalities; "
             "action-convergence tracking is not meaningful"
         )
-    chosen = np.empty((t_max, model.grid.n))
+    rows = min(t_max, max(1, ACTION_BLOCK // model.grid.n))
+    g, m = np.empty((2, rows, model.grid.n))
+    dist = np.empty((t_max, model.grid.n))
     v, _ = _update(model, terminal.values, alpha)  # chosen_t comes from the update of v_t, t >= 1
-    for t in range(1, t_max + 1):
-        v, pt = _update(model, v, alpha, eps_act)
-        chosen[t - 1] = pt.chosen
-    dist = ref.policy.distance(chosen)
+    for t in range(t_max):
+        b = t % rows
+        v = _stage(model, v, alpha, g[b], m[b])
+        if b == rows - 1 or t == t_max - 1:
+            block = PolicyTable(grid=model.grid, g=g[: b + 1], m=m[: b + 1], K=model.K, eps=eps_act)
+            dist[t - b : t + 1] = ref.policy.distance(block.chosen)
     settle = _suffix_settle(dist <= model.grid.step + 1e-12)
     exact = _suffix_settle(dist <= 1e-12)
     return ActionConvergenceReport(

@@ -151,20 +151,12 @@ class PiecewiseLinear:
     def is_convex(self, tol: float = CONVEXITY_SLACK) -> bool:
         return bool(np.all(np.diff(self.slopes) >= -tol))
 
-    def min_point(self) -> tuple[float, float]:
-        """Smallest location of the global minimum and the minimum value.
-
-        Requires the function to be bounded below, i.e. a non-positive slope
-        on the left end and a non-negative slope on the right end.
-        """
+    def shifted_to_origin(self) -> tuple["PiecewiseLinear", float, float]:
+        """Recentre so the (smallest) minimum sits at 0 with value 0; returns (h, x*, offset)."""
         if self.slopes[0] > 0 or self.slopes[-1] < 0:
             raise ModelError("function is unbounded below; no finite minimizer")
         k = int(np.argmin(self.ys))
-        return float(self.xs[k]), float(self.ys[k])
-
-    def shifted_to_origin(self) -> tuple["PiecewiseLinear", float, float]:
-        """Recentre so the minimum sits at 0 with value 0; returns (h, x*, offset)."""
-        x_star, y_min = self.min_point()
+        x_star, y_min = float(self.xs[k]), float(self.ys[k])
         if x_star == 0.0 and y_min == 0.0:
             return self, 0.0, 0.0
         return PiecewiseLinear(self.xs - x_star, self.ys - y_min), x_star, y_min
@@ -629,26 +621,29 @@ class ValueTable:
 
 
 def _suffix_min_levels(G: np.ndarray) -> np.ndarray:
-    """``levels[L, p] = min(G[p : p + 2**L])``, +inf past the end (column n is +inf)."""
-    levels = [np.append(G, np.inf)]
-    for w in (1 << L for L in range(G.size.bit_length() - 1)):
+    """``levels[L, p, ...] = min(G[..., p : p + 2**L])``, +inf past the end (position n
+    is +inf).  G's leading axes trail, so a run past position n reads the last entry."""
+    levels = [np.concatenate((np.moveaxis(G, -1, 0), np.full((1,) + G.shape[:-1], np.inf)))]
+    for w in (1 << L for L in range(G.shape[-1].bit_length() - 1)):
         prev = levels[-1]
         levels.append(np.concatenate((np.minimum(prev[:-w], prev[w:]), prev[-w:])))
     return np.array(levels)
 
 
 def _first_at_most(levels: np.ndarray, p: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Smallest j >= p with G[j] <= t (n if none), elementwise, by an exact
-    binary descent that skips each 2**L block whose minimum exceeds t."""
-    pos = np.array(p, dtype=np.intp)
-    for L in range(levels.shape[0] - 1, -1, -1):  # positions past n read column n
-        np.add(pos, 1 << L, out=pos, where=levels[L].take(pos, mode="clip") > t)
-    return np.minimum(pos, levels.shape[1] - 1)
+    """Smallest j >= p with G[..., j] <= t (n if none), elementwise along G's last axis
+    (``t`` has G's leading axes, or any for a 1-D G), by an exact binary descent
+    that skips each 2**L block whose minimum exceeds t."""
+    rows = levels[0, 0].size  # row r of G at position j is flat entry j * rows + r
+    pos = np.asarray(p, dtype=np.intp) * rows + np.arange(rows).reshape(levels.shape[2:] + (1,))
+    for L in range(levels.shape[0] - 1, -1, -1):  # entries past the end clip to the last, +inf
+        np.add(pos, rows << L, out=pos, where=levels[L].take(pos, mode="clip") > t)
+    return np.minimum(pos // rows, levels.shape[1] - 1)
 
 
 @dataclass(eq=False)
 class PolicyTable:
-    """The eps-optimal order-up-to actions of one Bellman update.
+    """The eps-optimal order-up-to actions of one Bellman update, or of a stack.
 
     ``g`` is the order-up-to target cost on the grid and
     ``m[i] = min(g[i], K + min_{j > i} g[j])`` the minimized cost at state i.
@@ -657,7 +652,9 @@ class PolicyTable:
     stores these O(n) arrays and, from first use, power-of-two suffix-minimum
     tables of ``K + g``, forwards and mirrored, so the first member at or after
     a position, or the last before it, is one log2(n) descent.  ``chosen`` is
-    the smallest eps-optimal order ("do not order" wins near-ties).
+    the smallest eps-optimal order ("do not order" wins near-ties).  g and m may
+    also be (T, n) stacks of T updates: ``chosen`` then answers every row in one
+    descent, bitwise as row by row; the other queries take one update.
     """
 
     grid: Grid
@@ -667,7 +664,7 @@ class PolicyTable:
     eps: float
 
     def __post_init__(self) -> None:
-        if self.g.shape != (self.grid.n,) or self.m.shape != (self.grid.n,):
+        if self.g.shape[-1:] != (self.grid.n,) or self.m.shape != self.g.shape:
             raise ModelError("policy table shape does not match the grid")
         if not self.eps >= 0:
             raise ModelError(f"action tolerance eps must be nonnegative, got {self.eps}")

@@ -12,7 +12,7 @@ relative value function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -270,7 +270,9 @@ def solve_zero_setup(model: InventoryModel, alpha: float, tol: float = 1e-8) -> 
     Convexity of the zero-setup G is guaranteed, so a failed certificate
     signals numerical misconfiguration and raises CertificationError.
     """
-    model0 = replace(model, K=0.0)
+    # K enters neither E h nor the kernel: the K = 0 twin shares them, unbuilt and unchecked again
+    model0 = object.__new__(InventoryModel)
+    vars(model0).update(vars(model), K=0.0, kernel=model.kernel, eh=model.eh)
     report = solve_infinite(model0, alpha, tol=tol)
     v0 = ValueTable(grid=model.grid, values=report.value.values)
     g0 = build_G(model0, v0, alpha, kind="infinite")

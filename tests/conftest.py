@@ -274,6 +274,34 @@ def oracle_action_sets(table, actions):
     return chosen, members.sum(axis=1), np.array(dist).reshape(np.shape(actions))
 
 
+def oracle_suffix_settle(cond):
+    """Per column of a (t_max, n) boolean array: the first t (1-based) from which
+    ``cond`` holds to the last row, else -1, by a backward loop over the rows."""
+    t_max, n = cond.shape
+    out = np.full(n, -1, dtype=int)
+    ok = np.ones(n, dtype=bool)
+    for t in range(t_max - 1, -1, -1):
+        ok &= cond[t]
+        out[ok] = t + 1
+    return out
+
+
+def oracle_action_convergence(model, alpha, terminal, t_max, tol=1e-10):
+    """Distances, settle stages and exact settle stages of the per-stage loop: one
+    ``bellman_update`` and one ``PolicyTable`` per stage from v_1 = T F, the
+    chosen rows measured against the reference sets at once, and the stages
+    from ``oracle_suffix_settle``."""
+    ref = ssdp.solve_infinite(model, alpha, tol=tol)
+    chosen = np.empty((t_max, model.grid.n))
+    v, _ = ssdp.bellman_update(model, terminal.values, alpha)
+    for t in range(t_max):
+        v, table = ssdp.bellman_update(model, v, alpha)
+        chosen[t] = table.chosen
+    dist = ref.policy.distance(chosen)
+    step = model.grid.step
+    return dist, oracle_suffix_settle(dist <= step + 1e-12), oracle_suffix_settle(dist <= 1e-12)
+
+
 def oracle_k_convexity(values, xs, K):
     """Worst K-convexity violation and its triple, by the direct O(n^3) scan.
 

@@ -365,3 +365,46 @@ def test_memory_error_is_noted_in_manifest(tmp_path, monkeypatch):
         cli.main(["solve", str(INSTANCE_A), "--alpha", "0.9", "--out", str(out)])
     notes = json.loads((out / "manifest.json").read_text())["notes"]
     assert notes == ["MemoryError: cannot allocate"]
+
+
+def test_verify_builds_one_kernel(tmp_path, monkeypatch):
+    import ssdp.model
+    import ssdp.policy
+    from ssdp import cli
+
+    calls = []
+    real = ssdp.model.build_kernel
+    monkeypatch.setattr(ssdp.model, "build_kernel", lambda m: calls.append(1) or real(m))
+    # count operator builds at every module that binds the name, not only the model's
+    builds = []
+    real_op = ssdp.model.post_expectation_matrix
+    for mod in (ssdp.model, ssdp.policy):
+        if hasattr(mod, "post_expectation_matrix"):
+            monkeypatch.setattr(
+                mod, "post_expectation_matrix", lambda *a, **k: builds.append(1) or real_op(*a, **k)
+            )
+    out = tmp_path / "ver"
+    assert cli.main(["verify", str(EXPONENTIAL), "--suite", "all", "--paths", "2000",
+                     "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert len(builds) == 1
+
+
+def test_verify_all_solves_zero_setup_once_with_the_same_details(tmp_path, monkeypatch):
+    from ssdp import cli, policy
+
+    calls = []
+    real = policy.solve_zero_setup
+    monkeypatch.setattr(policy, "solve_zero_setup", lambda *a, **k: calls.append(1) or real(*a, **k))
+
+    def checks(suite):
+        out = tmp_path / suite
+        assert cli.main(["verify", str(INSTANCE_A), "--suite", suite, "--paths", "2000",
+                         "--out", str(out)]) == 0
+        return json.loads((out / "manifest.json").read_text())["checks"]
+
+    together = checks("all")
+    assert len(calls) == 1
+    alone = {**checks("sandwich"), **checks("action-convergence")}
+    assert len(calls) == 3  # one K = 0 solve per run
+    assert {k: together[k] for k in alone} == alone

@@ -1,8 +1,14 @@
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ssdp
+from ssdp import dp
+from ssdp.config import model_from_dict
+from ssdp.policy import solve_zero_setup
 from ssdp.dp import (
     EPS_ACT,
     TerminalValue,
@@ -19,10 +25,15 @@ from ssdp.model import ModelError, build_cost
 from ssdp.simulate import SimConfig, simulate_discounted
 
 from conftest import (
+    CONFIGS,
+    make_exponential,
+    make_instance_a,
+    oracle_action_convergence,
     oracle_average_cost,
     oracle_bellman,
     oracle_pair_value,
     oracle_policy_value,
+    oracle_suffix_settle,
     small_models,
 )
 
@@ -326,6 +337,52 @@ def test_track_convergence_instance_a(instance_a):
     )
     assert rep.all_settled
     assert int(rep.settle_t.max()) <= 200
+
+
+@pytest.mark.parametrize("make", [make_instance_a, make_exponential])
+def test_stage_blocks_match_the_per_stage_loop(make):
+    model = make()
+    terminals = (TerminalValue.zero(model.grid), solve_zero_setup(model, 0.9).terminal())
+    # all 200 stages in one block, the default budget, blocks of 3 rows and of 1 row
+    budgets = (200 * model.grid.n, dp.ACTION_BLOCK, 3 * model.grid.n, 1)
+    for terminal in terminals:
+        for t_max in (1, 2, 200):
+            expected = oracle_action_convergence(model, 0.9, terminal, t_max)
+            for budget in budgets:
+                with mock.patch.object(dp, "ACTION_BLOCK", budget):
+                    rep = track_action_convergence(model, 0.9, terminal, t_max=t_max)
+                got = (rep.distances, rep.settle_t, rep.exact_settle_t)
+                for a, b in zip(got, expected):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (t_max, budget)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_suffix_settle_matches_the_backward_loop(data):
+    t_max, n = data.draw(st.integers(0, 12)), data.draw(st.integers(2, 8))
+    cells = data.draw(st.lists(st.booleans(), min_size=t_max * n, max_size=t_max * n))
+    cond = np.array(cells, dtype=bool).reshape(t_max, n)
+    cond[:, 0], cond[:, 1] = True, False  # one column that always holds, one that never does
+    got, want = dp._suffix_settle(cond), oracle_suffix_settle(cond)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_track_convergence_memory_at_1001_points():
+    import tracemalloc
+
+    cfg = json.loads((CONFIGS / "exponential_demand.json").read_text())
+    cfg["grid"]["step"] = 0.03
+    model = model_from_dict(cfg)
+    assert model.grid.n == 1001
+    model.kernel, model.eh  # built and cached before the measured call
+    tracemalloc.start()
+    try:
+        rep = track_action_convergence(model, 0.9, TerminalValue.zero(model.grid), t_max=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.distances.shape == (200, 1001)
+    assert peak <= 20e6, peak
 
 
 # ---------------------------------------------------------------- (s,S) cycle tables

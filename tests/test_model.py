@@ -504,9 +504,10 @@ def test_value_table_validation():
 
 
 @st.composite
-def policy_tables(draw):
+def policy_tables(draw, T=None):
     """PolicyTables of a Bellman update, with g built from a few levels (0, 1, K,
-    1 + K, 2) plus offsets around eps, so near-ties within eps are common."""
+    1 + K, 2) plus offsets around eps, so near-ties within eps are common.  With
+    ``T``, a (T, n) stack of such updates on one grid, K and eps."""
     n = draw(st.integers(2, 40))
     step = draw(st.sampled_from([1.0, 0.25, 0.3, 1.0 / 3.0]))
     K = draw(st.sampled_from([0.0, draw(st.floats(0.01, 3.0))]))
@@ -516,11 +517,18 @@ def policy_tables(draw):
     tiny = st.sampled_from([0.0, 1e-13, -1e-13])
     g = np.array(
         [
-            draw(st.one_of(st.floats(0.0, 3.0), levels.map(float))) + draw(offsets) + draw(tiny)
-            for _ in range(n)
+            [
+                draw(st.one_of(st.floats(0.0, 3.0), levels.map(float))) + draw(offsets) + draw(tiny)
+                for _ in range(n)
+            ]
+            for _ in range(T or 1)
         ]
     )
-    later_min = np.array([g[i + 1 :].min() if i < n - 1 else np.inf for i in range(n)])
+    later_min = np.array(
+        [[row[i + 1 :].min() if i < n - 1 else np.inf for i in range(n)] for row in g]
+    )
+    if T is None:
+        g, later_min = g[0], later_min[0]
     grid = Grid(x_lo=-(n // 2) * step, x_hi=(n - 1 - n // 2) * step, step=step)
     return PolicyTable(grid=grid, g=g, m=np.minimum(g, K + later_min), K=K, eps=eps)
 
@@ -552,6 +560,20 @@ def test_policy_table_matches_dense_sets(data):
     assert np.array_equal(table.distance(actions), dist)
     if actions.ndim == 2:  # stacked rows answer as row by row
         assert np.array_equal(table.distance(actions), [table.distance(a) for a in actions])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_stacked_policy_table_chooses_row_by_row(data):
+    stack = data.draw(policy_tables(T=data.draw(st.integers(1, 6))))
+    rows = [
+        PolicyTable(grid=stack.grid, g=g, m=m, K=stack.K, eps=stack.eps)
+        for g, m in zip(stack.g, stack.m)
+    ]
+    chosen = stack.chosen
+    assert chosen.shape == stack.g.shape
+    assert chosen.tobytes() == np.array([row.chosen for row in rows]).tobytes()
+    assert np.array_equal(chosen, [oracle_action_sets(row, row.chosen)[0] for row in rows])
 
 
 def test_policy_table_memory_is_below_n_squared():

@@ -75,3 +75,11 @@ def test_bench_summary_needs_nine_pairs_and_a_gap_beyond_the_iqr():
     s = summarize(synthetic_runs(parent, close), {"job_s": "lower"})["job_s"]
     assert s["change_worse_pairs"] == 10 and s["parent"]["iqr"] > 0.001
     assert (s["improved"], s["worsened"]) == (False, False)
+
+
+def test_bench_records_the_bytecode_setting(monkeypatch):
+    environment = load_bench().environment
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert environment({"python": "3.11.7"}) == {"python": "3.11.7", "PYTHONDONTWRITEBYTECODE": "1"}
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert environment({"python": "3.11.7"})["PYTHONDONTWRITEBYTECODE"] is None
