@@ -4,7 +4,8 @@
 Runs ``python3 perfbench/run.py`` (end-to-end metrics, ``--trace 0``) in two
 checkouts, alternating which side goes first from seed to seed, and writes
 ``BENCH_<label>.json`` with every run, each side's median and quartiles, the
-per-seed pairs, the environment and both commits.  The change is the
+per-seed pairs, the environment and both commits with the line count of
+each side's ``src/ssdp/*.py``.  The change is the
 checkout this script lives in (its working tree as it stands, flagged when
 what the benchmark runs differs from the commit); the parent is
 a fresh local clone of ``--parent`` (default ``HEAD``), made in a temporary
@@ -38,6 +39,11 @@ def git(cwd: Path, *args: str) -> str:
     return subprocess.run(
         ["git", *args], cwd=cwd, capture_output=True, text=True, check=True
     ).stdout.strip()
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines in the checkout's src/ssdp/*.py, counted as ``wc -l`` counts them."""
+    return sum(p.read_text().count("\n") for p in (checkout / "src" / "ssdp").glob("*.py"))
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -140,6 +146,8 @@ def main() -> int:
                     f"{k}={v:.4g}" for k, v in r["metrics"].items()), flush=True)
         commits = {"parent": git(parent, "rev-parse", "HEAD"),
                    "change": git(ROOT, "rev-parse", "HEAD"),
+                   "parent_src_lines": src_lines(parent),
+                   "change_src_lines": src_lines(ROOT),
                    "change_has_uncommitted_edits": bool(git(
                        ROOT, "status", "--porcelain", "--", "src", "configs", "perfbench",
                        "BENCHMARK.json"))}

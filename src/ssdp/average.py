@@ -64,7 +64,6 @@ class AlphaRecord:
     s: Optional[float]
     S: Optional[float]
     iterations: int
-    residual: float
     chosen: np.ndarray
     threshold_warning: Optional[str]
 
@@ -150,7 +149,6 @@ def _solve_one(model: InventoryModel, alpha: float, tol: float) -> AlphaRecord:
         s=s,
         S=S,
         iterations=report.iterations,
-        residual=report.residual,
         chosen=report.policy.chosen,
         threshold_warning=warn,
     )
@@ -209,7 +207,6 @@ def sweep(model: InventoryModel, schedule=None, tol: float = 1e-7) -> VanishingD
 
 @dataclass(eq=False)
 class BDiagnostic:
-    per_state_sup: np.ndarray
     verdict: str  # "bounded" | "suspected unbounded"
     offending_states: np.ndarray
 
@@ -228,14 +225,13 @@ def assumption_B_diagnostic(sweep_result: VanishingDiscountSweep) -> BDiagnostic
     if len(records) < 3:
         raise ModelError("assumption-B diagnostic needs a sweep over at least 3 factors")
     U = np.stack([r.u for r in records])
-    sup = U.max(axis=0)
     attained_before_last = U.argmax(axis=0) < len(records) - 1
     growth = U[-1] - U[-2]
     small_growth = growth < GROWTH_REL * (np.abs(U[-2]) + 1e-6)
     ok = attained_before_last | small_growth
     offending = sweep_result.model.grid.points[~ok]
     verdict = "bounded" if bool(np.all(ok)) else "suspected unbounded"
-    return BDiagnostic(per_state_sup=sup, verdict=verdict, offending_states=offending)
+    return BDiagnostic(verdict=verdict, offending_states=offending)
 
 
 @dataclass(frozen=True)
@@ -293,26 +289,23 @@ def optimal_average_cost(model: InventoryModel) -> tuple[float, tuple[float, flo
 
 @dataclass(eq=False)
 class DiscountActionReport:
-    x: float
     actions: np.ndarray
     action_range: float
     settled: bool
     settled_action: Optional[float]
     eq_membership_ok: Optional[bool]
-    eq_residual: Optional[float]
 
 
 def track_discount_actions(
     sweep_result: VanishingDiscountSweep,
     x: float,
-    slack: Optional[float] = None,
 ) -> DiscountActionReport:
     """Chosen actions at state x across the schedule, with limit-point checks.
 
     The sequence must stay bounded; it is "settled" when the last three
     factors agree.  A settled action is additionally tested for membership
     in the average-cost optimal set: w + u(x) >= c(x, a*) + E u(x') within
-    slack.
+    the default slack of ``sweep_result.relative_value()``.
     """
     model = sweep_result.model
     i = model.grid.index_of(x)
@@ -321,23 +314,18 @@ def track_discount_actions(
     tail = actions[-3:]
     settled = tail.size == 3 and bool(np.all(tail == tail[-1]))
     member_ok = None
-    resid = None
     a_star = None
     if settled:
         a_star = float(tail[-1])
         rel = sweep_result.relative_value()
-        s = rel.default_slack if slack is None else slack
         j = model.grid.index_of(x + a_star)
         u = rel.u.values
         lhs = model.order_cost(a_star) + model.eh[j] + float(model.kernel.expect(u)[j])
-        resid = float(lhs - rel.w - u[i])
-        member_ok = bool(resid <= s)
+        member_ok = bool(float(lhs - rel.w - u[i]) <= rel.default_slack)
     return DiscountActionReport(
-        x=float(x),
         actions=actions,
         action_range=rng,
         settled=settled,
         settled_action=a_star,
         eq_membership_ok=member_ok,
-        eq_residual=resid,
     )

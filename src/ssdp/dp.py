@@ -101,30 +101,29 @@ def _stage(model: InventoryModel, v: np.ndarray, alpha: float, g: np.ndarray, m:
 
 
 def _update(
-    model: InventoryModel, v: np.ndarray, alpha: float, eps_act: float = EPS_ACT
+    model: InventoryModel, v: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, PolicyTable]:
     """One Bellman sweep: the updated values and the policy table of the update."""
     g, m = np.empty((2, model.grid.n))
     tv = _stage(model, v, alpha, g, m)
-    return tv, PolicyTable(grid=model.grid, g=g, m=m, K=model.K, eps=eps_act)
+    return tv, PolicyTable(grid=model.grid, g=g, m=m, K=model.K, eps=EPS_ACT)
 
 
 def bellman_update(
     model: InventoryModel,
     v,
     alpha: float,
-    eps_act: float = EPS_ACT,
 ) -> tuple[ValueTable, PolicyTable]:
     """One optimality-equation sweep from the value table ``v``.
 
     Ties inside the eps-optimal set are broken toward the smallest order,
-    so "do not order" wins whenever it is within ``eps_act`` of the minimum.
+    so "do not order" wins whenever it is within ``EPS_ACT`` of the minimum.
     """
     _check_alpha(alpha)
     vals = v.values if isinstance(v, (ValueTable, TerminalValue)) else np.asarray(v, dtype=float)
     if np.any(vals < -1e-12) or not np.all(np.isfinite(vals)):
         raise ModelError("bellman_update needs a finite nonnegative value table")
-    new_vals, pt = _update(model, vals, alpha, eps_act)
+    new_vals, pt = _update(model, vals, alpha)
     return ValueTable(grid=model.grid, values=new_vals), pt
 
 
@@ -148,18 +147,12 @@ class FiniteHorizonResult:
     def stage_policy(self, epoch: int) -> PolicyTable:
         return self.policies[self.horizon - epoch - 1]
 
-    def stages(self) -> list:
-        out = [(self.values[0], None)]
-        out.extend((self.values[t + 1], self.policies[t]) for t in range(self.horizon))
-        return out
-
 
 def solve_finite(
     model: InventoryModel,
     n_periods: int,
     terminal: TerminalValue,
     alpha: float,
-    eps_act: float = EPS_ACT,
 ) -> FiniteHorizonResult:
     """Backward induction for the ``n_periods``-horizon problem with terminal F."""
     _check_alpha(alpha)
@@ -168,7 +161,7 @@ def solve_finite(
     values = [ValueTable(grid=model.grid, values=terminal.values.copy())]
     policies: list[PolicyTable] = []
     for _ in range(n_periods):
-        new_vals, pt = _update(model, values[-1].values, alpha, eps_act)
+        new_vals, pt = _update(model, values[-1].values, alpha)
         values.append(ValueTable(grid=model.grid, values=new_vals))
         policies.append(pt)
     return FiniteHorizonResult(alpha=alpha, values=values, policies=policies)
@@ -206,7 +199,6 @@ def _iterate(
     n: int,
     alpha: float,
     tol: float,
-    max_iterations: Optional[int],
     what: str,
 ) -> tuple[np.ndarray, int, float]:
     """Iterate ``v <- update(v)`` from v = 0 until the error is certified <= tol/2.
@@ -220,12 +212,11 @@ def _iterate(
     lower end, which lies below the fixed point and satisfies T v >= v.
 
     Returns (value, sweeps, certified error bound).  Raises ModelError at a
-    non-finite span, ConvergenceError past ``max_iterations`` sweeps
-    (default: ``_iteration_cap``).
+    non-finite span, ConvergenceError past ``_iteration_cap`` sweeps.
     """
     if not tol > 0:
         raise ModelError("tol must be positive")
-    cap = max_iterations if max_iterations is not None else _iteration_cap(alpha, tol)
+    cap = _iteration_cap(alpha, tol)
     scale = alpha / (1.0 - alpha)
     v = np.zeros(n)
     bound = math.inf
@@ -252,8 +243,6 @@ def solve_infinite(
     model: InventoryModel,
     alpha: float,
     tol: float = 1e-8,
-    eps_act: float = EPS_ACT,
-    max_iterations: Optional[int] = None,
 ) -> SolveReport:
     """Value iteration from v = 0, certified to lie within tol/2 below v_alpha.
 
@@ -267,10 +256,9 @@ def solve_infinite(
         model.grid.n,
         alpha,
         tol,
-        max_iterations,
         "value iteration",
     )
-    tv, policy = _update(model, v, alpha, eps_act)
+    tv, policy = _update(model, v, alpha)
     return SolveReport(
         value=ValueTable(grid=model.grid, values=v),
         policy=policy,
@@ -307,7 +295,6 @@ def policy_evaluation(
     policy,
     alpha: float,
     tol: float = 1e-8,
-    max_iterations: Optional[int] = None,
 ) -> ValueTable:
     """Value of a stationary policy, certified to lie within tol/2 below it.
 
@@ -325,7 +312,6 @@ def policy_evaluation(
         model.grid.n,
         alpha,
         tol,
-        max_iterations,
         "policy evaluation",
     )
     return ValueTable(grid=model.grid, values=v)
@@ -345,17 +331,15 @@ def check_optimality_inequality(
     model: InventoryModel,
     policy,
     rel,
-    slack: Optional[float] = None,
 ) -> OptimalityInequalityReport:
     """Residuals r(x) = c(x, phi(x)) + E u(x') - w - u(x) of the optimality inequality.
 
     ``rel`` is an ``average.RelativeValue``: the relative value u, the
-    average-cost estimate w and the default slack.  States within one
-    maximum demand of either grid edge are excluded from the verdict
-    (clamped transitions distort u there) and reported separately.  The
-    default slack is ``rel.default_slack``.
+    average-cost estimate w and the slack ``rel.default_slack``.  States
+    within one maximum demand of either grid edge are excluded from the
+    verdict (clamped transitions distort u there) and reported separately.
     """
-    s = rel.default_slack if slack is None else slack
+    s = rel.default_slack
     steps = policy_order_steps(model, policy)
     idx = np.arange(model.grid.n)
     u = rel.u.values
@@ -446,7 +430,6 @@ class AdmissibilityReport:
     f_le_v_alpha: bool
     one_step_ge_f: bool
     max_excess_over_v: float
-    max_one_step_drop: float
 
     @property
     def admissible(self) -> bool:
@@ -469,7 +452,6 @@ def check_terminal_admissible(
         f_le_v_alpha=excess <= slack,
         one_step_ge_f=drop <= slack,
         max_excess_over_v=excess,
-        max_one_step_drop=drop,
     )
 
 
@@ -477,7 +459,6 @@ def action_bound_set(
     x: float,
     model: InventoryModel,
     v_alpha: ValueTable,
-    eps: float = BOUND_SET_EPS,
 ) -> np.ndarray:
     """Actions whose one-step cost alone does not exceed v_alpha(x).
 
@@ -486,7 +467,7 @@ def action_bound_set(
     """
     i = model.grid.index_of(x)
     row = model.one_step_cost(i, np.arange(model.grid.n - i))
-    ks = np.nonzero(row <= v_alpha.values[i] + eps)[0]
+    ks = np.nonzero(row <= v_alpha.values[i] + BOUND_SET_EPS)[0]
     return ks * model.grid.step
 
 
@@ -502,7 +483,6 @@ class ActionConvergenceReport:
     distances: np.ndarray
     settle_t: np.ndarray
     exact_settle_t: np.ndarray
-    reference: SolveReport
     unsettled: np.ndarray
 
     @property
@@ -522,7 +502,6 @@ def track_action_convergence(
     terminal: TerminalValue,
     t_max: int,
     tol: float = 1e-10,
-    eps_act: float = EPS_ACT,
 ) -> ActionConvergenceReport:
     """Track finite-horizon chosen actions against the infinite-horizon sets.
 
@@ -531,9 +510,11 @@ def track_action_convergence(
     value-iteration error.  The stages' g and m rows go into a buffer of about
     ``ACTION_BLOCK`` cells; each full buffer is one stacked ``PolicyTable``
     whose chosen actions and distances are resolved at once, so only the
-    t_max x n distances outlive a block.
+    t_max x n distances outlive a block.  Raises ModelError when t_max < 1.
     """
-    ref = solve_infinite(model, alpha, tol=tol, eps_act=eps_act)
+    if t_max < 1:
+        raise ModelError(f"t_max must be at least 1, got {t_max}")
+    ref = solve_infinite(model, alpha, tol=tol)
     adm = check_terminal_admissible(terminal, model, alpha, ref.value)
     if not adm.admissible:
         raise ModelError(
@@ -548,7 +529,7 @@ def track_action_convergence(
         b = t % rows
         v = _stage(model, v, alpha, g[b], m[b])
         if b == rows - 1 or t == t_max - 1:
-            block = PolicyTable(grid=model.grid, g=g[: b + 1], m=m[: b + 1], K=model.K, eps=eps_act)
+            block = PolicyTable(grid=model.grid, g=g[: b + 1], m=m[: b + 1], K=model.K, eps=EPS_ACT)
             dist[t - b : t + 1] = ref.policy.distance(block.chosen)
     settle = _suffix_settle(dist <= model.grid.step + 1e-12)
     exact = _suffix_settle(dist <= 1e-12)
@@ -556,6 +537,5 @@ def track_action_convergence(
         distances=dist,
         settle_t=settle,
         exact_settle_t=exact,
-        reference=ref,
         unsettled=np.nonzero(settle < 0)[0],
     )

@@ -32,7 +32,6 @@ __all__ = [
     "Kernel",
     "build_kernel",
     "post_expectation_matrix",
-    "CostTable",
     "build_cost",
     "ValueTable",
     "PolicyTable",
@@ -96,10 +95,10 @@ class Grid:
         """Fractional grid coordinate of ``x`` (0 at x_lo, n-1 at x_hi)."""
         return (x - self.x_lo) / self.step
 
-    def index_of(self, x: float, tol: float = 1e-9) -> int:
+    def index_of(self, x: float) -> int:
         pos = self.position(x)
         idx = int(round(pos))
-        if idx < 0 or idx >= self.n or abs(pos - idx) > tol:
+        if idx < 0 or idx >= self.n or abs(pos - idx) > 1e-9:
             raise ModelError(f"{x} is not a grid point of [{self.x_lo}, {self.x_hi}] step {self.step}")
         return idx
 
@@ -148,8 +147,8 @@ class PiecewiseLinear:
             out = np.where(above, self.ys[-1] + (arr - self.xs[-1]) * self.slopes[-1], out)
         return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
-    def is_convex(self, tol: float = CONVEXITY_SLACK) -> bool:
-        return bool(np.all(np.diff(self.slopes) >= -tol))
+    def is_convex(self) -> bool:
+        return bool(np.all(np.diff(self.slopes) >= -CONVEXITY_SLACK))
 
     def shifted_to_origin(self) -> tuple["PiecewiseLinear", float, float]:
         """Recentre so the (smallest) minimum sits at 0 with value 0; returns (h, x*, offset)."""
@@ -274,9 +273,9 @@ class DemandDistribution:
         return draws
 
 
-def _chunks(a: np.ndarray, size: int = 8192) -> list[np.ndarray]:
-    """Consecutive views of ``size`` elements over the flattened array."""
-    return np.split(a.reshape(-1), range(size, a.size, size))
+def _chunks(a: np.ndarray) -> list[np.ndarray]:
+    """Consecutive views of 8,192 elements over the flattened array."""
+    return np.split(a.reshape(-1), range(8192, a.size, 8192))
 
 
 # family -> {parameter: (comparison, lower bound: a number or an earlier parameter)}
@@ -577,29 +576,9 @@ def build_kernel(model: InventoryModel) -> Kernel:
     return Kernel(matrix=W, clamp_events=clamped, below=below)
 
 
-@dataclass(eq=False)
-class CostTable:
-    """One-step costs c(x, a) = K 1{a>0} + c_bar a + E h(x + a - D), on demand.
-
-    ``eh[j]`` is the exact expected holding cost at post-order position j;
-    ordering k grid steps from state i costs order_cost(k step) + eh[i + k].
-    """
-
-    model: InventoryModel
-    eh: np.ndarray
-
-    def value(self, x_index: int, order_steps: int) -> float:
-        if order_steps < 0 or x_index + order_steps >= self.eh.size:
-            raise ModelError("infeasible action: order must keep x + a within the grid")
-        return float(self.model.one_step_cost(x_index, order_steps))
-
-    def feasible_row(self, x_index: int) -> np.ndarray:
-        return self.model.one_step_cost(x_index, np.arange(self.eh.size - x_index))
-
-
-def build_cost(model: InventoryModel) -> CostTable:
-    """c(x, a) over the grid and all feasible order-up-to actions."""
-    return CostTable(model=model, eh=model.eh)
+def build_cost(model: InventoryModel):
+    """c(x, a) over the grid and all feasible order-up-to actions: ``model.one_step_cost``."""
+    return model.one_step_cost
 
 
 @dataclass(eq=False)

@@ -31,6 +31,7 @@ from .dp import (
     _strict_suffix_min,
     check_optimality_inequality,
     policy_evaluation,
+    policy_order_steps,
     sS_cycle_tables,
     solve_finite,
     solve_infinite,
@@ -170,8 +171,6 @@ def build_G(
 def extract_sS(g: GFunction, K: float) -> SsPolicy:
     """Thresholds from a (K-convex) g: S at the argmin, s at the K + g(S) level set."""
     vals = g.values
-    if not np.all(np.isfinite(vals)):
-        raise ModelError("cannot extract thresholds from a non-finite g")
     n = vals.size
     S_idx = int(np.argmin(vals))
     if S_idx == 0 or S_idx == n - 1:
@@ -202,12 +201,12 @@ class KConvexityReport:
     K: float
 
 
-def is_K_convex(g: GFunction, K: float, tol: float = KCONVEX_TOL) -> KConvexityReport:
+def is_K_convex(g: GFunction, K: float) -> KConvexityReport:
     """Definitional K-convexity check over all grid triples x < m < y.
 
     With lam = (m-x)/(y-x) the violation at a triple is
     g(m) - (1-lam) g(x) - lam g(y) - lam K, and the verdict is true when the
-    largest violation stays within ``tol``.  Writing
+    largest violation stays within ``KCONVEX_TOL``.  Writing
     sigma_x(y) = (g(y) + K - g(x)) / (y - x), the violation is
     g(m) - g(x) - (m-x) sigma_x(y), so the worst triple of row x is
 
@@ -225,7 +224,7 @@ def is_K_convex(g: GFunction, K: float, tol: float = KCONVEX_TOL) -> KConvexityR
     xs = g.grid.points
     n = vals.size
     if n < 3:
-        return KConvexityReport(True, 0.0, None, tol, K)
+        return KConvexityReport(True, 0.0, None, KCONVEX_TOL, K)
     worst, worst_triple = -np.inf, None
     r0 = 0
     while r0 < n - 2:
@@ -247,7 +246,8 @@ def is_K_convex(g: GFunction, K: float, tol: float = KCONVEX_TOL) -> KConvexityR
             worst_triple = (float(xs[r0 + i]), float(xs[r0 + 1 + k]), float(xs[y]))
         r0 = r1
     return KConvexityReport(
-        verdict=worst <= tol, worst_violation=worst, worst_triple=worst_triple, tol=tol, K=K
+        verdict=worst <= KCONVEX_TOL, worst_violation=worst, worst_triple=worst_triple,
+        tol=KCONVEX_TOL, K=K
     )
 
 
@@ -307,10 +307,9 @@ def _threshold_agreement(
     model: InventoryModel, policy: SsPolicy, table
 ) -> list[tuple[int, float]]:
     """States where the threshold action misses the eps-optimal set."""
-    g = model.grid
-    idx = np.arange(g.n)
-    steps = np.where(g.points < policy.s, g.index_of(policy.S) - idx, 0)
-    return [(int(i), float(g.points[i])) for i in np.nonzero(~table.contains(idx, steps))[0]]
+    idx = np.arange(model.grid.n)
+    missed = np.nonzero(~table.contains(idx, policy_order_steps(model, policy)))[0]
+    return [(int(i), float(model.grid.points[i])) for i in missed]
 
 
 def finite_horizon_sS(
@@ -391,7 +390,6 @@ def discounted_sS(
     model: InventoryModel,
     alpha: float,
     tol: float = 1e-8,
-    solve: Optional[SolveReport] = None,
 ) -> DiscountedSsResult:
     """Extract (s_alpha, S_alpha) from the converged G and cross-validate it.
 
@@ -401,7 +399,7 @@ def discounted_sS(
     policy stays in ``solve.policy``.  The finite-horizon pairs that converge
     to these thresholds are ``finite_horizon_sS(...).policies``.
     """
-    report = solve or solve_infinite(model, alpha, tol=tol)
+    report = solve_infinite(model, alpha, tol=tol)
     # the consistency gap is bounded by the certified solve error, so the
     # check tolerance must not undercut a coarse tol
     g = build_G(model, report.value, alpha, kind="infinite", check_tol=max(G_CONSISTENCY_TOL, tol))
@@ -511,7 +509,6 @@ def brute_force_sS_check(
     model: InventoryModel,
     alpha: float,
     tol: float = 1e-8,
-    solve: Optional[SolveReport] = None,
 ) -> BruteForceReport:
     """Exhaustive (s,S)-pair search against the extracted thresholds.
 
@@ -525,7 +522,7 @@ def brute_force_sS_check(
     one (worst gap <= 0) it is the extracted pair itself, not one of the
     pairs that tie with it.
     """
-    res = discounted_sS(model, alpha, tol=tol, solve=solve)
+    res = discounted_sS(model, alpha, tol=tol)
     if res.policy is None:
         raise CertificationError("cannot brute-force check: thresholds were withheld")
     xs = model.grid.points

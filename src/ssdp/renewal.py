@@ -33,7 +33,6 @@ _MAX_ROUNDS = 10_000_000
 class RenewalSample:
     """Per-path renewal counts, first-passage sums, and overshoots."""
 
-    y: float
     seed: int
     n_paths: int
     counts: np.ndarray  # N(y) per path
@@ -75,7 +74,6 @@ def sample_renewal(
         counts[finished] = rounds - 1
         active, sums = active[~done], sums[~done]
     return RenewalSample(
-        y=float(y),
         seed=seed,
         n_paths=n_paths,
         counts=counts,
@@ -122,7 +120,6 @@ def wald_check(sample: RenewalSample, demand: DemandDistribution) -> WaldReport:
 class OvershootReport:
     lhs: float
     rhs: float
-    se_lhs: float
     margin: float  # rhs + 3 se - lhs
     mean_count: float
 
@@ -159,5 +156,5 @@ def overshoot_bound_check(
     exact = float(np.dot(model.demand.probs, hstar(x - y - model.demand.values)))
     rhs = (1.0 + smp.mean_count) * exact
     return OvershootReport(
-        lhs=lhs, rhs=rhs, se_lhs=se, margin=rhs + 3.0 * se - lhs, mean_count=smp.mean_count
+        lhs=lhs, rhs=rhs, margin=rhs + 3.0 * se - lhs, mean_count=smp.mean_count
     )

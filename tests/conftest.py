@@ -101,8 +101,8 @@ def zero_setup_a_09(instance_a):
 
 
 @pytest.fixture(scope="session")
-def discounted_a_09(instance_a, solve_a_09):
-    return ssdp.discounted_sS(instance_a, 0.9, tol=1e-8, solve=solve_a_09)
+def discounted_a_09(instance_a):
+    return ssdp.discounted_sS(instance_a, 0.9, tol=1e-8)
 
 
 @pytest.fixture(scope="session")

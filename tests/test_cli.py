@@ -326,6 +326,17 @@ def test_sweep_config_error_still_writes_manifest(tmp_path):
     assert any(n.startswith("ModelError: ") for n in manifest["notes"])
 
 
+@pytest.mark.parametrize("t_max", ["0", "-1"])
+def test_verify_t_max_below_one_is_a_config_error(tmp_path, t_max):
+    out = tmp_path / "tmax"
+    r = run_cli("verify", INSTANCE_A, "--suite", "action-convergence", "--t-max", t_max,
+                "--out", out)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    notes = json.loads((out / "manifest.json").read_text())["notes"]
+    assert notes == [f"ModelError: t_max must be at least 1, got {t_max}"]
+
+
 def _exponential_with_step(tmp_path, step):
     cfg = json.loads((CONFIGS / "exponential_demand.json").read_text())
     cfg["grid"]["step"] = step

@@ -6,6 +6,7 @@ hide a cycle, so it is rejected.
 """
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +42,20 @@ def import_graph():
         name: set().union(*(package_targets(node) for node in tree.body)) - {name}
         for name, tree in MODULES.items()
     }
+
+
+def top_level_names(tree):
+    """Names a module binds at top level: defs, classes, assignments and imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
 
 
 def test_package_modules_found():
@@ -118,3 +133,23 @@ def test_sweep_imports_no_sparse_linalg(tmp_path):
         check=True,
     )
     assert r.stdout.splitlines()[-1] == "False"
+
+
+def test_every_name_in_all_resolves():
+    # a name deleted from a module but left in its __all__ breaks `from ssdp.x import *`
+    for name in sorted(MODULES):
+        module = importlib.import_module("ssdp" if name == "__init__" else f"ssdp.{name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, f"{name}.__all__ names undefined {missing}"
+
+
+def test_package_init_imports_only_defined_names():
+    # read from the source, so the offending name is reported even when `import ssdp` fails
+    missing = [
+        f"{node.module}.{a.name}"
+        for node in MODULES["__init__"].body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for a in node.names
+        if a.name not in top_level_names(MODULES[node.module])
+    ]
+    assert not missing, f"ssdp/__init__.py imports undefined names {missing}"

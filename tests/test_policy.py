@@ -306,8 +306,8 @@ def test_k_convexity_closure_under_demand_expectation(d2, K, frac, theta):
     demand = DemandDistribution.from_atoms([(0, 0.3), (1, 0.4), (3, 0.3)])
     direct = g_fn(grid.points)
     shifted = sum(p * g_fn(grid.points - d) for d, p in zip(demand.values, demand.probs))
-    assert is_K_convex(g_from(grid, direct), K, tol=1e-9).verdict
-    assert is_K_convex(g_from(grid, shifted), K, tol=1e-9).verdict
+    assert is_K_convex(g_from(grid, direct), K).verdict
+    assert is_K_convex(g_from(grid, shifted), K).verdict
 
 
 @given(

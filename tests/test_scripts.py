@@ -83,3 +83,14 @@ def test_bench_records_the_bytecode_setting(monkeypatch):
     assert environment({"python": "3.11.7"}) == {"python": "3.11.7", "PYTHONDONTWRITEBYTECODE": "1"}
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
     assert environment({"python": "3.11.7"})["PYTHONDONTWRITEBYTECODE"] is None
+
+
+def test_bench_counts_src_lines_like_wc(tmp_path):
+    src_lines = load_bench().src_lines
+    pkg = tmp_path / "src" / "ssdp"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\n\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3\nw = 4")  # no newline at the end: wc -l counts 1
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    (pkg / "sub" / "c.py").write_text("not counted\n")
+    assert src_lines(tmp_path) == 4
