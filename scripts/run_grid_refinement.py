@@ -33,7 +33,7 @@ def main() -> None:
         i0 = grid.index_of(0.0)
         print(
             f"{step:6.2f} {grid.n:5d} {res.policy.s:8.2f} {res.policy.S:8.2f} "
-            f"{res.solve.value.values[i0]:12.6f} {res.solve.clamp_events:7d}"
+            f"{res.solve.value[i0]:12.6f} {res.solve.clamp_events:7d}"
         )
 
 

@@ -12,7 +12,6 @@ from .model import (
     ModelError,
     PiecewiseLinear,
     PolicyTable,
-    ValueTable,
     build_cost,
     build_kernel,
     discretize_demand,
@@ -31,7 +30,6 @@ from .dp import (
 )
 from .policy import (
     CertificationError,
-    GFunction,
     SsPolicy,
     average_sS,
     brute_force_sS_check,

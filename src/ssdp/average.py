@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import InventoryModel, ModelError, ValueTable
+from .model import InventoryModel, ModelError
 from .dp import (
     ConvergenceError,
     OptimalityInequalityReport,
@@ -24,7 +24,7 @@ from .dp import (
     sS_cycle_tables,
     solve_infinite,
 )
-from .policy import CertificationError, build_G, extract_sS, is_K_convex
+from .policy import G_CONSISTENCY_TOL, CertificationError, build_G, extract_sS, is_K_convex
 
 __all__ = [
     "geometric_schedule",
@@ -76,15 +76,15 @@ class AlphaRecord:
 class RelativeValue:
     """Relative value u at the largest schedule factor plus the w estimate."""
 
-    u: ValueTable
+    u: np.ndarray
     w: float
     alpha: float
     default_slack: float
 
     def __post_init__(self) -> None:
-        if np.any(self.u.values < -1e-9):
+        if np.any(self.u < -1e-9):
             raise ModelError("relative value must be nonnegative")
-        if float(self.u.values.min()) > 1e-9:
+        if float(self.u.min()) > 1e-9:
             raise ModelError("relative value must vanish at some grid state")
 
 
@@ -112,7 +112,7 @@ class VanishingDiscountSweep:
         slack = (1.0 - last.alpha) * float(last.u.max())
         slack += 10.0 * abs(self.diffs[-1]) if self.diffs.size else 1e-6
         return RelativeValue(
-            u=ValueTable(grid=self.model.grid, values=last.u),
+            u=last.u,
             w=self.w_estimate,
             alpha=last.alpha,
             default_slack=float(slack),
@@ -127,15 +127,15 @@ def _minimizers(v: np.ndarray, xs: np.ndarray) -> tuple[float, np.ndarray]:
 
 def _solve_one(model: InventoryModel, alpha: float, tol: float) -> AlphaRecord:
     report = solve_infinite(model, alpha, tol=tol)
-    v = report.value.values
+    v = report.value
     m, mins = _minimizers(v, model.grid.points)
     s = S = None
     warn = None
     try:
-        g = build_G(model, report.value, alpha, kind="infinite")
-        cert = is_K_convex(g, model.K)
+        g = build_G(model, v, alpha, check_tol=G_CONSISTENCY_TOL)
+        cert = is_K_convex(model.grid, g, model.K)
         if cert.verdict:
-            ss = extract_sS(g, model.K)
+            ss = extract_sS(model.grid, g, model.K)
             s, S = ss.s, ss.S
         else:
             warn = f"alpha={alpha}: G not K-convex, thresholds withheld"
@@ -319,7 +319,7 @@ def track_discount_actions(
         a_star = float(tail[-1])
         rel = sweep_result.relative_value()
         j = model.grid.index_of(x + a_star)
-        u = rel.u.values
+        u = rel.u
         lhs = model.order_cost(a_star) + model.eh[j] + float(model.kernel.expect(u)[j])
         member_ok = bool(float(lhs - rel.w - u[i]) <= rel.default_slack)
     return DiscountActionReport(

@@ -111,13 +111,13 @@ def _exit_code(manifest: RunManifest) -> int:
 
 
 def cmd_solve(args) -> int:
-    _check_alpha(args.alpha)
-    if args.horizon is not None and args.horizon < 1:
-        raise ModelError("horizon must be at least 1")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(args, "solve")
     with _recorded(out, manifest):
+        _check_alpha(args.alpha)
+        if args.horizon is not None and args.horizon < 1:
+            raise ModelError("horizon must be at least 1")
         model = load_model(args.config)
         try:
             if args.horizon is None:
@@ -136,8 +136,8 @@ def cmd_solve(args) -> int:
                 _output(manifest, out, "k_convexity.json", write_json, asdict(cert))
                 pol = result.policy
                 s, S = (None, None) if pol is None else (pol.s, pol.S)
-                g_min, extrapolated = float(result.g.values.min()), result.g.extrapolation_count
-                row = (f"alpha={args.alpha}", s, S, g_min, cert.verdict, extrapolated)
+                g_min = float(result.g.min())
+                row = (f"alpha={args.alpha}", s, S, g_min, cert.verdict, solve.clamp_events)
                 _output(manifest, out, "thresholds.csv", write_threshold_csv, [row])
                 if pol is not None:
                     manifest.add_check(
@@ -186,11 +186,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    schedule = _parse_schedule(args.schedule)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(args, "sweep")
     with _recorded(out, manifest):
+        schedule = _parse_schedule(args.schedule)
         model = load_model(args.config)
         if model.demand.p_positive == 0.0:
             result = policy.average_sS(model)
@@ -300,23 +300,18 @@ def _suite_sandwich(model, args, manifest, out, zero_setup):
     alpha, tol, horizon = args.alpha, args.tol, 40
     report = solve_infinite(model, alpha, tol=tol)
     zs = zero_setup()
-    fin0 = solve_finite(model, horizon, TerminalValue.zero(model.grid), alpha)
-    v0_stack = np.stack([vt.values for vt in fin0.values])
-    monotone = bool(np.all(np.diff(v0_stack, axis=0) >= -1e-12))
-    finF = solve_finite(model, horizon, zs.terminal(), alpha)
-    vF_stack = np.stack([vt.values for vt in finF.values])
-    sandwich = bool(
-        np.all(v0_stack <= vF_stack + 1e-12)
-        and np.all(vF_stack <= report.value.values[None, :] + tol)
-    )
-    g_alpha = policy.build_G(model, report.value, alpha, kind="infinite")
-    g_prev = zs.g0.values
+    v0 = solve_finite(model, horizon, TerminalValue.zero(model.grid), alpha).values
+    monotone = bool(np.all(np.diff(v0, axis=0) >= -1e-12))
+    vF = solve_finite(model, horizon, zs.terminal(), alpha).values
+    sandwich = bool(np.all(v0 <= vF + 1e-12) and np.all(vF <= report.value[None, :] + tol))
+    g_alpha = policy.build_G(model, report.value, alpha, check_tol=policy.G_CONSISTENCY_TOL)
+    g_prev = zs.g0
     chain = True
     for t in range(horizon):
-        g_t = policy.build_G(model, finF.values[t], alpha, kind="finite_t", t=t).values
+        g_t = policy.build_G(model, vF[t], alpha)
         chain &= bool(np.all(g_prev <= g_t + 1e-12))
         g_prev = g_t
-    chain &= bool(np.all(g_prev <= g_alpha.values + tol))
+    chain &= bool(np.all(g_prev <= g_alpha + tol))
     return [
         ("sandwich.value_monotone_in_t", monotone, f"horizon={horizon}"),
         ("sandwich.terminal_between_0_and_v", sandwich, f"alpha={alpha}"),
@@ -346,7 +341,6 @@ def _suite_brute_force(model, args, manifest, out, zero_setup):
 
 
 def cmd_verify(args) -> int:
-    _check_alpha(args.alpha)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(args, "verify")
@@ -359,6 +353,7 @@ def cmd_verify(args) -> int:
     selected = list(suites) if args.suite == "all" else [args.suite]
     failures = 0
     with _recorded(out, manifest):
+        _check_alpha(args.alpha)
         model = load_model(args.config)
         if args.suite == "all" and model.demand.p_positive == 0.0:
             # renewal theory needs P(D > 0) > 0; asked for alone, the suite still fails

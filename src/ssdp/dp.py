@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import InventoryModel, ModelError, PolicyTable, ValueTable
+from .model import InventoryModel, ModelError, PolicyTable
 
 __all__ = [
     "ConvergenceError",
@@ -48,6 +48,8 @@ __all__ = [
 
 EPS_ACT = 1e-9  # absolute tolerance for eps-optimal action sets
 BOUND_SET_EPS = 1e-9
+ADMISSIBLE_SLACK = 1e-9  # slack of check_terminal_admissible's two inequalities
+ACTION_REF_TOL = 1e-10  # solve tolerance of track_action_convergence's reference sets
 CYCLE_BLOCK = 2**20  # table cells (states x reorder indices) per streamed cycle-table block
 ACTION_BLOCK = 2**13  # table cells (stages x states) per block of tracked actions
 
@@ -113,31 +115,31 @@ def bellman_update(
     model: InventoryModel,
     v,
     alpha: float,
-) -> tuple[ValueTable, PolicyTable]:
-    """One optimality-equation sweep from the value table ``v``.
+) -> tuple[np.ndarray, PolicyTable]:
+    """One optimality-equation sweep from the values ``v`` on the grid.
 
     Ties inside the eps-optimal set are broken toward the smallest order,
     so "do not order" wins whenever it is within ``EPS_ACT`` of the minimum.
     """
     _check_alpha(alpha)
-    vals = v.values if isinstance(v, (ValueTable, TerminalValue)) else np.asarray(v, dtype=float)
-    if np.any(vals < -1e-12) or not np.all(np.isfinite(vals)):
-        raise ModelError("bellman_update needs a finite nonnegative value table")
-    new_vals, pt = _update(model, vals, alpha)
-    return ValueTable(grid=model.grid, values=new_vals), pt
+    vals = np.asarray(v, dtype=float)
+    if vals.shape != (model.grid.n,) or np.any(vals < -1e-12) or not np.all(np.isfinite(vals)):
+        raise ModelError("bellman_update needs a finite nonnegative value on every grid state")
+    return _update(model, vals, alpha)
 
 
 @dataclass(eq=False)
 class FiniteHorizonResult:
     """Backward-induction iterates v_0..v_N with the policy of each update.
 
-    ``policies[t]`` is extracted from the update taking v_t to v_{t+1}.  For
-    an N-horizon problem the Markov-optimal decision at epoch ``e`` is
+    ``values`` is the (N+1, n) array of rows v_t.  ``policies[t]`` is
+    extracted from the update taking v_t to v_{t+1}.  For an N-horizon
+    problem the Markov-optimal decision at epoch ``e`` is
     ``policies[N - e - 1]`` (the standard index reversal).
     """
 
     alpha: float
-    values: list
+    values: np.ndarray
     policies: list
 
     @property
@@ -154,15 +156,27 @@ def solve_finite(
     terminal: TerminalValue,
     alpha: float,
 ) -> FiniteHorizonResult:
-    """Backward induction for the ``n_periods``-horizon problem with terminal F."""
+    """Backward induction for the ``n_periods``-horizon problem with terminal F.
+
+    Raises ModelError at the first stage whose value is not finite and
+    nonnegative on the grid (overflowing costs), naming the stage and state.
+    """
     _check_alpha(alpha)
     if n_periods < 0:
         raise ModelError("horizon must be nonnegative")
-    values = [ValueTable(grid=model.grid, values=terminal.values.copy())]
+    if terminal.values.shape != (model.grid.n,):
+        raise ModelError("terminal value shape does not match the grid")
+    values = np.empty((n_periods + 1, model.grid.n))
+    values[0] = terminal.values
     policies: list[PolicyTable] = []
-    for _ in range(n_periods):
-        new_vals, pt = _update(model, values[-1].values, alpha)
-        values.append(ValueTable(grid=model.grid, values=new_vals))
+    for t in range(n_periods):
+        v, pt = _update(model, values[t], alpha)
+        bad = np.flatnonzero(~np.isfinite(v) | (v < -1e-12))
+        if bad.size:
+            i = bad[0]
+            raise ModelError(f"stage value v_{t + 1} (alpha={alpha}) must be finite and "
+                             f"nonnegative; x={model.grid.points[i]} (index {i}) has v = {v[i]}")
+        values[t + 1] = v
         policies.append(pt)
     return FiniteHorizonResult(alpha=alpha, values=values, policies=policies)
 
@@ -175,7 +189,7 @@ class SolveReport:
     ``certified_error_bound`` bounds sup |v - v_alpha| at the stop.
     """
 
-    value: ValueTable
+    value: np.ndarray
     policy: PolicyTable
     iterations: int
     residual: float
@@ -260,7 +274,7 @@ def solve_infinite(
     )
     tv, policy = _update(model, v, alpha)
     return SolveReport(
-        value=ValueTable(grid=model.grid, values=v),
+        value=v,
         policy=policy,
         iterations=iterations,
         residual=float(np.max(np.abs(tv - v))),
@@ -295,7 +309,7 @@ def policy_evaluation(
     policy,
     alpha: float,
     tol: float = 1e-8,
-) -> ValueTable:
+) -> np.ndarray:
     """Value of a stationary policy, certified to lie within tol/2 below it.
 
     Iterates the policy's affine operator v -> c + alpha P v from v = 0 with
@@ -314,7 +328,7 @@ def policy_evaluation(
         tol,
         "policy evaluation",
     )
-    return ValueTable(grid=model.grid, values=v)
+    return v
 
 
 @dataclass(eq=False)
@@ -342,7 +356,7 @@ def check_optimality_inequality(
     s = rel.default_slack
     steps = policy_order_steps(model, policy)
     idx = np.arange(model.grid.n)
-    u = rel.u.values
+    u = rel.u
     r = model.one_step_cost(idx, steps) + model.kernel.expect(u)[idx + steps] - rel.w - u
     d_max = model.demand.max_value
     xs = model.grid.points
@@ -440,17 +454,17 @@ def check_terminal_admissible(
     terminal: TerminalValue,
     model: InventoryModel,
     alpha: float,
-    v_alpha: ValueTable,
-    slack: float = 1e-9,
+    v_alpha: np.ndarray,
 ) -> AdmissibilityReport:
-    """Verify the two terminal-value inequalities that make action tracking meaningful."""
+    """Verify the two terminal-value inequalities that make action tracking meaningful,
+    each within ``ADMISSIBLE_SLACK``."""
     f = terminal.values
-    excess = float(np.max(f - v_alpha.values))
+    excess = float(np.max(f - v_alpha))
     v1, _ = _update(model, f, alpha)
     drop = float(np.max(f - v1))
     return AdmissibilityReport(
-        f_le_v_alpha=excess <= slack,
-        one_step_ge_f=drop <= slack,
+        f_le_v_alpha=excess <= ADMISSIBLE_SLACK,
+        one_step_ge_f=drop <= ADMISSIBLE_SLACK,
         max_excess_over_v=excess,
     )
 
@@ -458,7 +472,7 @@ def check_terminal_admissible(
 def action_bound_set(
     x: float,
     model: InventoryModel,
-    v_alpha: ValueTable,
+    v_alpha: np.ndarray,
 ) -> np.ndarray:
     """Actions whose one-step cost alone does not exceed v_alpha(x).
 
@@ -467,7 +481,7 @@ def action_bound_set(
     """
     i = model.grid.index_of(x)
     row = model.one_step_cost(i, np.arange(model.grid.n - i))
-    ks = np.nonzero(row <= v_alpha.values[i] + BOUND_SET_EPS)[0]
+    ks = np.nonzero(row <= v_alpha[i] + BOUND_SET_EPS)[0]
     return ks * model.grid.step
 
 
@@ -501,20 +515,19 @@ def track_action_convergence(
     alpha: float,
     terminal: TerminalValue,
     t_max: int,
-    tol: float = 1e-10,
 ) -> ActionConvergenceReport:
     """Track finite-horizon chosen actions against the infinite-horizon sets.
 
-    Requires an admissible terminal value.  The reference solve runs at a
-    tight tolerance so that eps-optimal membership is not blurred by the
-    value-iteration error.  The stages' g and m rows go into a buffer of about
+    Requires an admissible terminal value.  The reference solve runs at the
+    tight tolerance ``ACTION_REF_TOL`` so that eps-optimal membership is not
+    blurred by the value-iteration error.  The stages' g and m rows go into a buffer of about
     ``ACTION_BLOCK`` cells; each full buffer is one stacked ``PolicyTable``
     whose chosen actions and distances are resolved at once, so only the
     t_max x n distances outlive a block.  Raises ModelError when t_max < 1.
     """
     if t_max < 1:
         raise ModelError(f"t_max must be at least 1, got {t_max}")
-    ref = solve_infinite(model, alpha, tol=tol)
+    ref = solve_infinite(model, alpha, tol=ACTION_REF_TOL)
     adm = check_terminal_admissible(terminal, model, alpha, ref.value)
     if not adm.admissible:
         raise ModelError(

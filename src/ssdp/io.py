@@ -53,8 +53,8 @@ def write_json(path, payload: dict) -> None:
 
 
 def write_solve_csv(path, value, policy) -> None:
-    """Columns: x, v, chosen_action, n_eps_optimal, from a ValueTable and a PolicyTable."""
-    rows = zip(value.grid.points, value.values, policy.chosen, policy.set_sizes())
+    """Columns: x, v, chosen_action, n_eps_optimal, from grid values and their PolicyTable."""
+    rows = zip(policy.grid.points, value, policy.chosen, policy.set_sizes())
     write_table_csv(path, ["x", "v", "chosen_action", "n_eps_optimal"], rows)
 
 

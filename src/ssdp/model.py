@@ -33,7 +33,6 @@ __all__ = [
     "build_kernel",
     "post_expectation_matrix",
     "build_cost",
-    "ValueTable",
     "PolicyTable",
 ]
 
@@ -579,24 +578,6 @@ def build_kernel(model: InventoryModel) -> Kernel:
 def build_cost(model: InventoryModel):
     """c(x, a) over the grid and all feasible order-up-to actions: ``model.one_step_cost``."""
     return model.one_step_cost
-
-
-@dataclass(eq=False)
-class ValueTable:
-    """Per-state nonnegative costs on a grid."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n,):
-            raise ModelError("value table shape does not match the grid")
-        if not np.all(np.isfinite(v)):
-            raise ModelError("value table must be finite on the grid")
-        if np.any(v < -1e-12):
-            raise ModelError("value table must be nonnegative")
-        object.__setattr__(self, "values", v)
 
 
 def _suffix_min_levels(G: np.ndarray) -> np.ndarray:

@@ -17,12 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (
-    Grid,
-    InventoryModel,
-    ModelError,
-    ValueTable,
-)
+from .model import Grid, InventoryModel, ModelError
 from .dp import (
     FiniteHorizonResult,
     SolveReport,
@@ -39,7 +34,6 @@ from .dp import (
 
 __all__ = [
     "CertificationError",
-    "GFunction",
     "SsPolicy",
     "build_G",
     "extract_sS",
@@ -68,36 +62,12 @@ class CertificationError(RuntimeError):
     """A structural property that the theory guarantees failed numerically."""
 
 
-@dataclass(eq=False)
-class GFunction:
-    """Order-up-to target cost g over the grid.
-
-    kind is one of ``finite_t`` (stage function, with ``t``), ``infinite``,
-    or ``H_average``.  ``extrapolation_count`` is the number of (state, atom)
-    pairs whose value lookup fell below the grid and was linearly
-    extrapolated.
-    """
-
-    grid: Grid
-    values: np.ndarray
-    kind: str
-    alpha: Optional[float] = None
-    t: Optional[int] = None
-    extrapolation_count: int = 0
-
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.values)):
-            raise ModelError("G-function must be finite on the grid")
-
-
 @dataclass(frozen=True)
 class SsPolicy:
     """Order up to S whenever x < s, otherwise do not order."""
 
     s: float
     S: float
-    alpha: Optional[float] = None
-    context: str = "infinite"  # infinite | t=<k> | average
 
     def __post_init__(self) -> None:
         if self.s > self.S:
@@ -116,10 +86,8 @@ def build_G(
     model: InventoryModel,
     values,
     alpha: float,
-    kind: str = "infinite",
-    t: Optional[int] = None,
-    check_tol: float = G_CONSISTENCY_TOL,
-) -> GFunction:
+    check_tol: Optional[float] = None,
+) -> np.ndarray:
     """g(x) = c_bar x + E h(x-D) + alpha E v(x-D) on the grid.
 
     Value lookups below x_lo are linearly extrapolated from the two lowest
@@ -128,32 +96,23 @@ def build_G(
     E v(x_j - D) = (W v)[j] + below[j] (v[1] - v[0]) (see
     ``post_expectation_matrix``), so g reuses ``model.kernel`` and
     ``model.eh`` and builds no operator of its own.  The count of such
-    lookups is the kernel's ``clamp_events``.  For ``kind="H_average"`` the
-    third term uses the relative value u with coefficient 1 instead of alpha.
+    lookups is the kernel's ``clamp_events``.  A stage function G_t takes
+    v_t; the average-cost H takes the relative value u with alpha = 1.
 
-    For ``kind="infinite"`` a consistency check confirms that
-    min(min_a [K + g(x+a)], g(x)) - c_bar x reproduces v(x) on the
-    extrapolation-free interior; failure signals a grid/tolerance
-    misconfiguration and raises CertificationError.
+    When v is a fixed point of the optimality equation, passing ``check_tol``
+    confirms that min(min_a [K + g(x+a)], g(x)) - c_bar x reproduces v(x)
+    within it on the extrapolation-free interior; failure signals a
+    grid/tolerance misconfiguration and raises CertificationError.
     """
-    vals = values.values if isinstance(values, ValueTable) else np.asarray(values, dtype=float)
+    vals = np.asarray(values, dtype=float)
     if vals.shape != (model.grid.n,):
         raise ModelError("value table shape does not match the grid")
-    if kind not in ("finite_t", "infinite", "H_average"):
-        raise ModelError(f"unknown G kind {kind!r}")
     kernel = model.kernel
     ev = kernel.matrix @ vals + kernel.below * (vals[1] - vals[0])
-    weight = 1.0 if kind == "H_average" else alpha
-    g_vals = model.c_bar * model.grid.points + model.eh + weight * ev
-    g = GFunction(
-        grid=model.grid,
-        values=g_vals,
-        kind=kind,
-        alpha=alpha,
-        t=t,
-        extrapolation_count=kernel.clamp_events,
-    )
-    if kind == "infinite":
+    g_vals = model.c_bar * model.grid.points + model.eh + alpha * ev
+    if not np.all(np.isfinite(g_vals)):
+        raise ModelError("G-function must be finite on the grid")
+    if check_tol is not None:
         interior = model.grid.points >= model.grid.x_lo + model.demand.max_value
         vhat = (
             np.minimum(g_vals, model.K + _strict_suffix_min(g_vals))
@@ -165,31 +124,22 @@ def build_G(
                 f"G-function consistency: reformulated optimality equation misses v "
                 f"by {gap:.3e} (> {check_tol:.1e}); grid or tolerance misconfigured"
             )
-    return g
+    return g_vals
 
 
-def extract_sS(g: GFunction, K: float) -> SsPolicy:
+def extract_sS(grid: Grid, g: np.ndarray, K: float) -> SsPolicy:
     """Thresholds from a (K-convex) g: S at the argmin, s at the K + g(S) level set."""
-    vals = g.values
-    n = vals.size
-    S_idx = int(np.argmin(vals))
+    n = g.size
+    S_idx = int(np.argmin(g))
     if S_idx == 0 or S_idx == n - 1:
+        edge = "grid.x_lo" if S_idx == 0 else "grid.x_hi"
         raise ModelError(
-            f"grid too narrow: argmin of g sits on the boundary (index {S_idx})"
+            f"grid too narrow: argmin of g sits on the boundary (index {S_idx}); widen {edge}"
         )
-    level = K + vals[S_idx]
-    below = np.nonzero(vals[: S_idx + 1] <= level + TIE_EPS)[0]
+    level = K + g[S_idx]
+    below = np.nonzero(g[: S_idx + 1] <= level + TIE_EPS)[0]
     s_idx = int(below[0])
-    xs = g.grid.points
-    context = {"finite_t": f"t={g.t}", "infinite": "infinite", "H_average": "average"}.get(
-        g.kind, g.kind
-    )
-    return SsPolicy(
-        s=float(xs[s_idx]),
-        S=float(xs[S_idx]),
-        alpha=g.alpha,
-        context=context,
-    )
+    return SsPolicy(s=float(grid.points[s_idx]), S=float(grid.points[S_idx]))
 
 
 @dataclass(frozen=True)
@@ -201,7 +151,7 @@ class KConvexityReport:
     K: float
 
 
-def is_K_convex(g: GFunction, K: float) -> KConvexityReport:
+def is_K_convex(grid: Grid, g: np.ndarray, K: float) -> KConvexityReport:
     """Definitional K-convexity check over all grid triples x < m < y.
 
     With lam = (m-x)/(y-x) the violation at a triple is
@@ -220,8 +170,8 @@ def is_K_convex(g: GFunction, K: float) -> KConvexityReport:
     """
     if K < 0:
         raise ModelError("K must be nonnegative")
-    vals = g.values
-    xs = g.grid.points
+    vals = np.asarray(g, dtype=float)
+    xs = grid.points
     n = vals.size
     if n < 3:
         return KConvexityReport(True, 0.0, None, KCONVEX_TOL, K)
@@ -255,13 +205,13 @@ def is_K_convex(g: GFunction, K: float) -> KConvexityReport:
 class ZeroSetupResult:
     """K = 0 companion solve: terminal value v0 and its (certified convex) G."""
 
-    v0: ValueTable
-    g0: GFunction
+    v0: np.ndarray
+    g0: np.ndarray
     convexity: KConvexityReport
     solve: SolveReport
 
     def terminal(self) -> TerminalValue:
-        return TerminalValue(values=self.v0.values, id="v0_alpha")
+        return TerminalValue(values=self.v0, id="v0_alpha")
 
 
 def solve_zero_setup(model: InventoryModel, alpha: float, tol: float = 1e-8) -> ZeroSetupResult:
@@ -274,15 +224,14 @@ def solve_zero_setup(model: InventoryModel, alpha: float, tol: float = 1e-8) -> 
     model0 = object.__new__(InventoryModel)
     vars(model0).update(vars(model), K=0.0, kernel=model.kernel, eh=model.eh)
     report = solve_infinite(model0, alpha, tol=tol)
-    v0 = ValueTable(grid=model.grid, values=report.value.values)
-    g0 = build_G(model0, v0, alpha, kind="infinite")
-    conv = is_K_convex(g0, K=0.0)
+    g0 = build_G(model0, report.value, alpha, check_tol=G_CONSISTENCY_TOL)
+    conv = is_K_convex(model.grid, g0, K=0.0)
     if not conv.verdict:
         raise CertificationError(
             f"zero-setup G must be convex; worst violation {conv.worst_violation:.3e} "
             f"at {conv.worst_triple}"
         )
-    return ZeroSetupResult(v0=v0, g0=g0, convexity=conv, solve=report)
+    return ZeroSetupResult(v0=report.value, g0=g0, convexity=conv, solve=report)
 
 
 @dataclass(eq=False)
@@ -331,7 +280,7 @@ def finite_horizon_sS(
     warnings: list[str] = []
     if terminal is None:
         zs = solve_zero_setup(model, alpha, tol)
-        g0v = zs.g0.values
+        g0v = zs.g0
         argmin0 = int(np.argmin(g0v))
         if not (0 < argmin0 < g0v.size - 1) or not g0v[0] > g0v[1] - 1e-12:
             warnings.append(
@@ -345,8 +294,8 @@ def finite_horizon_sS(
     mismatches: list = []
     agreement = True
     for t in range(n_periods):
-        g_t = build_G(model, fin.values[t], alpha, kind="finite_t", t=t)
-        cert = is_K_convex(g_t, model.K)
+        g_t = build_G(model, fin.values[t], alpha)
+        cert = is_K_convex(model.grid, g_t, model.K)
         certs.append(cert)
         if not cert.verdict:
             warnings.append(
@@ -354,7 +303,7 @@ def finite_horizon_sS(
                 f"{cert.worst_triple} violation {cert.worst_violation:.3e}"
             )
         try:
-            pol = extract_sS(g_t, model.K)
+            pol = extract_sS(model.grid, g_t, model.K)
         except ModelError as exc:
             warnings.append(f"stage t={t}: {exc}")
             policies.append(None)
@@ -380,7 +329,7 @@ class DiscountedSsResult:
 
     policy: Optional[SsPolicy]
     solve: SolveReport
-    g: GFunction
+    g: np.ndarray
     k_convexity: KConvexityReport
     eval_gap: Optional[float]
     explanation: Optional[str]
@@ -402,8 +351,8 @@ def discounted_sS(
     report = solve_infinite(model, alpha, tol=tol)
     # the consistency gap is bounded by the certified solve error, so the
     # check tolerance must not undercut a coarse tol
-    g = build_G(model, report.value, alpha, kind="infinite", check_tol=max(G_CONSISTENCY_TOL, tol))
-    cert = is_K_convex(g, model.K)
+    g = build_G(model, report.value, alpha, check_tol=max(G_CONSISTENCY_TOL, tol))
+    cert = is_K_convex(model.grid, g, model.K)
     if not cert.verdict:
         return DiscountedSsResult(
             policy=None,
@@ -417,9 +366,9 @@ def discounted_sS(
                 "thresholds withheld, raw argmin policy returned"
             ),
         )
-    pol = extract_sS(g, model.K)
+    pol = extract_sS(model.grid, g, model.K)
     pe = policy_evaluation(model, pol, alpha, tol=tol)
-    gap = float(np.max(np.abs(pe.values - report.value.values)))
+    gap = float(np.max(np.abs(pe - report.value)))
     if gap > 10 * tol:
         raise CertificationError(
             f"(s,S) policy evaluation misses v_alpha by {gap:.3e} (> 10*tol)"
@@ -457,7 +406,7 @@ def average_sS(model: InventoryModel, sweep_result=None) -> AverageSsResult:
     """
     if model.demand.p_positive == 0.0:
         return AverageSsResult(
-            policy=SsPolicy(s=0.0, S=0.0, alpha=None, context="average"),
+            policy=SsPolicy(s=0.0, S=0.0),
             degenerate=True,
             settled=True,
             bounded_ok=True,
@@ -471,17 +420,16 @@ def average_sS(model: InventoryModel, sweep_result=None) -> AverageSsResult:
     if sweep_result is None:
         raise ModelError("average_sS needs a sweep_result from average.sweep when P(D > 0) > 0")
     sw = sweep_result
-    seq = [(r.alpha, (r.s, r.S)) for r in sw.records if r.s is not None]
-    if not seq:
+    pairs = [(r.s, r.S) for r in sw.records if r.s is not None]
+    if not pairs:
         raise CertificationError("no alpha in the schedule produced thresholds")
-    pairs = [p for _, p in seq]
     tail = pairs[-3:]
     settled = len(tail) == 3 and all(p == tail[-1] for p in tail)
     margin = model.grid.step
     bounded_ok = all(
         model.grid.x_lo + margin <= p[0] and p[1] <= model.grid.x_hi - margin for p in tail
     )
-    pol = SsPolicy(s=pairs[-1][0], S=pairs[-1][1], alpha=seq[-1][0], context="average")
+    pol = SsPolicy(s=pairs[-1][0], S=pairs[-1][1])
     oi = check_optimality_inequality(model, pol, sw.relative_value())
     return AverageSsResult(
         policy=pol,

@@ -14,7 +14,7 @@ import numpy as np
 import ssdp
 from ssdp import average
 from ssdp.dp import TerminalValue, track_action_convergence
-from ssdp.policy import build_G, discounted_sS, finite_horizon_sS, is_K_convex
+from ssdp.policy import G_CONSISTENCY_TOL, build_G, discounted_sS, finite_horizon_sS, is_K_convex
 from ssdp.model import Grid
 from ssdp.simulate import SimConfig, simulate_average
 
@@ -32,11 +32,11 @@ def test_criterion_01_bellman_oracle(instance_a):
     vt, pt = ssdp.bellman_update(instance_a, v0, 0.9)
     ov, oa = oracle_bellman(instance_a, v0, 0.9)
     i0, i3 = instance_a.grid.index_of(0.0), instance_a.grid.index_of(-3.0)
-    assert abs(vt.values[i0] - 3.0) <= 1e-12 and pt.chosen[i0] == 0.0
-    assert abs(vt.values[i3] - 7.0) <= 1e-12 and pt.chosen[i3] == 4.0
+    assert abs(vt[i0] - 3.0) <= 1e-12 and pt.chosen[i0] == 0.0
+    assert abs(vt[i3] - 7.0) <= 1e-12 and pt.chosen[i3] == 4.0
     assert abs(ov[i0] - 3.0) <= 1e-12 and oa[i0] == 0.0
     assert abs(ov[i3] - 7.0) <= 1e-12 and oa[i3] == 4.0
-    assert np.max(np.abs(vt.values - ov)) <= 1e-12
+    assert np.max(np.abs(vt - ov)) <= 1e-12
     report(1, "v1(0)=3.0 at a=0 and v1(-3)=7.0 at a=4, matching enumeration to 1e-12")
 
 
@@ -44,11 +44,11 @@ def test_criterion_02_fixed_point_consistency(instance_a):
     tol = 1e-8
     for alpha in (0.5, 0.9, 0.99):
         rep = ssdp.solve_infinite(instance_a, alpha, tol=tol)
-        tv = ssdp.bellman_update(instance_a, rep.value, alpha)[0].values
-        residual = float(np.max(np.abs(tv - rep.value.values)))
+        tv = ssdp.bellman_update(instance_a, rep.value, alpha)[0]
+        residual = float(np.max(np.abs(tv - rep.value)))
         assert residual <= tol, f"alpha={alpha}: fixed-point residual {residual}"
         pe = ssdp.policy_evaluation(instance_a, rep.policy, alpha, tol=tol)
-        gap = float(np.max(np.abs(pe.values - rep.value.values)))
+        gap = float(np.max(np.abs(pe - rep.value)))
         assert gap <= 10 * tol, f"alpha={alpha}: policy-evaluation gap {gap}"
     report(2, "optimality-equation residual <= tol and policy-evaluation gap <= 10 tol "
               "at alpha in {0.5, 0.9, 0.99}")
@@ -73,19 +73,19 @@ def test_criterion_03_brute_force_pairs(instance_a, discounted_a_09):
 def test_criterion_04_monotone_and_sandwich(instance_a, solve_a_09, zero_setup_a_09):
     alpha, tol, horizon = 0.9, 1e-8, 60
     fin0 = ssdp.solve_finite(instance_a, horizon, TerminalValue.zero(instance_a.grid), alpha)
-    stack0 = np.stack([v.values for v in fin0.values])
+    stack0 = fin0.values
     assert np.all(np.diff(stack0, axis=0) >= -1e-12), "v_t not monotone in t"
     finF = ssdp.solve_finite(instance_a, horizon, zero_setup_a_09.terminal(), alpha)
-    stackF = np.stack([v.values for v in finF.values])
+    stackF = finF.values
     assert np.all(stack0 <= stackF + 1e-12), "v_t,0 above v_t,F"
-    assert np.all(stackF <= solve_a_09.value.values[None, :] + tol), "v_t,F above v_alpha + tol"
-    g_alpha = build_G(instance_a, solve_a_09.value, alpha, kind="infinite")
-    prev = zero_setup_a_09.g0.values
+    assert np.all(stackF <= solve_a_09.value[None, :] + tol), "v_t,F above v_alpha + tol"
+    g_alpha = build_G(instance_a, solve_a_09.value, alpha, check_tol=G_CONSISTENCY_TOL)
+    prev = zero_setup_a_09.g0
     for t in range(30):
-        g_t = build_G(instance_a, finF.values[t], alpha, kind="finite_t", t=t).values
+        g_t = build_G(instance_a, finF.values[t], alpha)
         assert np.all(prev <= g_t + 1e-12), f"G chain broken at t={t}"
         prev = g_t
-    assert np.all(prev <= g_alpha.values + tol), "G chain top violated"
+    assert np.all(prev <= g_alpha + tol), "G chain top violated"
     report(4, "value monotonicity, terminal sandwich, and G-chain ordering hold gridwise")
 
 
@@ -93,18 +93,17 @@ def test_criterion_05_k_convexity_certificates(instance_a):
     for alpha in (0.9, 0.99):
         rep = ssdp.solve_infinite(instance_a, alpha, tol=1e-8)
         zs = ssdp.solve_zero_setup(instance_a, alpha, tol=1e-8)
-        g_alpha = build_G(instance_a, rep.value, alpha, kind="infinite")
-        assert is_K_convex(g_alpha, instance_a.K).verdict, f"G_alpha not K-convex at {alpha}"
+        g_alpha = build_G(instance_a, rep.value, alpha, check_tol=G_CONSISTENCY_TOL)
+        cert = is_K_convex(instance_a.grid, g_alpha, instance_a.K)
+        assert cert.verdict, f"G_alpha not K-convex at {alpha}"
         fin = ssdp.solve_finite(instance_a, 25, zs.terminal(), alpha)
         for t in range(25):
-            g_t = build_G(instance_a, fin.values[t], alpha, kind="finite_t", t=t)
-            assert is_K_convex(g_t, instance_a.K).verdict, f"stage G not K-convex at t={t}"
+            g_t = build_G(instance_a, fin.values[t], alpha)
+            cert = is_K_convex(instance_a.grid, g_t, instance_a.K)
+            assert cert.verdict, f"stage G not K-convex at t={t}"
     grid = Grid(x_lo=-8, x_hi=8, step=1.0)
     K = instance_a.K
-    from ssdp.policy import GFunction
-
-    bad = GFunction(grid=grid, values=np.where(grid.points < 0, K + 1.0, 0.0), kind="infinite")
-    verdict = is_K_convex(bad, K)
+    verdict = is_K_convex(grid, np.where(grid.points < 0, K + 1.0, 0.0), K)
     assert not verdict.verdict and verdict.worst_triple is not None
     report(5, "G_alpha and all stage G functions certified K-convex at alpha in {0.9, 0.99}; "
               f"step-down of height K+1 rejected at triple {verdict.worst_triple}")
@@ -190,7 +189,7 @@ def test_criterion_10_renewal_diagnostics(instance_a):
 
 def test_criterion_11_action_convergence(instance_a, zero_setup_a_09):
     for terminal in (TerminalValue.zero(instance_a.grid), zero_setup_a_09.terminal()):
-        rep = track_action_convergence(instance_a, 0.9, terminal, t_max=200, tol=1e-10)
+        rep = track_action_convergence(instance_a, 0.9, terminal, t_max=200)
         assert np.all(rep.exact_settle_t >= 1), f"{terminal.id}: unsettled states"
         assert int(rep.exact_settle_t.max()) <= 200
     report(11, "finite-horizon chosen actions land in the infinite-horizon eps-optimal sets "

@@ -135,12 +135,11 @@ def test_h_average_function_satisfies_min_form_inequality(instance_a, sweep_a):
     from ssdp.policy import build_G
 
     rel = sweep_a.relative_value()
-    H = build_G(instance_a, rel.u, rel.alpha, kind="H_average")
-    vals = H.values
+    vals = build_G(instance_a, rel.u, 1.0)
     xs = instance_a.grid.points
     suffix = np.minimum.accumulate(vals[::-1])[::-1]
     min_form = np.minimum(vals, instance_a.K + np.concatenate((suffix[1:], [np.inf])))
-    resid = min_form - instance_a.c_bar * xs - rel.w - rel.u.values
+    resid = min_form - instance_a.c_bar * xs - rel.w - rel.u
     d_max = instance_a.demand.max_value
     interior = (xs >= instance_a.grid.x_lo + d_max) & (xs <= instance_a.grid.x_hi - d_max)
     assert float(resid[interior].max()) <= rel.default_slack

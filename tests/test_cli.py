@@ -46,6 +46,27 @@ def test_solve_alpha_out_of_range(tmp_path):
     r = run_cli("solve", INSTANCE_A, "--alpha", "1.0", "--out", tmp_path / "x")
     assert r.returncode == 2
     assert "alpha must lie in [0,1)" in r.stderr
+    notes = json.loads((tmp_path / "x" / "manifest.json").read_text())["notes"]
+    assert notes == ["ModelError: alpha must lie in [0,1)"]
+
+
+@pytest.mark.parametrize(
+    "args, note",
+    [
+        (("solve", "--alpha", "0.9", "--horizon", "0"), "horizon must be at least 1"),
+        (("sweep", "--schedule", "geometric:x"), "bad schedule spec 'geometric:x'"),
+        (("verify", "--suite", "sandwich", "--alpha", "-1"), "alpha must lie in [0,1)"),
+    ],
+)
+def test_bad_argument_still_writes_manifest(tmp_path, args, note):
+    out = tmp_path / "bad"
+    r = run_cli(args[0], INSTANCE_A, *args[1:], "--out", out)
+    assert r.returncode == 2, r.stderr
+    assert f"config error: {note}" in r.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == args[0]
+    assert manifest["notes"] == [f"ModelError: {note}"]
+    assert manifest["outputs"] == [] and manifest["checks"] == {}
 
 
 def test_solve_finite_horizon(tmp_path):
@@ -140,6 +161,22 @@ def test_solve_overflowing_costs_exit_2(tmp_path):
     assert r.returncode == 2
     assert "value iteration: span bound nan at sweep 1" in r.stderr
     assert "state index 0 has T v - v = nan" in r.stderr
+
+
+def test_finite_horizon_overflowing_costs_name_the_stage(tmp_path):
+    # backward induction from F = 0 overflows in its first update
+    cfg = json.loads(EXPONENTIAL.read_text())
+    cfg["cost"]["c_bar"] = 1e308
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    r = run_cli("solve", path, "--alpha", "0.9", "--horizon", "3", "--terminal", "zero",
+                "--out", out)
+    assert r.returncode == 2
+    note = ("stage value v_1 (alpha=0.9) must be finite and nonnegative; "
+            "x=-15.0 (index 0) has v = nan")
+    assert f"config error: {note}" in r.stderr
+    assert json.loads((out / "manifest.json").read_text())["notes"] == [f"ModelError: {note}"]
 
 
 def test_bad_config_keys_rejected(tmp_path):
@@ -312,6 +349,7 @@ def test_verify_detects_failure_with_tight_grid(tmp_path):
     r = run_cli("solve", cfg, "--alpha", "0.9", "--out", tmp_path / "o")
     assert r.returncode == 2
     assert "grid too narrow" in r.stderr
+    assert "(index 4); widen grid.x_hi" in r.stderr  # the argmin sits on the top state
     # the error comes after the output directory exists: the manifest still names it
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert any(n.startswith("ModelError: grid too narrow") for n in manifest["notes"])

@@ -42,12 +42,12 @@ def test_bellman_matches_enumeration_from_zero(instance_a):
     v0 = np.zeros(instance_a.grid.n)
     vt, pt = bellman_update(instance_a, v0, 0.9)
     ov, oa = oracle_bellman(instance_a, v0, 0.9)
-    assert np.max(np.abs(vt.values - ov)) <= 1e-12
+    assert np.max(np.abs(vt - ov)) <= 1e-12
     assert np.array_equal(pt.chosen, oa)
     i0 = instance_a.grid.index_of(0.0)
     i3 = instance_a.grid.index_of(-3.0)
-    assert vt.values[i0] == pytest.approx(3.0, abs=1e-12) and pt.chosen[i0] == 0.0
-    assert vt.values[i3] == pytest.approx(7.0, abs=1e-12) and pt.chosen[i3] == 4.0
+    assert vt[i0] == pytest.approx(3.0, abs=1e-12) and pt.chosen[i0] == 0.0
+    assert vt[i3] == pytest.approx(7.0, abs=1e-12) and pt.chosen[i3] == 4.0
 
 
 def test_bellman_matches_enumeration_from_random_v(instance_a):
@@ -56,7 +56,7 @@ def test_bellman_matches_enumeration_from_random_v(instance_a):
     for alpha in (0.0, 0.5, 0.95):
         vt, pt = bellman_update(instance_a, v, alpha)
         ov, oa = oracle_bellman(instance_a, v, alpha)
-        assert np.max(np.abs(vt.values - ov)) <= 1e-10
+        assert np.max(np.abs(vt - ov)) <= 1e-10
         assert np.array_equal(pt.chosen, oa)
 
 
@@ -88,17 +88,26 @@ def test_action_sets_match_enumeration(instance_a, zero_stub, alpha):
 
 def test_bellman_zero_stub_all_actions_optimal(zero_stub):
     vt, pt = bellman_update(zero_stub, np.zeros(zero_stub.grid.n), 0.7)
-    assert np.all(vt.values == 0.0)
+    assert np.all(vt == 0.0)
     assert np.all(pt.chosen == 0.0)
     n = zero_stub.grid.n
     assert np.array_equal(pt.set_sizes(), n - np.arange(n))  # every feasible action ties
 
 
 def test_bellman_rejects_bad_value_table(instance_a):
+    n = instance_a.grid.n
+    bad_values = [
+        np.full(n, -1.0),
+        np.where(np.arange(n) == 2, -1.0, 0.0),  # one negative state
+        np.where(np.arange(n) == 2, np.inf, 0.0),
+        np.where(np.arange(n) == 2, np.nan, 0.0),
+        np.zeros(n - 1),  # wrong length
+    ]
+    for v in bad_values:
+        with pytest.raises(ModelError, match="finite nonnegative value on every grid state"):
+            bellman_update(instance_a, v, 0.9)
     with pytest.raises(ModelError):
-        bellman_update(instance_a, np.full(instance_a.grid.n, -1.0), 0.9)
-    with pytest.raises(ModelError):
-        bellman_update(instance_a, np.zeros(instance_a.grid.n), 1.0)
+        bellman_update(instance_a, np.zeros(n), 1.0)
 
 
 # ------------------------------------------------------------- solve_finite
@@ -108,18 +117,24 @@ def test_solve_finite_horizon_zero_returns_terminal(instance_a):
     f = TerminalValue.zero(instance_a.grid)
     res = solve_finite(instance_a, 0, f, 0.9)
     assert len(res.values) == 1 and len(res.policies) == 0
-    assert np.all(res.values[0].values == 0.0)
+    assert np.all(res.values[0] == 0.0)
+
+
+def test_solve_finite_rejects_a_terminal_off_the_grid(instance_a):
+    f = TerminalValue(values=np.zeros(instance_a.grid.n - 1))
+    with pytest.raises(ModelError, match="terminal value shape does not match the grid"):
+        solve_finite(instance_a, 3, f, 0.9)
 
 
 def test_solve_finite_one_step(instance_a):
     res = solve_finite(instance_a, 1, TerminalValue.zero(instance_a.grid), 0.9)
-    assert res.values[1].values[instance_a.grid.index_of(0.0)] == pytest.approx(3.0, abs=1e-12)
+    assert res.values[1, instance_a.grid.index_of(0.0)] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_solve_finite_monotone_in_t(instance_a):
     res = solve_finite(instance_a, 40, TerminalValue.zero(instance_a.grid), 0.9)
-    stack = np.stack([v.values for v in res.values])
-    assert np.all(np.diff(stack, axis=0) >= -1e-12)
+    assert res.values.shape == (41, instance_a.grid.n)
+    assert np.all(np.diff(res.values, axis=0) >= -1e-12)
 
 
 def test_stage_policy_index_reversal(instance_a):
@@ -132,8 +147,8 @@ def test_stage_policy_index_reversal(instance_a):
 
 
 def test_solve_infinite_fixed_point_certificate(instance_a, solve_a_09):
-    tv = bellman_update(instance_a, solve_a_09.value, 0.9)[0].values
-    assert np.max(np.abs(tv - solve_a_09.value.values)) <= 1e-8
+    tv = bellman_update(instance_a, solve_a_09.value, 0.9)[0]
+    assert np.max(np.abs(tv - solve_a_09.value)) <= 1e-8
     assert solve_a_09.residual <= 1e-8 * 0.1 / 1.8 + 1e-15
 
 
@@ -142,11 +157,11 @@ def test_solve_infinite_fixed_point_certificate(instance_a, solve_a_09):
 )
 def test_solve_infinite_matches_exact_policy_value(instance_a, alpha, tol):
     rep = solve_infinite(instance_a, alpha, tol=tol)
-    v = rep.value.values
+    v = rep.value
     v_pi = oracle_policy_value(instance_a, rep.policy.order_steps(), alpha)
     assert np.max(np.abs(v - v_pi)) <= tol / 2
     assert rep.certified_error_bound <= tol / 2
-    tv = bellman_update(instance_a, v, alpha)[0].values
+    tv = bellman_update(instance_a, v, alpha)[0]
     assert float(np.min(tv - v)) >= -1e-9  # the returned value is a lower bound
     assert rep.residual == float(np.max(np.abs(tv - v)))
 
@@ -158,12 +173,12 @@ def test_span_rule_certifies_zero_demand_chain(degenerate_model):
     # allows for rounding at the scale |v| / (1 - alpha).
     alpha, tol = 0.99, 1e-8
     rep = solve_infinite(degenerate_model, alpha, tol=tol)
-    v = rep.value.values
+    v = rep.value
     v_pi = oracle_policy_value(degenerate_model, rep.policy.order_steps(), alpha)
     rounding = np.finfo(float).eps * float(np.max(np.abs(v_pi))) / (1.0 - alpha)
     assert rep.certified_error_bound <= tol / 2
     assert np.max(np.abs(v - v_pi)) <= rep.certified_error_bound + rounding
-    tv = bellman_update(degenerate_model, v, alpha)[0].values
+    tv = bellman_update(degenerate_model, v, alpha)[0]
     assert float(np.min(tv - v)) >= -1e-9
 
 
@@ -172,26 +187,26 @@ def test_solve_infinite_alpha_zero_is_myopic(instance_a):
     cost = build_cost(instance_a)
     n = instance_a.grid.n
     myopic = np.array([cost(i, np.arange(n - i)).min() for i in range(n)])
-    assert np.max(np.abs(rep.value.values - myopic)) <= 1e-12
+    assert np.max(np.abs(rep.value - myopic)) <= 1e-12
 
 
 def test_solve_infinite_zero_stub(zero_stub):
     rep = solve_infinite(zero_stub, 0.9, tol=1e-10)
-    assert np.all(rep.value.values == 0.0)
+    assert np.all(rep.value == 0.0)
     assert rep.iterations == 1
 
 
 def test_monotone_iterates_bounded_by_v_alpha(instance_a, solve_a_09):
     res = solve_finite(instance_a, 80, TerminalValue.zero(instance_a.grid), 0.9)
     for vt in res.values:
-        assert np.all(vt.values <= solve_a_09.value.values + 1e-8)
+        assert np.all(vt <= solve_a_09.value + 1e-8)
 
 
 def test_contraction_factor(instance_a):
     v = np.zeros(instance_a.grid.n)
     prev_r = None
     for _ in range(60):
-        nv = bellman_update(instance_a, v, 0.9)[0].values
+        nv = bellman_update(instance_a, v, 0.9)[0]
         r = float(np.max(np.abs(nv - v)))
         v = nv
         if prev_r is not None and prev_r > 1e-10:
@@ -208,7 +223,7 @@ def test_iteration_cap_raises(instance_a, monkeypatch):
 def test_tie_break_determinism(instance_a):
     a = solve_infinite(instance_a, 0.9, tol=1e-8)
     b = solve_infinite(instance_a, 0.9, tol=1e-8)
-    assert np.array_equal(a.value.values, b.value.values)
+    assert np.array_equal(a.value, b.value)
     assert np.array_equal(a.policy.chosen, b.policy.chosen)
     assert np.array_equal(a.policy.set_sizes(), b.policy.set_sizes())
     assert np.array_equal(a.policy.g, b.policy.g) and np.array_equal(a.policy.m, b.policy.m)
@@ -219,15 +234,15 @@ def test_sandwich_with_admissible_terminal(instance_a, solve_a_09, zero_setup_a_
     res0 = solve_finite(instance_a, 60, TerminalValue.zero(instance_a.grid), 0.9)
     resf = solve_finite(instance_a, 60, f, 0.9)
     for t in range(61):
-        lo = res0.values[t].values
-        mid = resf.values[t].values
+        lo = res0.values[t]
+        mid = resf.values[t]
         assert np.all(lo <= mid + 1e-12)
-        assert np.all(mid <= solve_a_09.value.values + 1e-8)
+        assert np.all(mid <= solve_a_09.value + 1e-8)
 
 
 def test_terminal_equal_to_v_alpha_is_fixed(instance_a, solve_a_09):
-    tv = bellman_update(instance_a, solve_a_09.value, 0.9)[0].values
-    assert np.max(np.abs(tv - solve_a_09.value.values)) <= 1e-8
+    tv = bellman_update(instance_a, solve_a_09.value, 0.9)[0]
+    assert np.max(np.abs(tv - solve_a_09.value)) <= 1e-8
 
 
 # --------------------------------------------------------- policy evaluation
@@ -235,7 +250,7 @@ def test_terminal_equal_to_v_alpha_is_fixed(instance_a, solve_a_09):
 
 def test_policy_evaluation_zero_stub(zero_stub):
     v = policy_evaluation(zero_stub, np.zeros(zero_stub.grid.n), 0.9, tol=1e-10)
-    assert np.all(v.values == 0.0)
+    assert np.all(v == 0.0)
 
 
 def test_policy_evaluation_never_order_matches_simulation(instance_a):
@@ -244,7 +259,7 @@ def test_policy_evaluation_never_order_matches_simulation(instance_a):
     cfg = SimConfig(x0=5.0, horizon=60, n_paths=20_000, seed=99, alpha=0.5, policy="never_order")
     sim = simulate_discounted(instance_a, cfg)
     i5 = instance_a.grid.index_of(5.0)
-    assert abs(sim.mean - pe.values[i5]) <= 3 * sim.std_error + sim.bias_bound + 1e-6
+    assert abs(sim.mean - pe[i5]) <= 3 * sim.std_error + sim.bias_bound + 1e-6
 
 
 def test_policy_evaluation_degenerate_closed_form(degenerate_model):
@@ -254,12 +269,12 @@ def test_policy_evaluation_degenerate_closed_form(degenerate_model):
         pe = policy_evaluation(m, never, alpha, tol=1e-10)
         pos = m.grid.points >= 0
         expect = m.h(m.grid.points[pos]) / (1 - alpha)
-        assert np.max(np.abs(pe.values[pos] - expect)) <= 1e-9
+        assert np.max(np.abs(pe[pos] - expect)) <= 1e-9
 
 
 def test_policy_evaluation_of_extracted_policy(instance_a, solve_a_09):
     pe = policy_evaluation(instance_a, solve_a_09.policy, 0.9, tol=1e-8)
-    assert np.max(np.abs(pe.values - solve_a_09.value.values)) <= 1e-6
+    assert np.max(np.abs(pe - solve_a_09.value)) <= 1e-6
 
 
 # ------------------------------------------------------- terminal admissible
@@ -273,14 +288,14 @@ def test_admissible_zero_terminal(instance_a, solve_a_09):
 
 
 def test_admissible_v_alpha_itself(instance_a, solve_a_09):
-    f = TerminalValue(values=solve_a_09.value.values, id="user")
-    rep = check_terminal_admissible(f, instance_a, 0.9, solve_a_09.value, slack=1e-8)
+    f = TerminalValue(values=solve_a_09.value, id="user")
+    rep = check_terminal_admissible(f, instance_a, 0.9, solve_a_09.value)
     assert rep.f_le_v_alpha and rep.one_step_ge_f
     assert abs(rep.max_excess_over_v) <= 1e-12  # equality in the first inequality
 
 
 def test_admissible_fails_above_v_alpha(instance_a, solve_a_09):
-    f = TerminalValue(values=solve_a_09.value.values + 1.0, id="user")
+    f = TerminalValue(values=solve_a_09.value + 1.0, id="user")
     rep = check_terminal_admissible(f, instance_a, 0.9, solve_a_09.value)
     assert not rep.f_le_v_alpha
 
@@ -319,21 +334,21 @@ def test_action_bound_set_huge_K(instance_a):
 
 def test_track_convergence_zero_stub(zero_stub):
     rep = track_action_convergence(
-        zero_stub, 0.9, TerminalValue.zero(zero_stub.grid), t_max=5, tol=1e-10
+        zero_stub, 0.9, TerminalValue.zero(zero_stub.grid), t_max=5
     )
     assert np.all(rep.distances == 0.0)
     assert np.all(rep.settle_t == 1)
 
 
 def test_track_convergence_requires_admissible_terminal(instance_a, solve_a_09):
-    bad = TerminalValue(values=solve_a_09.value.values + 5.0, id="user")
+    bad = TerminalValue(values=solve_a_09.value + 5.0, id="user")
     with pytest.raises(ModelError):
         track_action_convergence(instance_a, 0.9, bad, t_max=5)
 
 
 def test_track_convergence_instance_a(instance_a):
     rep = track_action_convergence(
-        instance_a, 0.9, TerminalValue.zero(instance_a.grid), t_max=200, tol=1e-10
+        instance_a, 0.9, TerminalValue.zero(instance_a.grid), t_max=200
     )
     assert rep.all_settled
     assert int(rep.settle_t.max()) <= 200

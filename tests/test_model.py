@@ -486,19 +486,6 @@ def test_config_rejects_both_demand_forms(tmp_path):
         ssdp.load_model(cfg)
 
 
-# -------------------------------------------------------------- tables
-
-
-def test_value_table_validation():
-    g = Grid(x_lo=0, x_hi=3, step=1.0)
-    with pytest.raises(ModelError):
-        ssdp.ValueTable(grid=g, values=np.array([0.0, 1.0, np.inf, 2.0]))
-    with pytest.raises(ModelError):
-        ssdp.ValueTable(grid=g, values=np.array([0.0, -1.0, 0.0, 0.0]))
-    with pytest.raises(ModelError):
-        ssdp.ValueTable(grid=g, values=np.zeros(3))
-
-
 # ------------------------------------------------- eps-optimal action sets
 
 

@@ -11,8 +11,8 @@ from ssdp.average import optimal_average_cost
 from ssdp.config import model_from_dict
 from ssdp.model import DemandDistribution, Grid, ModelError
 from ssdp.policy import (
+    G_CONSISTENCY_TOL,
     CertificationError,
-    GFunction,
     SsPolicy,
     brute_force_sS_check,
     build_G,
@@ -40,40 +40,35 @@ from conftest import (
 )
 
 
-
-def g_from(grid, values, **kw):
-    return GFunction(grid=grid, values=np.asarray(values, dtype=float), kind=kw.pop("kind", "infinite"), **kw)
-
-
 # ---------------------------------------------------------------- build_G
 
 
 def test_build_g_zero_stub(zero_stub):
-    g = build_G(zero_stub, np.zeros(zero_stub.grid.n), 0.9, kind="infinite")
-    assert np.all(g.values == 0.0)
+    g = build_G(zero_stub, np.zeros(zero_stub.grid.n), 0.9, check_tol=G_CONSISTENCY_TOL)
+    assert np.all(g == 0.0)
 
 
 def test_build_g_alpha_zero_formula(instance_a):
-    g = build_G(instance_a, np.zeros(instance_a.grid.n), 0.0, kind="finite_t", t=0)
-    assert g.values[instance_a.grid.index_of(0.0)] == pytest.approx(3.0, abs=1e-12)
-    assert g.values[instance_a.grid.index_of(2.0)] == pytest.approx(3.0, abs=1e-12)
+    g = build_G(instance_a, np.zeros(instance_a.grid.n), 0.0)
+    assert g[instance_a.grid.index_of(0.0)] == pytest.approx(3.0, abs=1e-12)
+    assert g[instance_a.grid.index_of(2.0)] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_build_g_degenerate_closed_form(degenerate_model):
     m = degenerate_model
     alpha = 0.9
     rep = solve_infinite(m, alpha, tol=1e-9)
-    g = build_G(m, rep.value, alpha, kind="infinite")
+    g = build_G(m, rep.value, alpha, check_tol=G_CONSISTENCY_TOL)
     pos = m.grid.points >= 0
     expect = m.c_bar * m.grid.points[pos] + m.h(m.grid.points[pos]) / (1 - alpha)
-    assert np.max(np.abs(g.values[pos] - expect)) <= 1e-7
+    assert np.max(np.abs(g[pos] - expect)) <= 1e-7
 
 
 def test_build_g_consistency_check_catches_tampering(instance_a, solve_a_09):
-    tampered = solve_a_09.value.values.copy()
+    tampered = solve_a_09.value.copy()
     tampered[instance_a.grid.index_of(5.0)] += 1.0
     with pytest.raises(CertificationError):
-        build_G(instance_a, tampered, 0.9, kind="infinite")
+        build_G(instance_a, tampered, 0.9, check_tol=G_CONSISTENCY_TOL)
 
 
 @pytest.mark.parametrize("name", OPERATOR_MODELS)
@@ -81,16 +76,16 @@ def test_build_g_matches_extrapolating_reference(name):
     m = OPERATOR_MODELS[name]()
     W_ext, flagged = oracle_post_expectation(m, extrapolate=True)
     v = np.random.default_rng(7).uniform(0.0, 50.0, m.grid.n)
-    for kind, weight in (("finite_t", 0.9), ("H_average", 1.0)):
-        g = build_G(m, v, 0.9, kind=kind, t=0)
-        expect = m.c_bar * m.grid.points + m.expected_h(m.grid.points) + weight * (W_ext @ v)
-        assert np.max(np.abs(g.values - expect)) <= 1e-12 * np.max(np.abs(v))
-        assert g.extrapolation_count == flagged
+    for alpha in (0.9, 1.0):  # a stage function G_t, and the average-cost H
+        g = build_G(m, v, alpha)
+        expect = m.c_bar * m.grid.points + m.expected_h(m.grid.points) + alpha * (W_ext @ v)
+        assert np.max(np.abs(g - expect)) <= 1e-12 * np.max(np.abs(v))
+    assert m.kernel.clamp_events == flagged
 
 
 def test_build_g_counts_extrapolations(instance_a, solve_a_09):
-    g = build_G(instance_a, solve_a_09.value, 0.9, kind="infinite")
-    assert g.extrapolation_count == 3  # same pairs the kernel clamps
+    # build_G extrapolates at the pairs the kernel clamps, which the solve reports
+    assert instance_a.kernel.clamp_events == solve_a_09.clamp_events == 3
 
 
 # --------------------------------------------------------------- extract_sS
@@ -98,47 +93,49 @@ def test_build_g_counts_extrapolations(instance_a, solve_a_09):
 
 def test_extract_quadratic_analytic():
     grid = Grid(x_lo=-5, x_hi=15, step=1.0)
-    g = g_from(grid, (grid.points - 5.0) ** 2)
-    pol = extract_sS(g, K=4.0)
+    g = (grid.points - 5.0) ** 2
+    pol = extract_sS(grid, g, K=4.0)
     assert (pol.s, pol.S) == (3.0, 5.0)
 
 
 def test_extract_absolute_value_analytic():
     grid = Grid(x_lo=-6, x_hi=6, step=1.0)
-    g = g_from(grid, np.abs(grid.points))
-    pol = extract_sS(g, K=2.0)
+    g = np.abs(grid.points)
+    pol = extract_sS(grid, g, K=2.0)
     assert (pol.s, pol.S) == (-2.0, 0.0)
 
 
 def test_extract_zero_K_gives_base_stock():
     grid = Grid(x_lo=-6, x_hi=6, step=1.0)
-    g = g_from(grid, (grid.points - 1.0) ** 2)
-    pol = extract_sS(g, K=0.0)
+    g = (grid.points - 1.0) ** 2
+    pol = extract_sS(grid, g, K=0.0)
     assert pol.s == pol.S == 1.0
 
 
 def test_extract_boundary_argmin_errors():
     grid = Grid(x_lo=0, x_hi=5, step=1.0)
-    g = g_from(grid, grid.points.copy())
-    with pytest.raises(ModelError, match="grid too narrow"):
-        extract_sS(g, K=1.0)
+    g = grid.points.copy()
+    with pytest.raises(ModelError, match=r"grid too narrow.*\(index 0\); widen grid\.x_lo"):
+        extract_sS(grid, g, K=1.0)
+    with pytest.raises(ModelError, match=r"grid too narrow.*\(index 5\); widen grid\.x_hi"):
+        extract_sS(grid, -g, K=1.0)
 
 
-def test_extract_level_set_guarantees(discounted_a_09):
+def test_extract_level_set_guarantees(instance_a, discounted_a_09):
     g = discounted_a_09.g
     pol = discounted_a_09.policy
     K = 2.0
-    s_idx = g.grid.index_of(pol.s)
-    S_idx = g.grid.index_of(pol.S)
-    level = K + g.values[S_idx]
-    assert g.values[s_idx] <= level + 1e-9
-    assert np.all(g.values[:s_idx] > level)
+    s_idx = instance_a.grid.index_of(pol.s)
+    S_idx = instance_a.grid.index_of(pol.S)
+    level = K + g[S_idx]
+    assert g[s_idx] <= level + 1e-9
+    assert np.all(g[:s_idx] > level)
 
 
-def test_instance_a_g_threshold_structure(discounted_a_09):
+def test_instance_a_g_threshold_structure(instance_a, discounted_a_09):
     # decreasing left tail up to s, and no-order region to the right of s
-    vals = discounted_a_09.g.values
-    s_idx = discounted_a_09.g.grid.index_of(discounted_a_09.policy.s)
+    vals = discounted_a_09.g
+    s_idx = instance_a.grid.index_of(discounted_a_09.policy.s)
     assert np.all(np.diff(vals[: s_idx + 1]) <= 1e-9)
     for i in range(s_idx, vals.size):
         assert np.all(vals[i] <= vals[i:] + 2.0 + 1e-9)
@@ -149,23 +146,23 @@ def test_instance_a_g_threshold_structure(discounted_a_09):
 
 def test_convex_implies_k_convex():
     grid = Grid(x_lo=-8, x_hi=8, step=1.0)
-    g = g_from(grid, grid.points**2)
+    g = grid.points**2
     for K in (0.0, 1.0, 10.0):
-        assert is_K_convex(g, K).verdict
+        assert is_K_convex(grid, g, K).verdict
 
 
 def test_step_down_of_height_K_passes():
     grid = Grid(x_lo=-8, x_hi=8, step=1.0)
     K = 3.0
     vals = np.where(grid.points < 0, K, 0.0)
-    assert is_K_convex(g_from(grid, vals), K).verdict
+    assert is_K_convex(grid, vals, K).verdict
 
 
 def test_step_down_of_height_K_plus_one_fails():
     grid = Grid(x_lo=-8, x_hi=8, step=1.0)
     K = 3.0
     vals = np.where(grid.points < 0, K + 1.0, 0.0)
-    rep = is_K_convex(g_from(grid, vals), K)
+    rep = is_K_convex(grid, vals, K)
     assert not rep.verdict
     x, m, y = rep.worst_triple
     assert x < m < 0 <= y  # violating triple straddles the jump
@@ -175,7 +172,7 @@ def test_step_down_of_height_K_plus_one_fails():
 
 def test_k_convex_short_grids_trivial():
     grid = Grid(x_lo=0, x_hi=1, step=1.0)
-    assert is_K_convex(g_from(grid, [1.0, 0.0]), 0.0).verdict
+    assert is_K_convex(grid, [1.0, 0.0], 0.0).verdict
 
 
 @st.composite
@@ -205,7 +202,7 @@ def k_convexity_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_k_convexity_matches_triple_scan(case):
     grid, vals, K = case
-    rep = is_K_convex(g_from(grid, vals), K)
+    rep = is_K_convex(grid, vals, K)
     worst, _ = oracle_k_convexity(vals, grid.points, K)
     assert abs(rep.worst_violation - worst) <= 1e-12
     if abs(worst - rep.tol) > 1e-12:
@@ -246,7 +243,7 @@ def test_k_convexity_blocks_equal_row_scan(n, K, kind, decimals, cells, data):
     if decimals is not None:
         vals = np.round(vals, decimals)  # repeated values make tied triples
     with mock.patch.object(policy, "KCONVEX_BLOCK", cells):
-        rep = is_K_convex(g_from(grid, vals), K)
+        rep = is_K_convex(grid, vals, K)
     worst, triple = oracle_k_convexity_rows(vals, grid.points, K)
     assert rep.worst_violation == worst
     assert rep.worst_triple == triple
@@ -258,10 +255,10 @@ def test_k_convexity_memory_is_linear_per_row():
 
     grid = Grid(x_lo=-10.0, x_hi=10.0, step=0.01)
     assert grid.n == 2001
-    g = g_from(grid, grid.points**2 + 3.0 * (grid.points < 0))
+    g = grid.points**2 + 3.0 * (grid.points < 0)
     tracemalloc.start()
     try:
-        rep = is_K_convex(g, 1.0)
+        rep = is_K_convex(grid, g, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -282,7 +279,7 @@ def test_k_convexity_of_random_convex_functions(d2, K):
     slopes = np.cumsum([-sum(d2) / 2.0] + d2)
     vals = np.concatenate(([0.0], np.cumsum(slopes)))
     grid = Grid(x_lo=0, x_hi=n - 1, step=1.0)
-    assert is_K_convex(g_from(grid, vals), K).verdict
+    assert is_K_convex(grid, vals, K).verdict
 
 
 @given(
@@ -306,8 +303,8 @@ def test_k_convexity_closure_under_demand_expectation(d2, K, frac, theta):
     demand = DemandDistribution.from_atoms([(0, 0.3), (1, 0.4), (3, 0.3)])
     direct = g_fn(grid.points)
     shifted = sum(p * g_fn(grid.points - d) for d, p in zip(demand.values, demand.probs))
-    assert is_K_convex(g_from(grid, direct), K).verdict
-    assert is_K_convex(g_from(grid, shifted), K).verdict
+    assert is_K_convex(grid, direct, K).verdict
+    assert is_K_convex(grid, shifted, K).verdict
 
 
 @given(
@@ -324,10 +321,9 @@ def test_extract_threshold_structure_on_k_convex_inputs(d2, K, frac, theta):
     )
     vals = conv + frac * K * (xs < theta)
     grid = Grid(x_lo=-10, x_hi=10, step=1.0, integer_mode=True)
-    g = g_from(grid, vals)
-    assert is_K_convex(g, K).verdict
+    assert is_K_convex(grid, vals, K).verdict
     try:
-        pol = extract_sS(g, K)
+        pol = extract_sS(grid, vals, K)
     except ModelError:
         return  # boundary argmin; nothing to assert
     s_idx, S_idx = grid.index_of(pol.s), grid.index_of(pol.S)
@@ -344,17 +340,17 @@ def test_extract_threshold_structure_on_k_convex_inputs(d2, K, frac, theta):
 
 def test_zero_setup_stub(zero_stub):
     zs = solve_zero_setup(zero_stub, 0.9, tol=1e-10)
-    assert np.all(zs.v0.values == 0.0)
+    assert np.all(zs.v0 == 0.0)
     assert zs.convexity.verdict
 
 
 def test_zero_setup_base_stock(instance_a, zero_setup_a_09):
-    pol = extract_sS(zero_setup_a_09.g0, K=0.0)
+    pol = extract_sS(instance_a.grid, zero_setup_a_09.g0, K=0.0)
     assert pol.s == pol.S
 
 
 def test_zero_setup_below_full_value(instance_a, solve_a_09, zero_setup_a_09):
-    assert np.all(zero_setup_a_09.v0.values <= solve_a_09.value.values + 1e-8)
+    assert np.all(zero_setup_a_09.v0 <= solve_a_09.value + 1e-8)
 
 
 # ------------------------------------------------------- finite-horizon sS
@@ -378,8 +374,8 @@ def test_finite_horizon_base_stock_when_K_zero(instance_a):
 def test_finite_horizon_single_step_construction(instance_a, zero_setup_a_09):
     # the t=0 stage function is c_bar x + E h(x-D) + alpha E v0(x-D)
     res = finite_horizon_sS(instance_a, 0.9, 1, tol=1e-8, terminal=zero_setup_a_09.terminal())
-    g0 = build_G(instance_a, zero_setup_a_09.v0, 0.9, kind="finite_t", t=0)
-    direct = extract_sS(g0, instance_a.K)
+    g0 = build_G(instance_a, zero_setup_a_09.v0, 0.9)
+    direct = extract_sS(instance_a.grid, g0, instance_a.K)
     assert res.policies[0].pair() == direct.pair()
 
 
@@ -417,7 +413,6 @@ def test_average_instance_a(average_a):
     assert not average_a.degenerate
     assert average_a.settled and average_a.bounded_ok
     assert average_a.optimality.passes
-    assert average_a.policy.context == "average"
 
 
 # ------------------------------------------------------------------- slope
@@ -447,13 +442,13 @@ def test_slope_condition_fails_flat_h(zero_stub):
 def test_g_chain_ordering(instance_a, solve_a_09, zero_setup_a_09):
     alpha = 0.9
     fin = solve_finite(instance_a, 30, zero_setup_a_09.terminal(), alpha)
-    g_alpha = build_G(instance_a, solve_a_09.value, alpha, kind="infinite")
-    prev = zero_setup_a_09.g0.values
+    g_alpha = build_G(instance_a, solve_a_09.value, alpha, check_tol=G_CONSISTENCY_TOL)
+    prev = zero_setup_a_09.g0
     for t in range(30):
-        g_t = build_G(instance_a, fin.values[t], alpha, kind="finite_t", t=t).values
+        g_t = build_G(instance_a, fin.values[t], alpha)
         assert np.all(prev <= g_t + 1e-12)
         prev = g_t
-    assert np.all(prev <= g_alpha.values + 1e-8)
+    assert np.all(prev <= g_alpha + 1e-8)
 
 
 def test_ss_policy_validation():

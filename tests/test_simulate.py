@@ -75,7 +75,7 @@ def test_discounted_matches_policy_evaluation(instance_a, discounted_a_09):
     cfg = SimConfig(x0=0.0, horizon=250, n_paths=4000, seed=29, alpha=0.9, policy=pol)
     rep = simulate_discounted(instance_a, cfg)
     i0 = instance_a.grid.index_of(0.0)
-    assert abs(rep.mean - pe.values[i0]) <= 3 * rep.std_error + rep.bias_bound
+    assert abs(rep.mean - pe[i0]) <= 3 * rep.std_error + rep.bias_bound
 
 
 def test_crn_determinism(instance_a):
