@@ -486,6 +486,24 @@ def test_config_rejects_both_demand_forms(tmp_path):
         ssdp.load_model(cfg)
 
 
+# -------------------------------------------------------------- tables
+
+
+def test_value_table_validation():
+    """A value table is a plain array now; bellman_update is where it is checked."""
+    g = Grid(x_lo=0, x_hi=3, step=1.0)
+    h = PiecewiseLinear.from_breakpoints([[0, 0], [1, 0]])
+    demand = DemandDistribution.from_atoms([(0, 0.5), (1, 0.5)])
+    model = InventoryModel(K=0.0, c_bar=0.0, h=h, demand=demand, grid=g)
+    for values in (
+        np.array([0.0, 1.0, np.inf, 2.0]),
+        np.array([0.0, -1.0, 0.0, 0.0]),
+        np.zeros(3),
+    ):
+        with pytest.raises(ModelError):
+            ssdp.bellman_update(model, values, 0.9)
+
+
 # ------------------------------------------------- eps-optimal action sets
 
 
