@@ -99,7 +99,7 @@ def _recorded(out_dir: Path, manifest: RunManifest):
 
 def _output(manifest: RunManifest, out: Path, name: str, write, *args) -> None:
     write(out / name, *args)
-    manifest.add_output(out / name)
+    manifest.add_output(name)
 
 
 def _exit_code(manifest: RunManifest) -> int:

@@ -119,7 +119,7 @@ class RunManifest:
     version: str
     started_at: str
     finished_at: str = ""
-    outputs: list = field(default_factory=list)
+    outputs: list = field(default_factory=list)  # relative to the output directory
     checks: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
     extra: dict = field(default_factory=dict)

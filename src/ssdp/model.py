@@ -38,6 +38,7 @@ __all__ = [
 
 CONVEXITY_SLACK = 1e-12
 TRUNCATION_FLOOR = 1.0 - 1e-8
+EH_BUCKETS_CAP = 2**16  # most buckets in the E h knot table
 # largest n x band work array post_expectation_matrix may allocate
 OPERATOR_BAND_BYTES_CAP = 256 * 2**20
 
@@ -387,9 +388,64 @@ def _expected_h_curve(h: PiecewiseLinear, demand: DemandDistribution) -> Piecewi
     ys = np.zeros_like(knots)
     for d, p in zip(demand.values, demand.probs):
         ys += p * h(knots - d)
+    if not np.all(np.isfinite(ys)):
+        raise ModelError("cost.h is too large: E h(y - D) is not finite at its knots")
     curve = PiecewiseLinear(knots, ys)
     curve.slopes[[0, -1]] = h.slopes[[0, -1]]
     return curve
+
+
+class _KnotTable:
+    """Bucket table over a curve's knots: bitwise ``curve(x)`` without a binary search.
+
+    Guide table (Chen & Asau 1974), as in ``sample_atoms``.  Segment t of x
+    counts the knots at or below x (0 below xs[0], K at or above xs[-1]).
+    Equal buckets over [xs[0], xs[-1]], at most the smallest knot gap wide and
+    at most ``EH_BUCKETS_CAP`` of them, each hold the segment of their left
+    edge, so one step up and one down bracket x unless a bucket holds two
+    knots; those points take ``np.searchsorted``.  A value is then
+    ``slope[t] * (x - x_a) + y_a`` at the segment's anchor knot a = max(t-1, 0),
+    with the slope ``np.interp`` uses inside and the curve's end slopes outside
+    (its linear extension), and exactly y_a on a knot, as ``np.interp`` gives.
+    """
+
+    def __init__(self, curve: PiecewiseLinear):
+        xs, ys = curve.xs, curve.ys
+        span = xs[-1] - xs[0]
+        self.n_buckets = math.ceil(min(span / np.diff(xs).min(), EH_BUCKETS_CAP))
+        self.x0, self.scale, self.top = xs[0], self.n_buckets / span, self.n_buckets - 1.0
+        self.xs = xs
+        left_edges = xs[0] + np.arange(self.n_buckets) * (span / self.n_buckets)
+        guide = np.searchsorted(xs, left_edges, side="right")
+        self.guide = guide.astype(np.min_scalar_type(xs.size))  # 1 byte a bucket up to 255 knots
+        # segment t spans [lower[t], upper[t]); NaN as the last upper bound compares
+        # false with everything, +inf included, so no step goes past segment K
+        self.lower = np.concatenate(([-np.inf], xs))
+        self.upper = np.concatenate((xs, [np.nan]))
+        self.anchor_x = np.concatenate((xs[:1], xs))
+        self.anchor_y = np.concatenate((ys[:1], ys))
+        inner = np.diff(ys) / np.diff(xs)
+        self.slope = np.concatenate((curve.slopes[:1], inner, curve.slopes[-1:]))
+
+    def __call__(self, x) -> np.ndarray:
+        arr = np.asarray(x, dtype=float)
+        out = np.empty(arr.shape)
+        for v, o in zip(_chunks(arr), _chunks(out)):
+            b = v - self.x0
+            b *= self.scale
+            np.fmin(np.fmax(b, 0.0, out=b), self.top, out=b)  # fmax/fmin map NaN into range
+            t = self.guide.take(b.astype(np.intp)).astype(np.intp)
+            t += self.upper.take(t) <= v
+            t -= self.lower.take(t) > v
+            off = (self.lower.take(t) > v) | (self.upper.take(t) <= v)
+            if off.any():
+                t[off] = np.searchsorted(self.xs, v[off], side="right")
+            dx = v - self.anchor_x.take(t)
+            np.multiply(self.slope.take(t), dx, out=o)
+            y = self.anchor_y.take(t)
+            o += y
+            np.copyto(o, y, where=dx == 0)
+        return float(out) if arr.ndim == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,10 +466,16 @@ class InventoryModel:
     demand: DemandDistribution
     grid: Grid
 
+    # costs that overflow are named by their field below, not warned about
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self) -> None:
         for name in ("K", "c_bar"):
             if not finite_number(getattr(self, name), f"cost.{name}") >= 0:
                 raise ModelError(f"cost.{name} must be nonnegative, got {getattr(self, name)}")
+        if not np.all(np.isfinite(self.c_bar * self.grid.points)):
+            raise ModelError(
+                f"cost.c_bar {self.c_bar} is too large: c_bar * x is not finite on the grid"
+            )
         if not self.h.is_convex():
             raise ModelError("holding/backorder cost h must be convex")
         try:
@@ -453,14 +515,20 @@ class InventoryModel:
             "coercive_right": bool(h_norm.slopes[-1] > 0),
         }
         object.__setattr__(self, "h_flags", flags)
-        object.__setattr__(self, "eh_curve", _expected_h_curve(h_norm, self.demand))
+        curve = _expected_h_curve(h_norm, self.demand)
+        if not np.all(np.isfinite(curve(self.grid.points))):
+            raise ModelError("cost.h is too large: E h(x - D) is not finite on the grid")
+        object.__setattr__(self, "eh_curve", curve)
 
     h_shift: tuple = field(init=False, default=(0.0, 0.0))
     # h_flags: dict and eh_curve: PiecewiseLinear, filled in __post_init__
 
     def expected_h(self, x_post) -> np.ndarray:
-        """E h(x_post - D), exact over atoms, unclamped."""
-        return self.eh_curve(x_post)
+        """E h(x_post - D), exact over atoms, unclamped: bitwise ``eh_curve(x_post)``,
+        read from a bucket table of its knots built on first use."""
+        return self._eh_table(x_post)
+
+    _eh_table = cached_property(lambda self: _KnotTable(self.eh_curve))
 
     def order_cost(self, a) -> np.ndarray:
         arr = np.asarray(a, dtype=float)

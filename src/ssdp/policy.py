@@ -203,15 +203,14 @@ def is_K_convex(grid: Grid, g: np.ndarray, K: float) -> KConvexityReport:
 
 @dataclass(eq=False)
 class ZeroSetupResult:
-    """K = 0 companion solve: terminal value v0 and its (certified convex) G."""
+    """K = 0 companion solve: terminal value v0 (``solve.value``) and its (certified convex) G."""
 
-    v0: np.ndarray
     g0: np.ndarray
     convexity: KConvexityReport
     solve: SolveReport
 
     def terminal(self) -> TerminalValue:
-        return TerminalValue(values=self.v0, id="v0_alpha")
+        return TerminalValue(values=self.solve.value, id="v0_alpha")
 
 
 def solve_zero_setup(model: InventoryModel, alpha: float, tol: float = 1e-8) -> ZeroSetupResult:
@@ -231,7 +230,7 @@ def solve_zero_setup(model: InventoryModel, alpha: float, tol: float = 1e-8) -> 
             f"zero-setup G must be convex; worst violation {conv.worst_violation:.3e} "
             f"at {conv.worst_triple}"
         )
-    return ZeroSetupResult(v0=report.value, g0=g0, convexity=conv, solve=report)
+    return ZeroSetupResult(g0=g0, convexity=conv, solve=report)
 
 
 @dataclass(eq=False)

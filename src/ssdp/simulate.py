@@ -1,19 +1,22 @@
 """Monte-Carlo policy evaluation: the independent check on the DP output.
 
 Two chains run on the same demand draws, carried as one matrix of atom
-indices (``DemandDistribution.sample_atoms``, uint8 for up to 256 atoms)
-whose values are gathered one block of steps at a time.  The continuous
-chain steps unclamped real-valued states even when the policy came from a
-grid, so a disagreement with the DP beyond the confidence interval points
-at grid truncation; per-step costs use the exact model cost
-c(x, a) = K 1{a>0} + c_bar a + E h(x + a - D) (atom-exact expectation), so
-the one-step cost is deterministic given (x, a).  The grid chain, run by
-``simulate_average`` for policies that stay on the lattice, is the Markov
-chain the DP solves: grid-index states, the kernel's own split of each
-demand draw between two neighbouring grid points, clamping at x_lo, and
-step cost order cost + ``model.eh[post]``.  The split is tabled once per
-policy for every (state, atom) pair, so a step is two table lookups.  The
-sweep's Monte-Carlo check compares its mean with the exact w(s,S) of
+indices (``DemandDistribution.sample_atoms``, uint8 for up to 256 atoms).
+The continuous chain steps unclamped real-valued states even when the
+policy came from a grid, so a disagreement with the DP beyond the
+confidence interval points at grid truncation.  It gathers a block of
+``BLOCK`` steps' demand values into the state rows those steps overwrite,
+steps the block, then prices it in one pass with the exact model cost
+c(x, a) = K 1{a>0} + c_bar a + E h(x + a - D): one ``model.expected_h``
+call per block, which reads E h from the model's bucket table of its knots,
+bitwise as ``np.interp`` on ``eh_curve``.  The one-step cost is thus
+deterministic given (x, a).  The grid chain, run by ``simulate_average``
+for policies that stay on the lattice, is the Markov chain the DP solves:
+grid-index states, the kernel's own split of each demand draw between two
+neighbouring grid points, clamping at x_lo, and step cost order cost +
+``model.eh[post]``.  The split is tabled once per policy for every (atom,
+state) pair, so a step is one index sum and two table lookups.  The sweep's
+Monte-Carlo check compares its mean with the exact w(s,S) of
 ``average.exact_average_cost``; ``compare_policies`` runs the continuous
 chain alone.
 """
@@ -76,7 +79,8 @@ def policy_fn(policy, model: InventoryModel) -> tuple[Callable[[np.ndarray], np.
         return (lambda x: np.maximum(lvl - x, 0.0)), f"order_up_to({lvl})"
     if hasattr(policy, "s") and hasattr(policy, "S"):
         s, S = float(policy.s), float(policy.S)
-        return (lambda x: np.where(x < s, S - x, 0.0)), f"sS(s={s},S={S})"
+        # -0.0 above S: x + -0.0 is x and its order cost is 0.0, as with an order of 0.0
+        return (lambda x: (S - x) * (x < s)), f"sS(s={s},S={S})"
     if isinstance(policy, PolicyTable):
         chosen = policy.chosen
 
@@ -130,18 +134,22 @@ def _run_paths(
     xb[0] = cfg.x0
     ss_ok = True if is_ss else None
     for t0 in range(0, horizon, BLOCK):
-        d = model.demand.values.take(atoms[:, t0 : t0 + BLOCK].T)
-        width = d.shape[0]
-        for k in range(width):
-            ab[k] = fn(xb[k])
-            np.add(xb[k], ab[k], out=pb[k])
-            np.subtract(pb[k], d[k], out=xb[k + 1])
+        block = atoms[:, t0 : t0 + BLOCK].T
+        width = block.shape[0]
+        # the block's demands wait in the state rows that their steps overwrite
+        # (atom indices are in range; "clip" lets take() write to out unbuffered)
+        model.demand.values.take(block, out=xb[1 : width + 1], mode="clip")
+        for x, a, post, x_next in zip(xb, ab, pb, xb[1 : width + 1]):
+            a[:] = fn(x)
+            np.add(x, a, out=post)
+            np.subtract(post, x_next, out=x_next)
         xs, a, post = xb[:width], ab[:width], pb[:width]
-        costs[:, t0 : t0 + width] = (model.order_cost(a) + model.expected_h(post)).T
         if ss_ok and (
             not np.array_equal(a > 0, xs < policy.s) or np.any(post > policy.S + 1e-9)
         ):
             ss_ok = False
+        cost = costs[:, t0 : t0 + width].T
+        np.add(model.order_cost(a), model.expected_h(post), out=cost)
         xb[0] = xb[width]
     return costs, float(costs.max()) if costs.size else 0.0, ss_ok
 
@@ -155,7 +163,7 @@ def _run_grid_chain(
     lattice from some grid state.  The chain reuses the continuous chain's
     demand draws.  Each step splits x_post - d between the two grid points
     around it with the weights ``post_expectation_matrix`` uses, computed
-    once per (state, atom) by the same float operations; the uniforms that
+    once per (atom, state) by the same float operations; the uniforms that
     pick the side come from a child stream of ``cfg.seed``, drawn per block.
     """
     g = model.grid
@@ -167,27 +175,30 @@ def _run_grid_chain(
         return None
     idx = np.arange(g.n)
     cost = model.one_step_cost(idx, steps)
-    # row-major [state, atom]: pos = (x_post - d - x_lo) / step clamped to [0, n-1]
-    pos = g.points[idx + steps][:, None] - model.demand.values
+    # row-major [atom, state]: pos = (x_post - d - x_lo) / step clamped to [0, n-1]
+    pos = g.points[idx + steps] - model.demand.values[:, None]
     pos -= g.x_lo
     pos /= g.step
     np.clip(pos, 0.0, g.n - 1.0, out=pos)
     lower = pos.astype(np.intp)  # floor, as pos >= 0
     np.minimum(lower, g.n - 2, out=lower)
     weight = pos - lower  # of the upper neighbour; take() reads both tables flat
-    m = model.demand.n_atoms
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     n, horizon = atoms.shape
     state = np.full(n, start)
     total = np.zeros(n)
+    j, up = np.empty(n, dtype=np.intp), np.empty(n, dtype=bool)
     for t0 in range(0, horizon, BLOCK):
-        a = atoms[:, t0 : t0 + BLOCK].T.copy()
-        u = rng.random(a.shape)
-        for k in range(a.shape[0]):
-            if t0 + k >= burn:
+        offsets = atoms[:, t0 : t0 + BLOCK].T.astype(np.intp)
+        offsets *= g.n  # flat index of (atom, state 0)
+        u = rng.random(offsets.shape)
+        for k, (offset, uk) in enumerate(zip(offsets, u), start=t0):
+            if k >= burn:
                 total += cost.take(state)
-            j = state * m + a[k]
-            state = lower.take(j) + (u[k] < weight.take(j))
+            np.add(offset, state, out=j)
+            lower.take(j, out=state, mode="clip")
+            np.less(uk, weight.take(j), out=up)
+            state += up
     return total / (horizon - burn)
 
 

@@ -4,7 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from ssdp.dp import TerminalValue, solve_finite, solve_infinite
+from ssdp.model import InventoryModel, ModelError
+
+from conftest import make_exponential
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 INSTANCE_A = CONFIGS / "instance_a.json"
@@ -29,7 +35,7 @@ def test_solve_happy_path(tmp_path):
     assert manifest["checks"]["k_convex"]["passed"]
     assert manifest["s"] == 1.0 and manifest["S"] == 2.0
     for f in manifest["outputs"]:
-        assert Path(f).exists()
+        assert not Path(f).is_absolute() and (out / f).exists()
     header = (out / "value.csv").read_text().splitlines()[0]
     assert header == "x,v,chosen_action,n_eps_optimal"
     meta = json.loads((out / "value_meta.json").read_text())
@@ -151,32 +157,64 @@ def test_verify_brute_force_on_401_points(tmp_path):
     assert manifest["checks"]["brute_force_sS.no_better_pair"]["passed"]
 
 
-def test_solve_overflowing_costs_exit_2(tmp_path):
-    # c_bar x overflows to inf on the grid: value iteration stops at its first sweep
+def _huge_c_bar(tmp_path):
     cfg = json.loads(EXPONENTIAL.read_text())
     cfg["cost"]["c_bar"] = 1e308
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(cfg))
+    return path
+
+
+def _unchecked_twin(model, **fields):
+    """``model`` with ``fields`` replaced and no validation, as solve_zero_setup makes its twin."""
+    twin = object.__new__(InventoryModel)
+    vars(twin).update(vars(model), **fields)
+    return twin
+
+
+def test_solve_overflowing_costs_exit_2(tmp_path):
+    # c_bar x overflows to inf on the grid: the config is rejected at load,
+    # naming the field, before numpy can warn about it
+    path = _huge_c_bar(tmp_path)
     r = run_cli("solve", path, "--alpha", "0.9", "--out", tmp_path / "o")
     assert r.returncode == 2
-    assert "value iteration: span bound nan at sweep 1" in r.stderr
-    assert "state index 0 has T v - v = nan" in r.stderr
+    assert "config error: cost.c_bar 1e+308 is too large" in r.stderr
+    assert "RuntimeWarning" not in r.stderr
+    # an unchecked model still stops value iteration at its first sweep
+    huge = _unchecked_twin(make_exponential(), c_bar=1e308)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ModelError) as err:
+        solve_infinite(huge, 0.9)
+    assert "value iteration: span bound nan at sweep 1" in str(err.value)
+    assert "state index 0 has T v - v = nan" in str(err.value)
 
 
 def test_finite_horizon_overflowing_costs_name_the_stage(tmp_path):
-    # backward induction from F = 0 overflows in its first update
-    cfg = json.loads(EXPONENTIAL.read_text())
-    cfg["cost"]["c_bar"] = 1e308
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps(cfg))
+    path = _huge_c_bar(tmp_path)
     out = tmp_path / "o"
     r = run_cli("solve", path, "--alpha", "0.9", "--horizon", "3", "--terminal", "zero",
                 "--out", out)
     assert r.returncode == 2
-    note = ("stage value v_1 (alpha=0.9) must be finite and nonnegative; "
-            "x=-15.0 (index 0) has v = nan")
-    assert f"config error: {note}" in r.stderr
-    assert json.loads((out / "manifest.json").read_text())["notes"] == [f"ModelError: {note}"]
+    assert "RuntimeWarning" not in r.stderr
+    note = json.loads((out / "manifest.json").read_text())["notes"]
+    assert note == ["ModelError: cost.c_bar 1e+308 is too large: c_bar * x is not finite on the grid"]
+    # on an unchecked model, backward induction from F = 0 overflows in its
+    # first update and names that stage
+    huge = _unchecked_twin(make_exponential(), c_bar=1e308)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ModelError) as err:
+        solve_finite(huge, 3, TerminalValue.zero(huge.grid), 0.9)
+    assert str(err.value) == ("stage value v_1 (alpha=0.9) must be finite and nonnegative; "
+                              "x=-15.0 (index 0) has v = nan")
+
+
+def test_overflowing_expected_h_names_cost_h(tmp_path):
+    cfg = json.loads(EXPONENTIAL.read_text())
+    cfg["cost"]["h"]["breakpoints"] = [[-1, 0], [0, 0], [1, 2e307]]
+    path = tmp_path / "huge_h.json"
+    path.write_text(json.dumps(cfg))
+    r = run_cli("solve", path, "--alpha", "0.9", "--out", tmp_path / "o")
+    assert r.returncode == 2
+    assert "config error: cost.h is too large: E h(y - D) is not finite" in r.stderr
+    assert "RuntimeWarning" not in r.stderr
 
 
 def test_bad_config_keys_rejected(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import ssdp
 from ssdp.model import (
     ContinuousDemand,
+    EH_BUCKETS_CAP,
     DemandDistribution,
     Grid,
     InventoryModel,
@@ -270,6 +271,56 @@ def test_expected_h_curve_matches_atom_sum(case, data):
     y = np.array([lo - far, hi + far, *inside])
     ref = sum(p * h(y - d) for d, p in zip(demand.values, demand.probs))
     assert np.all(np.abs(curve(y) - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
+
+@st.composite
+def eh_models(draw):
+    """Models whose E h knots may sit as close as 1e-12 (past the bucket cap):
+    two demand atoms that close give every E h knot a twin that close."""
+    n_bp = draw(st.integers(3, 5))
+    gaps = draw(st.lists(st.floats(0.01, 3.0), min_size=n_bp - 1, max_size=n_bp - 1))
+    xs = draw(st.floats(-3.0, 0.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
+    slopes = sorted(draw(st.lists(st.floats(-4.0, 4.0), min_size=n_bp - 1, max_size=n_bp - 1)))
+    slopes[0], slopes[-1] = min(slopes[0], -0.5), max(slopes[-1], 0.5)
+    ys = np.concatenate(([0.0], np.cumsum(np.multiply(slopes, gaps))))
+    n_atoms = draw(st.integers(1, 5))
+    atom_gaps = draw(st.lists(st.one_of(st.floats(1e-12, 1e-9), st.floats(0.01, 3.0)),
+                              min_size=n_atoms - 1, max_size=n_atoms - 1))
+    values = draw(st.floats(0.0, 2.0)) + np.concatenate(([0.0], np.cumsum(atom_gaps)))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n_atoms, max_size=n_atoms))
+    demand = DemandDistribution.from_atoms(zip(values, np.divide(weights, sum(weights))))
+    return InventoryModel(K=1.0, c_bar=1.0, h=PiecewiseLinear(xs, ys), demand=demand,
+                          grid=Grid(-8.0, 8.0, 0.5))
+
+
+@given(model=eh_models(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_expected_h_is_bitwise_the_interpolated_curve(model, data):
+    # the bucket table against np.interp: on knots and their float neighbours,
+    # beyond both ends, far out, infinite, and across more than one 8,192-point chunk
+    knots = model.eh_curve.xs
+    inside = data.draw(st.lists(st.floats(knots[0] - 5.0, knots[-1] + 5.0), max_size=40))
+    x = np.concatenate((
+        knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+        [knots[0] - 1.0, knots[-1] + 1.0, -1e6, 1e6, -np.inf, np.inf], inside,
+    ))
+    x = np.resize(x, (3, 3001))
+    got, want = model.expected_h(x), model.eh_curve(x)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert model.expected_h(float(x[0, -1])) == model.eh_curve(float(x[0, -1]))
+
+
+def test_expected_h_bucket_cap_on_close_knots():
+    # atoms 1e-12 apart give E h knot gaps of 1e-12: the table stops at the
+    # cap, and the points between twin knots take the searchsorted fallback
+    demand = DemandDistribution.from_atoms([(1.0, 0.5), (1.0 + 1e-12, 0.5)])
+    model = InventoryModel(K=1.0, c_bar=1.0, h=make_instance_a().h, demand=demand,
+                           grid=Grid(-8.0, 8.0, 0.5))
+    knots = model.eh_curve.xs
+    assert np.diff(knots).min() < 2e-12
+    assert model._eh_table.n_buckets == EH_BUCKETS_CAP
+    x = np.concatenate((knots, knots[:-1] + 0.5 * np.diff(knots), model.grid.points))
+    assert model.expected_h(x).tobytes() == model.eh_curve(x).tobytes()
 
 
 # ------------------------------------------------------------------- cost

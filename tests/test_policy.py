@@ -340,7 +340,7 @@ def test_extract_threshold_structure_on_k_convex_inputs(d2, K, frac, theta):
 
 def test_zero_setup_stub(zero_stub):
     zs = solve_zero_setup(zero_stub, 0.9, tol=1e-10)
-    assert np.all(zs.v0 == 0.0)
+    assert np.all(zs.solve.value == 0.0)
     assert zs.convexity.verdict
 
 
@@ -350,7 +350,7 @@ def test_zero_setup_base_stock(instance_a, zero_setup_a_09):
 
 
 def test_zero_setup_below_full_value(instance_a, solve_a_09, zero_setup_a_09):
-    assert np.all(zero_setup_a_09.v0 <= solve_a_09.value + 1e-8)
+    assert np.all(zero_setup_a_09.solve.value <= solve_a_09.value + 1e-8)
 
 
 # ------------------------------------------------------- finite-horizon sS
@@ -374,7 +374,7 @@ def test_finite_horizon_base_stock_when_K_zero(instance_a):
 def test_finite_horizon_single_step_construction(instance_a, zero_setup_a_09):
     # the t=0 stage function is c_bar x + E h(x-D) + alpha E v0(x-D)
     res = finite_horizon_sS(instance_a, 0.9, 1, tol=1e-8, terminal=zero_setup_a_09.terminal())
-    g0 = build_G(instance_a, zero_setup_a_09.v0, 0.9)
+    g0 = build_G(instance_a, zero_setup_a_09.solve.value, 0.9)
     direct = extract_sS(instance_a.grid, g0, instance_a.K)
     assert res.policies[0].pair() == direct.pair()
 

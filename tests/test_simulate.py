@@ -145,14 +145,14 @@ def test_unknown_policy_rejected(instance_a):
 
 def _stepwise_costs(model, cfg, demands, policy):
     """Reference: the continuous chain with every cost evaluated step by step
-    from the demand values (paths x steps)."""
+    from the demand values (paths x steps), E h by ``np.interp`` on its curve."""
     fn, _ = policy_fn(policy, model)
     x = np.full(demands.shape[0], float(cfg.x0))
     costs = np.empty(demands.shape)
     for t in range(demands.shape[1]):
         a = fn(x)
         post = x + a
-        costs[:, t] = model.order_cost(a) + model.expected_h(post)
+        costs[:, t] = model.order_cost(a) + model.eh_curve(post)
         x = post - demands[:, t]
     return costs
 
