@@ -195,8 +195,9 @@ def test_finite_horizon_overflowing_costs_name_the_stage(tmp_path):
                 "--out", out)
     assert r.returncode == 2
     assert "RuntimeWarning" not in r.stderr
-    note = json.loads((out / "manifest.json").read_text())["notes"]
-    assert note == ["ModelError: cost.c_bar 1e+308 is too large: c_bar * x is not finite on the grid"]
+    notes = json.loads((out / "manifest.json").read_text())["notes"]
+    assert notes == ["ModelError: cost.c_bar 1e+308 is too large: "
+                     "c_bar * x is not finite on the grid"]
     # on an unchecked model, backward induction from F = 0 overflows in its
     # first update and names that stage
     huge = _unchecked_twin(make_exponential(), c_bar=1e308)
