@@ -18,7 +18,10 @@ Runs are sequential; a full set of 10 pairs of 30-second runs takes about
 least nine tenths of the pairs and the medians differ by more than the
 parent's interquartile range; it counts as worsened, the mirror image,
 when the change is worse in at least nine tenths of the pairs and the
-medians differ by more than the parent's interquartile range.
+medians differ by more than the parent's interquartile range.  Each metric
+also records the relative change of the median, (change - parent) / parent,
+and whether it is worse than the parent by more than the metric's ``bound``
+in ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -86,9 +89,10 @@ def quartiles(values: list[float]) -> dict:
             "spread": (q3 - q1) / med if med else None}
 
 
-def summarize(runs: list[dict], better: dict) -> dict:
+def summarize(runs: list[dict], declared: list[dict]) -> dict:
     out = {}
-    for name, direction in better.items():
+    for metric in declared:
+        name, direction = metric["name"], metric["better"]
         by_seed = {}
         for r in runs:
             by_seed.setdefault(r["seed"], {})[r["side"]] = r["metrics"][name]
@@ -100,6 +104,7 @@ def summarize(runs: list[dict], better: dict) -> dict:
         losses = sum(sign * (p - c) < 0 for p, c in pairs)
         gain = sign * (parent["median"] - change["median"])
         decisive = 0.9 * len(pairs)
+        rel = (change["median"] - parent["median"]) / parent["median"] if parent["median"] else None
         out[name] = {
             "better": direction,
             "parent": parent,
@@ -108,6 +113,9 @@ def summarize(runs: list[dict], better: dict) -> dict:
             "change_better_pairs": wins,
             "change_worse_pairs": losses,
             "median_ratio": parent["median"] / change["median"] if change["median"] else None,
+            "median_rel_change": rel,
+            "bound": metric["bound"],
+            "beyond_bound": rel is not None and sign * rel > metric["bound"],
             "improved": wins >= decisive and gain > parent["iqr"],
             "worsened": losses >= decisive and -gain > parent["iqr"],
         }
@@ -126,7 +134,6 @@ def main() -> int:
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = args.seconds if args.seconds is not None else declared["run_seconds"]
-    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
     seeds = parse_seeds(args.seeds)
     label = args.label or args.workload
     runs: list[dict] = []
@@ -162,7 +169,7 @@ def main() -> int:
                             "failed": sum(r["failed"] for r in runs if r["side"] == side),
                             "all_correct": all(r["correct"] for r in runs if r["side"] == side)}
                      for side in ("parent", "change")},
-        "summary": summarize(runs, better),
+        "summary": summarize(runs, declared["end_to_end"]),
         "runs": [{k: r[k] for k in ("seed", "side", "ran_first", "correct", "attempted",
                                     "failed", "metrics")} for r in runs],
     }
@@ -172,6 +179,8 @@ def main() -> int:
         print(f"{name:12s} parent {s['parent']['median']:.4g} (IQR {s['parent']['iqr']:.3g})  "
               f"change {s['change']['median']:.4g} (IQR {s['change']['iqr']:.3g})  "
               f"change better in {s['change_better_pairs']}/{len(seeds)}  "
+              f"median change {s['median_rel_change']:+.2%} (bound {s['bound']:.0%}, "
+              f"beyond={s['beyond_bound']})  "
               f"improved={s['improved']} worsened={s['worsened']}")
     print(f"wrote {path}")
     return 0

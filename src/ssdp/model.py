@@ -252,10 +252,10 @@ class DemandDistribution:
         Guide table (Chen & Asau 1974; Devroye 1986, III.2.4): the atom k of
         level b / (4 atoms) is stepped until edges[k] < u <= edges[k + 1].
         """
-        u = rng.random(size)
         edges, guide = self._guide
-        atoms = np.empty(u.shape, dtype=np.min_scalar_type(self.n_atoms - 1))
-        for v, out in zip(_chunks(u), _chunks(atoms)):
+        atoms = np.empty(size, dtype=np.min_scalar_type(self.n_atoms - 1))
+        for out in _chunks(atoms):
+            v = rng.random(out.size)  # chunk by chunk, the stream of one rng.random(size)
             k = guide[(v * (guide.size - 1)).astype(np.intp)]
             while (up := edges[k + 1] < v).any():
                 k += up
@@ -516,12 +516,19 @@ class InventoryModel:
         }
         object.__setattr__(self, "h_flags", flags)
         curve = _expected_h_curve(h_norm, self.demand)
-        if not np.all(np.isfinite(curve(self.grid.points))):
+        eh = curve(self.grid.points)  # np.interp on sorted points: no bucket table
+        if not np.all(np.isfinite(eh)):
             raise ModelError("cost.h is too large: E h(x - D) is not finite on the grid")
+        # K and c_bar are nonnegative, so every one-step cost is nonnegative exactly when E h is
+        if np.any(eh < -1e-12):
+            raise ModelError("expected holding cost E h is negative on the grid")
+        eh.flags.writeable = False
         object.__setattr__(self, "eh_curve", curve)
+        object.__setattr__(self, "eh", eh)
 
     h_shift: tuple = field(init=False, default=(0.0, 0.0))
-    # h_flags: dict and eh_curve: PiecewiseLinear, filled in __post_init__
+    # filled in __post_init__: h_flags (dict), eh_curve (PiecewiseLinear) and
+    # eh, E h(x_j - D) at every grid point (read-only)
 
     def expected_h(self, x_post) -> np.ndarray:
         """E h(x_post - D), exact over atoms, unclamped: bitwise ``eh_curve(x_post)``,
@@ -534,19 +541,6 @@ class InventoryModel:
         arr = np.asarray(a, dtype=float)
         out = self.K * (arr > 0) + self.c_bar * arr
         return float(out) if arr.ndim == 0 else out
-
-    @cached_property
-    def eh(self) -> np.ndarray:
-        """E h(x_j - D) at every grid point, computed once per model (read-only).
-
-        Since K and c_bar are nonnegative, every one-step cost is nonnegative
-        exactly when these values are.
-        """
-        eh = self.expected_h(self.grid.points)
-        if np.any(eh < -1e-12):
-            raise ModelError("expected holding cost E h is negative on the grid")
-        eh.flags.writeable = False
-        return eh
 
     @cached_property
     def kernel(self) -> Kernel:

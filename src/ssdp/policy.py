@@ -151,6 +151,7 @@ class KConvexityReport:
     K: float
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a g that swamps K overflows; the verdict says so
 def is_K_convex(grid: Grid, g: np.ndarray, K: float) -> KConvexityReport:
     """Definitional K-convexity check over all grid triples x < m < y.
 
@@ -221,7 +222,7 @@ def solve_zero_setup(model: InventoryModel, alpha: float, tol: float = 1e-8) -> 
     """
     # K enters neither E h nor the kernel: the K = 0 twin shares them, unbuilt and unchecked again
     model0 = object.__new__(InventoryModel)
-    vars(model0).update(vars(model), K=0.0, kernel=model.kernel, eh=model.eh)
+    vars(model0).update(vars(model), K=0.0, kernel=model.kernel)
     report = solve_infinite(model0, alpha, tol=tol)
     g0 = build_G(model0, report.value, alpha, check_tol=G_CONSISTENCY_TOL)
     conv = is_K_convex(model.grid, g0, K=0.0)

@@ -1,24 +1,24 @@
 """Monte-Carlo policy evaluation: the independent check on the DP output.
 
 Two chains run on the same demand draws, carried as one matrix of atom
-indices (``DemandDistribution.sample_atoms``, uint8 for up to 256 atoms).
-The continuous chain steps unclamped real-valued states even when the
-policy came from a grid, so a disagreement with the DP beyond the
-confidence interval points at grid truncation.  It gathers a block of
-``BLOCK`` steps' demand values into the state rows those steps overwrite,
-steps the block, then prices it in one pass with the exact model cost
-c(x, a) = K 1{a>0} + c_bar a + E h(x + a - D): one ``model.expected_h``
-call per block, which reads E h from the model's bucket table of its knots,
-bitwise as ``np.interp`` on ``eh_curve``.  The one-step cost is thus
-deterministic given (x, a).  The grid chain, run by ``simulate_average``
-for policies that stay on the lattice, is the Markov chain the DP solves:
-grid-index states, the kernel's own split of each demand draw between two
-neighbouring grid points, clamping at x_lo, and step cost order cost +
-``model.eh[post]``.  The split is tabled once per policy for every (atom,
-state) pair, so a step is one index sum and two table lookups.  The sweep's
-Monte-Carlo check compares its mean with the exact w(s,S) of
-``average.exact_average_cost``; ``compare_policies`` runs the continuous
-chain alone.
+indices (``DemandDistribution.sample_atoms``, uint8 for up to 256 atoms);
+no other array grows with the horizon.  The continuous chain steps unclamped
+real-valued states even when the policy came from a grid, so a disagreement
+with the DP beyond the confidence interval points at grid truncation.  It
+gathers a block of ``BLOCK`` steps' demand values into the state rows those
+steps overwrite, steps the block, then prices it into one reused (steps,
+paths) buffer with the exact model cost c(x, a) = K 1{a>0} + c_bar a +
+E h(x + a - D), deterministic given (x, a): one ``model.expected_h`` call,
+bitwise ``eh_curve``.  Each path's total adds numpy's ``sum(axis=0)`` of the
+block's kept rows (step by step for more than one path) to the running total,
+with no BLAS call, so its bits do not depend on the BLAS build.  The grid
+chain, run by ``simulate_average`` for policies that stay on the lattice, is
+the Markov chain the DP solves: grid-index states, the kernel's own split of
+each demand draw between two neighbouring grid points (tabled once per
+policy for every (atom, state) pair), clamping at x_lo, and step cost order
+cost + ``model.eh[post]``.  The sweep's Monte-Carlo check compares its mean
+with the exact w(s,S) of ``average.exact_average_cost``; ``compare_policies``
+runs the continuous chain alone.
 """
 
 from __future__ import annotations
@@ -116,21 +116,23 @@ def _run_paths(
     cfg: SimConfig,
     atoms: np.ndarray,
     policy,
+    burn: int = 0,
+    alpha: Optional[float] = None,
 ) -> tuple[np.ndarray, float, Optional[bool]]:
-    """Step the fleet of paths; returns (per-step costs, max step cost, sS check).
+    """Step the fleet of paths; returns (per-path totals, max step cost, sS check).
 
-    States advance one step at a time into block rows of states, orders and
-    post-order states.  The step costs and the (s,S) invariant are evaluated
-    once per block of ``BLOCK`` steps from those rows; both are elementwise,
-    so every float is the one a step-by-step evaluation gives.
+    A total adds the costs of steps t >= ``burn``, times alpha^t if ``alpha`` is
+    given.  States advance one step at a time into block rows; costs and the
+    (s,S) invariant are evaluated per block from those rows, elementwise, so
+    each cost is the one a step-by-step evaluation gives.
     """
     fn, _ = policy_fn(policy, model)
     is_ss = hasattr(policy, "s") and hasattr(policy, "S") and not isinstance(policy, PolicyTable)
     n, horizon = atoms.shape
-    costs = np.empty((n, horizon))
+    total, c_max = np.zeros(n), -np.inf
     # one step per row, so each step writes contiguous memory; row k + 1 of
     # xb is the state after step k, and the last row seeds the next block
-    xb, ab, pb = np.empty((3, min(BLOCK, horizon) + 1, n))
+    xb, ab, pb, cb = np.empty((4, min(BLOCK, horizon) + 1, n))
     xb[0] = cfg.x0
     ss_ok = True if is_ss else None
     for t0 in range(0, horizon, BLOCK):
@@ -143,15 +145,19 @@ def _run_paths(
             a[:] = fn(x)
             np.add(x, a, out=post)
             np.subtract(post, x_next, out=x_next)
-        xs, a, post = xb[:width], ab[:width], pb[:width]
+        xs, a, post, cost = xb[:width], ab[:width], pb[:width], cb[:width]
         if ss_ok and (
             not np.array_equal(a > 0, xs < policy.s) or np.any(post > policy.S + 1e-9)
         ):
             ss_ok = False
-        cost = costs[:, t0 : t0 + width].T
         np.add(model.order_cost(a), model.expected_h(post), out=cost)
+        c_max = np.maximum(c_max, cost.max())
+        kept = cost[max(burn - t0, 0) :]
+        if alpha is not None:
+            kept *= (alpha ** np.arange(t0 + width - len(kept), t0 + width))[:, None]
+        total += kept.sum(axis=0)
         xb[0] = xb[width]
-    return costs, float(costs.max()) if costs.size else 0.0, ss_ok
+    return total, float(c_max), ss_ok
 
 
 def _run_grid_chain(
@@ -220,8 +226,7 @@ def _result(model: InventoryModel, cfg: SimConfig, path_stats, criterion, **extr
 def _discounted(model: InventoryModel, cfg: SimConfig, atoms: np.ndarray) -> SimResult:
     if cfg.alpha is None or not (0.0 <= cfg.alpha < 1.0):
         raise ModelError("simulate_discounted needs alpha in [0,1)")
-    costs, c_max, ss_ok = _run_paths(model, cfg, atoms, cfg.policy)
-    totals = costs @ cfg.alpha ** np.arange(cfg.horizon)
+    totals, c_max, ss_ok = _run_paths(model, cfg, atoms, cfg.policy, alpha=cfg.alpha)
     tail = (cfg.alpha**cfg.horizon) * c_max / (1.0 - cfg.alpha) if cfg.alpha > 0 else 0.0
     return _result(
         model, cfg, totals, "discounted", bias_bound=float(tail), ss_invariant_ok=ss_ok
@@ -231,10 +236,10 @@ def _discounted(model: InventoryModel, cfg: SimConfig, atoms: np.ndarray) -> Sim
 def _average(model: InventoryModel, cfg: SimConfig, atoms: np.ndarray) -> SimResult:
     if cfg.horizon < 1000:
         raise ModelError("average-cost simulation needs horizon >= 1000")
-    costs, _, ss_ok = _run_paths(model, cfg, atoms, cfg.policy)
     burn = cfg.horizon // 10
+    totals, _, ss_ok = _run_paths(model, cfg, atoms, cfg.policy, burn=burn)
     return _result(
-        model, cfg, costs[:, burn:].mean(axis=1), "average",
+        model, cfg, totals / (cfg.horizon - burn), "average",
         burn_in_used=burn, ss_invariant_ok=ss_ok,
     )
 

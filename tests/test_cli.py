@@ -207,6 +207,20 @@ def test_finite_horizon_overflowing_costs_name_the_stage(tmp_path):
                               "x=-15.0 (index 0) has v = nan")
 
 
+def test_c_bar_swamping_K_fails_k_convex_unwarned(tmp_path):
+    # c_bar passes the load check but swamps K: the certificate's slopes overflow,
+    # and the run fails at k_convex without numpy warnings
+    cfg = json.loads(EXPONENTIAL.read_text())
+    cfg["cost"]["c_bar"] = 7e306
+    path = tmp_path / "swamped.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    r = run_cli("solve", path, "--alpha", "0.9", "--out", out)
+    assert r.returncode == 4
+    assert not json.loads((out / "manifest.json").read_text())["checks"]["k_convex"]["passed"]
+    assert "RuntimeWarning" not in r.stderr
+
+
 def test_overflowing_expected_h_names_cost_h(tmp_path):
     cfg = json.loads(EXPONENTIAL.read_text())
     cfg["cost"]["h"]["breakpoints"] = [[-1, 0], [0, 0], [1, 2e307]]
@@ -319,8 +333,10 @@ def test_sweep_exponential_pinned_values(tmp_path):
     r = run_cli("sweep", EXPONENTIAL, "--seed", "3", "--out", out)
     assert r.returncode == 0, r.stderr
     row = next(csv.DictReader((out / "results.csv").open()))
-    assert float(row["mean"]) == 2.9802333422766756
-    assert float(row["std_error"]) == 0.0014108269234346382
+    # the continuous chain's per-path totals add block sums in step order (before:
+    # one pairwise sum per path, 2.9802333422766756 and 0.0014108269234346382)
+    assert float(row["mean"]) == 2.980233342276676
+    assert float(row["std_error"]) == 0.0014108269234346363
     sim = json.loads((out / "manifest.json").read_text())["checks"]["simulated_average_matches_w"]
     assert sim["grid_chain_mean"] == 2.983255119317434
 

@@ -27,6 +27,7 @@ from ssdp.model import _expected_h_curve
 from conftest import (
     CONFIGS,
     OPERATOR_MODELS,
+    make_exponential,
     make_instance_a,
     make_zero_stub,
     mpmath_gamma_atoms,
@@ -654,13 +655,18 @@ def test_policy_table_memory_is_below_n_squared():
 
 
 class _Levels:
-    """A stand-in generator whose ``random`` returns given levels."""
+    """A stand-in generator whose ``random`` hands out given levels in order, as a
+    stream does across calls (a single level repeats)."""
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=float)
+        self.used = 0
 
     def random(self, size):
-        return np.broadcast_to(self.u, size).copy() if self.u.ndim == 0 else self.u.copy()
+        if self.u.ndim == 0:
+            return np.broadcast_to(self.u, size).copy()
+        start, self.used = self.used, self.used + int(np.prod(size))
+        return self.u[start : self.used].reshape(size)
 
 
 @pytest.mark.parametrize(
@@ -697,6 +703,20 @@ def test_sample_keeps_the_generator_stream():
     u = np.random.default_rng(3).random((40, 500))
     assert draws.shape == (40, 500)
     assert np.array_equal(draws, demand.values[np.searchsorted(np.cumsum(demand.probs), u)])
+
+
+@pytest.mark.parametrize("size", [1, 8191, 8192, 8193, (3, 5000), (256, 4000)])
+@pytest.mark.parametrize("make", [make_instance_a, make_exponential])
+def test_sample_atoms_is_one_draw_of_the_stream(make, size):
+    # levels are drawn 8,192 at a time, across chunk edges: the stream of one draw
+    demand = make().demand
+    atoms = demand.sample_atoms(np.random.default_rng(3), size)
+    u = np.random.default_rng(3).random(size)
+    want = np.searchsorted(demand._guide[0], u, "left") - 1
+    assert atoms.dtype == np.min_scalar_type(demand.n_atoms - 1) and atoms.shape == u.shape
+    assert np.array_equal(atoms, want)
+    draws = demand.sample(np.random.default_rng(3), size)
+    assert draws.tobytes() == demand.values.take(want).tobytes()
 
 
 def test_sample_clamps_a_level_past_the_probability_sum():

@@ -49,18 +49,28 @@ def synthetic_runs(parent, change):
     return runs
 
 
+def job_s(better, bound=0.25):
+    """The declared metrics of ``BENCHMARK.json``'s form: ``job_s`` alone."""
+    return [{"name": "job_s", "better": better, "bound": bound}]
+
+
 def test_bench_summary_flags_improved_and_worsened():
     summarize = load_bench().summarize
     parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]
     faster = [p / 2 for p in parent]
     slower = [p * 1.5 for p in parent]
-    s = summarize(synthetic_runs(parent, faster), {"job_s": "lower"})["job_s"]
+    s = summarize(synthetic_runs(parent, faster), job_s("lower"))["job_s"]
     assert (s["improved"], s["worsened"], s["change_better_pairs"]) == (True, False, 10)
-    s = summarize(synthetic_runs(parent, slower), {"job_s": "lower"})["job_s"]
+    assert (s["median_rel_change"], s["beyond_bound"]) == (-0.5, False)
+    s = summarize(synthetic_runs(parent, slower), job_s("lower"))["job_s"]
     assert (s["improved"], s["worsened"], s["change_worse_pairs"]) == (False, True, 10)
+    assert (s["median_rel_change"], s["beyond_bound"]) == (0.5, True)
+    # worse by 50%, but the bound allows 60%
+    assert not summarize(synthetic_runs(parent, slower), job_s("lower", 0.6))["job_s"]["beyond_bound"]
     # for a higher-is-better metric the same numbers swap roles
-    s = summarize(synthetic_runs(parent, slower), {"job_s": "higher"})["job_s"]
-    assert (s["improved"], s["worsened"]) == (True, False)
+    s = summarize(synthetic_runs(parent, slower), job_s("higher"))["job_s"]
+    assert (s["improved"], s["worsened"], s["beyond_bound"]) == (True, False, False)
+    assert summarize(synthetic_runs(parent, faster), job_s("higher"))["job_s"]["beyond_bound"]
 
 
 def test_bench_summary_needs_nine_pairs_and_a_gap_beyond_the_iqr():
@@ -68,11 +78,11 @@ def test_bench_summary_needs_nine_pairs_and_a_gap_beyond_the_iqr():
     parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]
     # worse in 8 of 10 pairs only
     mixed = [p * 1.5 for p in parent[:8]] + [p * 0.5 for p in parent[8:]]
-    s = summarize(synthetic_runs(parent, mixed), {"job_s": "lower"})["job_s"]
+    s = summarize(synthetic_runs(parent, mixed), job_s("lower"))["job_s"]
     assert (s["change_worse_pairs"], s["improved"], s["worsened"]) == (8, False, False)
     # worse in every pair, but by less than the parent's interquartile range
     close = [p + 0.001 for p in parent]
-    s = summarize(synthetic_runs(parent, close), {"job_s": "lower"})["job_s"]
+    s = summarize(synthetic_runs(parent, close), job_s("lower"))["job_s"]
     assert s["change_worse_pairs"] == 10 and s["parent"]["iqr"] > 0.001
     assert (s["improved"], s["worsened"]) == (False, False)
 

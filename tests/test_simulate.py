@@ -157,6 +157,19 @@ def _stepwise_costs(model, cfg, demands, policy):
     return costs
 
 
+def _blocked_totals(costs, burn, alpha):
+    """``_run_paths``' totals from an oracle cost matrix, in its documented order:
+    per block of ``BLOCK`` steps, the kept steps (t >= burn, times alpha^t when
+    alpha is given) are added up step by step, and that sum is added to the total."""
+    weight = 1.0 if alpha is None else alpha
+    total = np.zeros(costs.shape[0])
+    for t0 in range(0, costs.shape[1], simulate.BLOCK):
+        kept = range(max(t0, burn), min(t0 + simulate.BLOCK, costs.shape[1]))
+        if kept:
+            total += functools.reduce(np.add, (costs[:, t] * weight**t for t in kept))
+    return total
+
+
 @functools.cache
 def _chain_model(name):
     """A model and the PolicyTable of its alpha = 0.9 solve."""
@@ -176,10 +189,13 @@ def test_blocked_costs_equal_stepwise(policy):
         # a horizon that is not a whole number of blocks
         cfg = SimConfig(x0=-3.0, horizon=simulate.BLOCK * 2 + 37, n_paths=5, seed=3, policy=pol)
         atoms = simulate._atom_matrix(model, cfg)
-        costs, c_max, _ = simulate._run_paths(model, cfg, atoms, pol)
         ref = _stepwise_costs(model, cfg, model.demand.values[atoms], pol)
-        assert np.array_equal(costs, ref), model.demand.source
-        assert c_max == ref.max()
+        # burn 300 starts inside the second block
+        for burn, alpha in ((0, None), (300, None), (0, 0.9)):
+            totals, c_max, _ = simulate._run_paths(model, cfg, atoms, pol, burn, alpha)
+            want = _blocked_totals(ref, burn, alpha)
+            assert np.array_equal(totals, want), (model.demand.source, burn, alpha)
+            assert c_max == ref.max()
 
 
 @given(
@@ -240,3 +256,25 @@ def test_grid_chain_only_on_lattice_policies(instance_a):
     for x0, pol in ((0.0, OrderUpTo(0.5)), (0.5, OrderUpTo(1.0))):
         cfg = SimConfig(x0=x0, horizon=1000, n_paths=4, seed=1, policy=pol)
         assert simulate_average(instance_a, cfg).grid_chain is None
+
+
+def test_simulate_average_memory_does_not_grow_with_the_horizon():
+    # the sweep's check, warm: only the 1-byte atom matrix grows with the horizon,
+    # so 36,000 more steps of 256 paths add about one byte per path-step
+    import tracemalloc
+
+    model = make_exponential()
+    pol = SsPolicy(s=0.25, S=2.0)
+    simulate_average(model, SimConfig(x0=2.0, horizon=1000, n_paths=4, seed=1, policy=pol))
+    peaks = {}
+    for horizon in (4000, 40_000):
+        cfg = SimConfig(x0=2.0, horizon=horizon, n_paths=256, seed=3, policy=pol)
+        tracemalloc.start()
+        try:
+            rep = simulate_average(model, cfg)
+            peaks[horizon] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.grid_chain is not None
+    assert peaks[4000] <= 6 * 2**20, f"peaks {peaks} bytes"
+    assert peaks[40_000] - peaks[4000] <= 1.25 * 256 * 36_000, f"peaks {peaks} bytes"
