@@ -10,9 +10,12 @@ over feasible orders.  The minimization then costs O(n) per sweep instead of
 O(n^2); the expectation E v is a product with the model's cached kernel
 (``InventoryModel.kernel``), a banded CSR matrix with at most two nonzeros
 per demand atom in each row, so a sweep as a whole is O(n atoms).  The grid
-values E h come from ``InventoryModel.eh``; both are built once per model
-and shared by every solve.  Each update's eps-optimal action sets are kept
-as the arrays g and m of a ``PolicyTable``.
+terms c_bar x and c_bar x + E h are ``InventoryModel.cbar_x`` and ``g_base``;
+all three are built once per model and shared by every solve.  A stage
+writes alpha W v into its g row and adds ``g_base``, accumulates the strict
+suffix minimum into its m row and adds K there, with no other temporaries;
+value iteration reuses two rows.  Each update's eps-optimal action sets are
+kept as the arrays g and m of a ``PolicyTable``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import InventoryModel, ModelError, PolicyTable
+from .model import InventoryModel, ModelError, PolicyTable, read_only
 
 __all__ = [
     "ConvergenceError",
@@ -69,21 +72,17 @@ class TerminalValue:
         v = np.asarray(self.values, dtype=float)
         if np.any(v < -1e-12) or not np.all(np.isfinite(v)):
             raise ModelError("terminal value must be finite and nonnegative")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", read_only(v.copy()))
 
     @classmethod
     def zero(cls, grid) -> "TerminalValue":
         return cls(values=np.zeros(grid.n), id="zero")
 
 
-def _strict_suffix_min(g: np.ndarray) -> np.ndarray:
-    """out[i] = min over j > i of g[j] (+inf at the top state)."""
-    out = np.empty_like(g)
+def _strict_suffix_min(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i] = min over j > i of g[j] (+inf at the top state), accumulated in place."""
     out[-1] = np.inf
-    if g.size > 1:
-        out[:-1] = np.minimum.accumulate(g[::-1])[::-1][1:]
+    np.minimum.accumulate(g[:0:-1], out=out[-2::-1])
     return out
 
 
@@ -94,17 +93,15 @@ def _check_alpha(alpha: float) -> None:
 
 def _stage(model: InventoryModel, v: np.ndarray, alpha: float, g: np.ndarray, m: np.ndarray):
     """One Bellman sweep from v: g and m written into the given rows, T v returned."""
-    cbar_x = model.c_bar * model.grid.points
-    np.add(cbar_x, model.eh, out=g)
-    if alpha != 0.0:
-        g += alpha * model.kernel.expect(v)
-    np.minimum(g, model.K + _strict_suffix_min(g), out=m)
-    return m - cbar_x
+    if alpha != 0.0:  # alpha E v, plus the model's c_bar x + E h
+        np.add(np.multiply(model.kernel.expect(v), alpha, out=g), model.g_base, out=g)
+    else:
+        g[:] = model.g_base
+    np.minimum(g, np.add(_strict_suffix_min(g, m), model.K, out=m), out=m)
+    return m - model.cbar_x
 
 
-def _update(
-    model: InventoryModel, v: np.ndarray, alpha: float
-) -> tuple[np.ndarray, PolicyTable]:
+def _update(model: InventoryModel, v: np.ndarray, alpha: float) -> tuple[np.ndarray, PolicyTable]:
     """One Bellman sweep: the updated values and the policy table of the update."""
     g, m = np.empty((2, model.grid.n))
     tv = _stage(model, v, alpha, g, m)
@@ -265,12 +262,9 @@ def solve_infinite(
     value.  Raises ConvergenceError past the iteration cap.
     """
     _check_alpha(alpha)
+    g, m = np.empty((2, model.grid.n))
     v, iterations, bound = _iterate(
-        lambda u: _update(model, u, alpha)[0],
-        model.grid.n,
-        alpha,
-        tol,
-        "value iteration",
+        lambda u: _stage(model, u, alpha, g, m), model.grid.n, alpha, tol, "value iteration"
     )
     tv, policy = _update(model, v, alpha)
     return SolveReport(
@@ -537,7 +531,7 @@ def track_action_convergence(
     rows = min(t_max, max(1, ACTION_BLOCK // model.grid.n))
     g, m = np.empty((2, rows, model.grid.n))
     dist = np.empty((t_max, model.grid.n))
-    v, _ = _update(model, terminal.values, alpha)  # chosen_t comes from the update of v_t, t >= 1
+    v = _stage(model, terminal.values, alpha, g[0], m[0])  # chosen_t: the update of v_t, t >= 1
     for t in range(t_max):
         b = t % rows
         v = _stage(model, v, alpha, g[b], m[b])

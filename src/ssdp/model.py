@@ -47,6 +47,11 @@ class ModelError(ValueError):
     """Raised when a grid, demand, cost, or model specification is invalid."""
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def finite_number(value, field: str) -> float:
     """``value`` as a float, or a ModelError naming ``field`` (bools and strings too)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
@@ -84,27 +89,18 @@ class Grid:
             if self.x_lo != int(self.x_lo) or self.x_hi != int(self.x_hi):
                 raise ModelError("integer_mode requires integer endpoints")
         points = self.x_lo + self.step * np.arange(n, dtype=float)
-        points.flags.writeable = False
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "points", read_only(points))
 
     n: int = field(init=False, default=0)
     # points: np.ndarray, filled in __post_init__
 
-    def position(self, x: float) -> float:
-        """Fractional grid coordinate of ``x`` (0 at x_lo, n-1 at x_hi)."""
-        return (x - self.x_lo) / self.step
-
     def index_of(self, x: float) -> int:
-        pos = self.position(x)
+        pos = (x - self.x_lo) / self.step  # fractional grid coordinate: 0 at x_lo, n-1 at x_hi
         idx = int(round(pos))
         if idx < 0 or idx >= self.n or abs(pos - idx) > 1e-9:
             raise ModelError(f"{x} is not a grid point of [{self.x_lo}, {self.x_hi}] step {self.step}")
         return idx
-
-    def nearest_index(self, x) -> np.ndarray:
-        pos = np.clip(np.round(self.position(np.asarray(x, dtype=float))), 0, self.n - 1)
-        return pos.astype(int)
 
 
 class PiecewiseLinear:
@@ -196,10 +192,8 @@ class DemandDistribution:
             raise ModelError(
                 f"atoms cover mass {self.truncation_mass}, below the {TRUNCATION_FLOOR} floor"
             )
-        v.flags.writeable = False
-        p.flags.writeable = False
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "values", read_only(v))
+        object.__setattr__(self, "probs", read_only(p))
 
     @classmethod
     def from_atoms(
@@ -242,34 +236,39 @@ class DemandDistribution:
 
     @cached_property
     def _guide(self) -> tuple[np.ndarray, np.ndarray]:
-        """CDF edges (-inf first; +inf last, as sums may end below 1) and guide atoms."""
+        """CDF edges (-inf first; +inf last: sums may end below 1) and 2**k >= max(4096, 64
+        atoms) level buckets [b, b + 1) / 2**k, each holding its atom, or n_atoms if split."""
         edges = np.concatenate(([-np.inf], np.cumsum(self.probs)[:-1], [np.inf]))
-        return edges, np.searchsorted(edges, np.linspace(0.0, 1.0, 4 * self.n_atoms + 1)) - 1
+        size = 1 << max(12, (64 * self.n_atoms - 1).bit_length())
+        atom = np.searchsorted(edges, np.arange(size + 1) / size) - 1
+        table = np.where(atom[:-1] == atom[1:], atom[:-1], self.n_atoms)
+        return edges, table.astype(np.min_scalar_type(self.n_atoms))
+
+    def _atoms_of(self, v: np.ndarray) -> np.ndarray:
+        """Atom k with edges[k] < v <= edges[k + 1] per level v in [0, 1): v * 2**k is
+        exact, so its floor is v's bucket, and only sentinels take ``np.searchsorted``."""
+        edges, table = self._guide
+        k = table.take((v * table.size).astype(np.intp))
+        split = np.flatnonzero(k == self.n_atoms)
+        k[split] = np.searchsorted(edges, v[split]) - 1
+        return k
 
     def sample_atoms(self, rng: np.random.Generator, size) -> np.ndarray:
         """Atom indices of inverse-CDF draws, in the smallest unsigned dtype that holds them.
 
-        Guide table (Chen & Asau 1974; Devroye 1986, III.2.4): the atom k of
-        level b / (4 atoms) is stepped until edges[k] < u <= edges[k + 1].
+        Levels are drawn per 8,192-element chunk (the stream of one ``rng.random(size)``) and
+        read from the level table of ``_guide`` (Chen & Asau 1974; Devroye 1986, III.2.4).
         """
-        edges, guide = self._guide
         atoms = np.empty(size, dtype=np.min_scalar_type(self.n_atoms - 1))
         for out in _chunks(atoms):
-            v = rng.random(out.size)  # chunk by chunk, the stream of one rng.random(size)
-            k = guide[(v * (guide.size - 1)).astype(np.intp)]
-            while (up := edges[k + 1] < v).any():
-                k += up
-            while (down := edges[k] >= v).any():
-                k -= down
-            out[:] = k
+            out[:] = self._atoms_of(rng.random(out.size))
         return atoms
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        """Values of ``sample_atoms``, gathered in chunks so the intp index copies stay small."""
-        atoms = self.sample_atoms(rng, size)
-        draws = np.empty(atoms.shape)
-        for k, out in zip(_chunks(atoms), _chunks(draws)):
-            self.values.take(k, out=out)
+        """Values of ``sample_atoms``' draws, gathered chunk by chunk with no atom array."""
+        draws = np.empty(size)
+        for out in _chunks(draws):
+            self.values.take(self._atoms_of(rng.random(out.size)), out=out)
         return draws
 
 
@@ -412,7 +411,8 @@ class _KnotTable:
     def __init__(self, curve: PiecewiseLinear):
         xs, ys = curve.xs, curve.ys
         span = xs[-1] - xs[0]
-        self.n_buckets = math.ceil(min(span / np.diff(xs).min(), EH_BUCKETS_CAP))
+        with np.errstate(over="ignore"):  # a subnormal knot gap overflows to inf: the cap
+            self.n_buckets = math.ceil(min(span / np.diff(xs).min(), EH_BUCKETS_CAP))
         self.x0, self.scale, self.top = xs[0], self.n_buckets / span, self.n_buckets - 1.0
         self.xs = xs
         left_edges = xs[0] + np.arange(self.n_buckets) * (span / self.n_buckets)
@@ -522,9 +522,8 @@ class InventoryModel:
         # K and c_bar are nonnegative, so every one-step cost is nonnegative exactly when E h is
         if np.any(eh < -1e-12):
             raise ModelError("expected holding cost E h is negative on the grid")
-        eh.flags.writeable = False
         object.__setattr__(self, "eh_curve", curve)
-        object.__setattr__(self, "eh", eh)
+        object.__setattr__(self, "eh", read_only(eh))
 
     h_shift: tuple = field(init=False, default=(0.0, 0.0))
     # filled in __post_init__: h_flags (dict), eh_curve (PiecewiseLinear) and
@@ -536,6 +535,10 @@ class InventoryModel:
         return self._eh_table(x_post)
 
     _eh_table = cached_property(lambda self: _KnotTable(self.eh_curve))
+
+    # read-only, on first use: c_bar x and c_bar x + E h, each Bellman stage's g less alpha E v
+    cbar_x = cached_property(lambda self: read_only(self.c_bar * self.grid.points))
+    g_base = cached_property(lambda self: read_only(self.cbar_x + self.eh))
 
     def order_cost(self, a) -> np.ndarray:
         arr = np.asarray(a, dtype=float)

@@ -109,15 +109,13 @@ def build_G(
         raise ModelError("value table shape does not match the grid")
     kernel = model.kernel
     ev = kernel.matrix @ vals + kernel.below * (vals[1] - vals[0])
-    g_vals = model.c_bar * model.grid.points + model.eh + alpha * ev
+    g_vals = model.g_base + alpha * ev
     if not np.all(np.isfinite(g_vals)):
         raise ModelError("G-function must be finite on the grid")
     if check_tol is not None:
         interior = model.grid.points >= model.grid.x_lo + model.demand.max_value
-        vhat = (
-            np.minimum(g_vals, model.K + _strict_suffix_min(g_vals))
-            - model.c_bar * model.grid.points
-        )
+        later = _strict_suffix_min(g_vals, np.empty_like(g_vals))
+        vhat = np.minimum(g_vals, model.K + later) - model.cbar_x
         gap = float(np.max(np.abs(vhat[interior] - vals[interior]))) if interior.any() else 0.0
         if gap > check_tol:
             raise CertificationError(

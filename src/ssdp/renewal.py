@@ -50,7 +50,9 @@ def sample_renewal(
     """Draw i.i.d. demands per path until the partial sum exceeds y.
 
     Deterministic given the seed (single vectorized stream, one draw per
-    still-active path per round).  For y < 0 the renewal interval is empty:
+    still-active path per round).  The active paths and their sums are compacted
+    by index gathers after each round in which some path finished.  For y < 0
+    the renewal interval is empty:
     N = 0 and the first passage is the first demand.
     """
     if demand.p_positive == 0.0:
@@ -69,10 +71,12 @@ def sample_renewal(
             raise ModelError("renewal sampling did not terminate; check the demand table")
         sums += demand.sample(rng, active.size)
         done = sums > y
-        finished = active[done]
-        passage[finished] = sums[done]
-        counts[finished] = rounds - 1
-        active, sums = active[~done], sums[~done]
+        if (ended := np.flatnonzero(done)).size:  # compact only when some path finished
+            finished = active.take(ended)
+            passage[finished], counts[finished] = sums.take(ended), rounds - 1
+            kept = np.flatnonzero(~done)
+            active = active.take(kept)  # one at a time, so the old arrays go one by one
+            sums = sums.take(kept)
     return RenewalSample(
         seed=seed,
         n_paths=n_paths,

@@ -6,19 +6,23 @@ no other array grows with the horizon.  The continuous chain steps unclamped
 real-valued states even when the policy came from a grid, so a disagreement
 with the DP beyond the confidence interval points at grid truncation.  It
 gathers a block of ``BLOCK`` steps' demand values into the state rows those
-steps overwrite, steps the block, then prices it into one reused (steps,
-paths) buffer with the exact model cost c(x, a) = K 1{a>0} + c_bar a +
-E h(x + a - D), deterministic given (x, a): one ``model.expected_h`` call,
-bitwise ``eh_curve``.  Each path's total adds numpy's ``sum(axis=0)`` of the
-block's kept rows (step by step for more than one path) to the running total,
-with no BLAS call, so its bits do not depend on the BLAS build.  The grid
-chain, run by ``simulate_average`` for policies that stay on the lattice, is
-the Markov chain the DP solves: grid-index states, the kernel's own split of
-each demand draw between two neighbouring grid points (tabled once per
-policy for every (atom, state) pair), clamping at x_lo, and step cost order
-cost + ``model.eh[post]``.  The sweep's Monte-Carlo check compares its mean
-with the exact w(s,S) of ``average.exact_average_cost``; ``compare_policies``
-runs the continuous chain alone.
+steps overwrite, writes each step's orders into its row (``_order_map``),
+then prices the block in place with the exact model cost c(x, a) =
+K 1{a>0} + c_bar a + E h(x + a - D): c_bar a, plus K where a > 0, plus one
+``model.expected_h`` call (bitwise ``eh_curve``).  Each path's total adds
+numpy's ``sum(axis=0)`` of the block's kept rows (step by step for more than
+one path) to the running total, with no BLAS call.  The grid chain, run by
+``simulate_average`` for policies that stay on the lattice, is the Markov
+chain the DP solves: grid-index states, the kernel's own split of each demand
+draw between two neighbouring grid points (tabled once per policy for every
+(atom, state) pair), clamping at x_lo, and step cost order cost +
+``model.eh[post]``.  Its steps leave their flat (atom, state) indices in
+block rows; one gather from the cost tiled per atom prices the kept steps
+into their spent uniform rows, and ``np.add.accumulate`` carries the running
+total through them step by step for any number of paths.  The sweep's check
+compares the grid chain's mean with the exact w(s,S) of
+``average.exact_average_cost``; ``compare_policies`` runs the continuous
+chain alone.
 """
 
 from __future__ import annotations
@@ -70,25 +74,41 @@ class SimConfig:
             raise ModelError("n_paths must be at least 1")
 
 
-def policy_fn(policy, model: InventoryModel) -> tuple[Callable[[np.ndarray], np.ndarray], str]:
-    """Vectorized state -> order map plus a stable policy id string."""
-    if policy == "never_order":
-        return (lambda x: np.zeros_like(x)), "never_order"
+def _order_map(policy, model: InventoryModel) -> tuple[Callable, str]:
+    """``order(x, out, spare)``, which writes the policy's orders at the states x into
+    out and returns it (``spare``: a scratch row like x), and a stable policy id."""
+    if policy == "never_order":  # max(-inf - x, 0.0) is 0.0
+        return _order_map(OrderUpTo(-math.inf), model)[0], "never_order"
     if isinstance(policy, OrderUpTo):
         lvl = float(policy.level)
-        return (lambda x: np.maximum(lvl - x, 0.0)), f"order_up_to({lvl})"
+
+        def order(x, out, spare):
+            return np.maximum(np.subtract(lvl, x, out=out), 0.0, out=out)
+
+        return order, f"order_up_to({lvl})"
     if hasattr(policy, "s") and hasattr(policy, "S"):
         s, S = float(policy.s), float(policy.S)
-        # -0.0 above S: x + -0.0 is x and its order cost is 0.0, as with an order of 0.0
-        return (lambda x: (S - x) * (x < s)), f"sS(s={s},S={S})"
+
+        def order(x, out, spare):  # (S - x) * (x < s); -0.0 above S adds to x as 0.0 does
+            return np.multiply(np.subtract(S, x, out=out), np.less(x, s, out=spare), out=out)
+
+        return order, f"sS(s={s},S={S})"
     if isinstance(policy, PolicyTable):
-        chosen = policy.chosen
+        chosen, g = policy.chosen, model.grid
 
-        def fn(x: np.ndarray) -> np.ndarray:
-            return chosen[model.grid.nearest_index(x)]
+        def order(x, out, spare):  # chosen at the nearest grid index, clipped to the grid
+            np.divide(np.subtract(x, g.x_lo, out=spare), g.step, out=spare)
+            np.clip(np.round(spare, out=spare), 0, g.n - 1, out=spare)
+            return chosen.take(spare.astype(np.intp), out=out)
 
-        return fn, "policy_table"
+        return order, "policy_table"
     raise ModelError(f"unknown policy spec {policy!r}")
+
+
+def policy_fn(policy, model: InventoryModel) -> tuple[Callable[[np.ndarray], np.ndarray], str]:
+    """Vectorized state -> order map plus a stable policy id string (``_order_map``'s)."""
+    order, pid = _order_map(policy, model)
+    return (lambda x: order(np.asarray(x, dtype=float), *np.empty((2,) + np.shape(x)))), pid
 
 
 @dataclass(eq=False)
@@ -126,7 +146,7 @@ def _run_paths(
     (s,S) invariant are evaluated per block from those rows, elementwise, so
     each cost is the one a step-by-step evaluation gives.
     """
-    fn, _ = policy_fn(policy, model)
+    order, _ = _order_map(policy, model)
     is_ss = hasattr(policy, "s") and hasattr(policy, "S") and not isinstance(policy, PolicyTable)
     n, horizon = atoms.shape
     total, c_max = np.zeros(n), -np.inf
@@ -142,15 +162,18 @@ def _run_paths(
         # (atom indices are in range; "clip" lets take() write to out unbuffered)
         model.demand.values.take(block, out=xb[1 : width + 1], mode="clip")
         for x, a, post, x_next in zip(xb, ab, pb, xb[1 : width + 1]):
-            a[:] = fn(x)
+            order(x, a, post)  # post is scratch until the order is placed
             np.add(x, a, out=post)
             np.subtract(post, x_next, out=x_next)
         xs, a, post, cost = xb[:width], ab[:width], pb[:width], cb[:width]
+        ordered = a > 0
         if ss_ok and (
-            not np.array_equal(a > 0, xs < policy.s) or np.any(post > policy.S + 1e-9)
+            not np.array_equal(ordered, xs < policy.s) or np.any(post > policy.S + 1e-9)
         ):
             ss_ok = False
-        np.add(model.order_cost(a), model.expected_h(post), out=cost)
+        # priced in place, bitwise order_cost(a) + expected_h(post)
+        np.add(np.multiply(a, model.c_bar, out=cost), model.K, out=cost, where=ordered)
+        cost += model.expected_h(post)
         c_max = np.maximum(c_max, cost.max())
         kept = cost[max(burn - t0, 0) :]
         if alpha is not None:
@@ -180,7 +203,7 @@ def _run_grid_chain(
     except ModelError:
         return None
     idx = np.arange(g.n)
-    cost = model.one_step_cost(idx, steps)
+    cost = np.tile(model.one_step_cost(idx, steps), model.demand.n_atoms)  # at (atom, state)
     # row-major [atom, state]: pos = (x_post - d - x_lo) / step clamped to [0, n-1]
     pos = g.points[idx + steps] - model.demand.values[:, None]
     pos -= g.x_lo
@@ -192,28 +215,38 @@ def _run_grid_chain(
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     n, horizon = atoms.shape
     state = np.full(n, start)
-    total = np.zeros(n)
-    j, up = np.empty(n, dtype=np.intp), np.empty(n, dtype=bool)
+    total, w, up = np.zeros(n), np.empty(n), np.empty(n, dtype=bool)
+    flat = np.empty((min(BLOCK, horizon), n), dtype=np.intp)
+    u = np.empty(flat.shape)
     for t0 in range(0, horizon, BLOCK):
-        offsets = atoms[:, t0 : t0 + BLOCK].T.astype(np.intp)
-        offsets *= g.n  # flat index of (atom, state 0)
-        u = rng.random(offsets.shape)
-        for k, (offset, uk) in enumerate(zip(offsets, u), start=t0):
-            if k >= burn:
-                total += cost.take(state)
-            np.add(offset, state, out=j)
-            lower.take(j, out=state, mode="clip")
-            np.less(uk, weight.take(j), out=up)
+        block = atoms[:, t0 : t0 + BLOCK].T
+        j, ub = flat[: block.shape[0]], u[: block.shape[0]]
+        np.multiply(block, g.n, out=j, dtype=np.intp)  # flat index of (atom, state 0)
+        rng.random(out=ub)
+        for jk, uk in zip(j, ub):
+            jk += state  # the step's (atom, state) index stays in its row
+            lower.take(jk, out=state, mode="clip")
+            np.less(uk, weight.take(jk, out=w, mode="clip"), out=up)
             state += up
+        # price the kept steps into their spent uniform rows; the total rides in the first
+        kept, jk = ub[max(burn - t0, 0) :], j[max(burn - t0, 0) :]
+        if len(kept):
+            cost.take(jk, out=kept, mode="clip")
+            kept[0] += total
+            total[:] = np.add.accumulate(kept, axis=0, out=kept)[-1]
     return total / (horizon - burn)
 
 
+def _mean_and_se(x: np.ndarray) -> tuple[float, float]:  # the standard error of one path is 0
+    return float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
+
+
 def _result(model: InventoryModel, cfg: SimConfig, path_stats, criterion, **extra) -> SimResult:
-    se = float(path_stats.std(ddof=1) / math.sqrt(cfg.n_paths)) if cfg.n_paths > 1 else 0.0
+    mean, se = _mean_and_se(path_stats)
     return SimResult(
         policy_id=policy_fn(cfg.policy, model)[1],
         criterion=criterion,
-        mean=float(path_stats.mean()),
+        mean=mean,
         std_error=se,
         n_paths=cfg.n_paths,
         horizon=cfg.horizon,
@@ -304,24 +337,8 @@ def compare_policies(
     run = _average if cfg.alpha is None else _discounted
     runs = [run(model, replace(cfg, policy=p), atoms) for p in policies]
     base = runs[0].path_stats
-    rows = []
-    for r in runs:
-        diff = r.path_stats - base
-        dmean = float(diff.mean())
-        dse = float(diff.std(ddof=1) / math.sqrt(cfg.n_paths)) if cfg.n_paths > 1 else 0.0
-        rows.append(
-            ComparisonRow(
-                policy_id=r.policy_id,
-                mean=r.mean,
-                std_error=r.std_error,
-                diff_mean=dmean,
-                diff_std_error=dse,
-            )
-        )
-    return ComparisonResult(
-        criterion=runs[0].criterion,
-        rows=rows,
-        n_paths=cfg.n_paths,
-        horizon=cfg.horizon,
-        seed=cfg.seed,
-    )
+    rows = [
+        ComparisonRow(r.policy_id, r.mean, r.std_error, *_mean_and_se(r.path_stats - base))
+        for r in runs
+    ]
+    return ComparisonResult(runs[0].criterion, rows, cfg.n_paths, cfg.horizon, cfg.seed)

@@ -175,6 +175,31 @@ def oracle_bellman(model, values, alpha, eps_act=None):
     return (out_v, out_a) if eps_act is None else (out_v, out_a, sets)
 
 
+def reference_stage(model, v, alpha):
+    """One Bellman stage from the textbook decomposition in the ``dp`` docstring,
+    written plainly: g = c_bar x + E h + alpha W v, m = min(g, K + min_{j > i} g),
+    T v = m - c_bar x.  Returns (T v, g, m)."""
+    x = model.grid.points
+    g = model.c_bar * x + model.eh + alpha * (model.kernel.matrix @ v)
+    later = np.append(np.minimum.accumulate(g[::-1])[::-1][1:], np.inf)
+    m = np.minimum(g, model.K + later)
+    return m - model.c_bar * x, g, m
+
+
+def reference_solve(model, alpha, tol):
+    """``reference_stage`` iterated from v = 0 with value iteration's stopping rule:
+    stop when alpha/(1-alpha) span(T v - v) <= tol/2 and return the lower bracket."""
+    scale = alpha / (1.0 - alpha)
+    v = np.zeros(model.grid.n)
+    while True:
+        tv = reference_stage(model, v, alpha)[0]
+        diff = tv - v
+        lo = float(diff.min())
+        if scale * (float(diff.max()) - lo) <= tol / 2:
+            return tv + scale * lo
+        v = tv
+
+
 def oracle_post_expectation(model, extrapolate):
     """Dense W with (W @ v)[j] = E v(x_j - D), and the count of lookups below x_lo.
 

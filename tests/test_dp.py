@@ -34,6 +34,8 @@ from conftest import (
     oracle_pair_value,
     oracle_policy_value,
     oracle_suffix_settle,
+    reference_solve,
+    reference_stage,
     small_models,
 )
 
@@ -369,6 +371,36 @@ def test_stage_blocks_match_the_per_stage_loop(make):
                 got = (rep.distances, rep.settle_t, rep.exact_settle_t)
                 for a, b in zip(got, expected):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (t_max, budget)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("config", ["instance_a", "exponential_demand", "degenerate_zero_demand"])
+def test_stage_is_bitwise_the_textbook_stage(config, alpha):
+    # the in-place stage (g_base, the in-place suffix minimum, the reused rows of
+    # value iteration) gives the bits of the plainly written decomposition
+    model = ssdp.load_model(CONFIGS / f"{config}.json")
+    n, terminal = model.grid.n, TerminalValue.zero(model.grid)
+    v = np.linspace(0.0, 3.0, n)
+    tv, table = bellman_update(model, v, alpha)
+    ref_v, ref_g, ref_m = reference_stage(model, v, alpha)
+    for got, want in ((tv, ref_v), (table.g, ref_g), (table.m, ref_m)):
+        assert got.tobytes() == want.tobytes()
+    want = reference_solve(model, alpha, 1e-8)
+    assert solve_infinite(model, alpha).value.tobytes() == want.tobytes()
+    rows = [terminal.values]
+    for _ in range(6):
+        rows.append(reference_stage(model, rows[-1], alpha)[0])
+    assert solve_finite(model, 6, terminal, alpha).values.tobytes() == np.array(rows).tobytes()
+    # action convergence: reference sets from the reference solve at the tight tolerance,
+    # chosen actions from the stages after v_1 = T F
+    _, g, m = reference_stage(model, reference_solve(model, alpha, dp.ACTION_REF_TOL), alpha)
+    ref_sets = ssdp.PolicyTable(grid=model.grid, g=g, m=m, K=model.K, eps=dp.EPS_ACT)
+    v, chosen = rows[1], []
+    for _ in range(5):
+        v, g, m = reference_stage(model, v, alpha)
+        chosen.append(ssdp.PolicyTable(grid=model.grid, g=g, m=m, K=model.K, eps=dp.EPS_ACT).chosen)
+    rep = track_action_convergence(model, alpha, terminal, t_max=5)
+    assert rep.distances.tobytes() == ref_sets.distance(np.array(chosen)).tobytes()
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -309,6 +310,22 @@ def test_expected_h_is_bitwise_the_interpolated_curve(model, data):
     got, want = model.expected_h(x), model.eh_curve(x)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert model.expected_h(float(x[0, -1])) == model.eh_curve(float(x[0, -1]))
+
+
+def test_expected_h_subnormal_knot_gap_is_unwarned():
+    # atoms a subnormal apart put two E h knots 5e-324 apart: span / gap overflows
+    # to inf, which the bucket count takes as the cap, with no numpy warning
+    demand = DemandDistribution.from_atoms([(0.0, 0.5), (5e-324, 0.5)])
+    model = InventoryModel(K=1.0, c_bar=1.0, h=make_instance_a().h, demand=demand,
+                           grid=Grid(-8.0, 8.0, 0.5))
+    knots = model.eh_curve.xs
+    assert np.diff(knots).min() == 5e-324
+    x = np.concatenate((knots, np.nextafter(knots, np.inf), model.grid.points))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = model.expected_h(x)
+    assert model._eh_table.n_buckets == EH_BUCKETS_CAP
+    assert got.tobytes() == model.eh_curve(x).tobytes()
 
 
 def test_expected_h_bucket_cap_on_close_knots():
@@ -677,17 +694,24 @@ class _Levels:
         [0.25, 0.5, 0.25],
         [0.7, 1e-6, 0.1, 0.2 - 1e-6],
         [1 / 3] * 3,
-        # 20 buckets: level 0.15 falls in bucket 3, whose mark 0.15000000000000002
-        # lies past the first atom, so the guided atom must step down
+        # a case of the earlier 4-per-atom guide: level 0.15 fell in bucket 3 of 20,
+        # whose mark 0.15000000000000002 lies past the first atom
         [0.15, 0.2, 0.2, 0.2, 0.25],
+        # 255 atoms: the sentinel 255 of a split bucket still fits the uint8 table
+        list(range(1, 256)),
+        # every CDF edge is a bucket edge (as in "equal", [0.25] * 4)
+        [0.5, 0.25, 0.125, 0.0625, 0.0625],
     ],
-    ids=["one-atom", "equal", "unequal", "tiny-atom", "thirds", "guide-overshoot"],
+    ids=["one-atom", "equal", "unequal", "tiny-atom", "thirds", "guide-overshoot", "255-atoms",
+         "dyadic-edges"],
 )
 def test_sample_is_the_inverse_cdf(probs):
     probs = np.array(probs) / np.sum(probs)
     demand = DemandDistribution(values=np.arange(probs.size) * 1.5, probs=probs)
-    m = 4 * probs.size  # the guide table's bucket count
-    marks = np.concatenate((np.arange(m + 1) / m, np.linspace(0.0, 1.0, m + 1), np.cumsum(probs)))
+    m = 4 * probs.size  # the earlier guide's bucket count
+    size = demand._guide[1].size  # the level table's, 2**k
+    marks = np.concatenate((np.arange(m + 1) / m, np.linspace(0.0, 1.0, m + 1), np.cumsum(probs),
+                            np.arange(size + 1) / size))
     u = np.concatenate(
         (np.random.default_rng(7).random(20_000), marks, np.nextafter(marks, 2.0),
          np.nextafter(marks, -1.0), [0.0, 1.0 - 2.0**-53])
@@ -717,6 +741,34 @@ def test_sample_atoms_is_one_draw_of_the_stream(make, size):
     assert np.array_equal(atoms, want)
     draws = demand.sample(np.random.default_rng(3), size)
     assert draws.tobytes() == demand.values.take(want).tobytes()
+
+
+@st.composite
+def probability_tables(draw):
+    """Tables of 1-255 atoms with weights from 1e-3 to 1 and tiny ones (1e-17 to
+    1e-9), normalized, whose sum may then end up to 9e-13 below 1."""
+    n = draw(st.integers(1, 255))
+    tiny = st.sampled_from([1e-17, 1e-12, 1e-9])
+    w = np.array(draw(st.lists(st.one_of(st.floats(1e-3, 1.0), tiny), min_size=n, max_size=n)))
+    return w / w.sum() * (1.0 - draw(st.sampled_from([0.0, 1e-13, 9e-13])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(probs=probability_tables(), seed=st.integers(0, 2**32 - 1))
+def test_sample_atoms_is_the_searchsorted_atom_on_random_tables(probs, seed):
+    demand = DemandDistribution(values=np.arange(probs.size, dtype=float), probs=probs)
+    edges = np.concatenate(([-np.inf], np.cumsum(probs)[:-1], [np.inf]))
+    table = demand._guide[1]
+    assert table.dtype == np.min_scalar_type(probs.size) and table.size >= 64 * probs.size
+    u = np.random.default_rng(seed).random(20_000)
+    atoms = demand.sample_atoms(np.random.default_rng(seed), u.size)
+    assert np.array_equal(atoms, np.searchsorted(edges, u, "left") - 1)
+    # the CDF edges, the bucket edges and their neighbours, as levels of a stream
+    marks = np.concatenate((edges[1:-1], np.arange(table.size) / table.size))
+    u = np.concatenate((marks, np.nextafter(marks, 2.0), np.nextafter(marks, -1.0)))
+    u = u[(u >= 0.0) & (u < 1.0)]
+    atoms = demand.sample_atoms(_Levels(u), u.size)
+    assert np.array_equal(atoms, np.searchsorted(edges, u, "left") - 1)
 
 
 def test_sample_clamps_a_level_past_the_probability_sum():
