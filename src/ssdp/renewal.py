@@ -51,9 +51,8 @@ def sample_renewal(
 
     Deterministic given the seed (single vectorized stream, one draw per
     still-active path per round).  The active paths and their sums are compacted
-    by index gathers after each round in which some path finished.  For y < 0
-    the renewal interval is empty:
-    N = 0 and the first passage is the first demand.
+    only after a round in which some path finished.  For y < 0 the renewal
+    interval is empty: N = 0 and the first passage is the first demand.
     """
     if demand.p_positive == 0.0:
         raise ModelError("renewal process degenerate: P(D > 0) = 0")
@@ -74,9 +73,7 @@ def sample_renewal(
         if (ended := np.flatnonzero(done)).size:  # compact only when some path finished
             finished = active.take(ended)
             passage[finished], counts[finished] = sums.take(ended), rounds - 1
-            kept = np.flatnonzero(~done)
-            active = active.take(kept)  # one at a time, so the old arrays go one by one
-            sums = sums.take(kept)
+            active, sums = active[~done], sums[~done]
     return RenewalSample(
         seed=seed,
         n_paths=n_paths,

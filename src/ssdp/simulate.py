@@ -167,10 +167,8 @@ def _run_paths(
             np.subtract(post, x_next, out=x_next)
         xs, a, post, cost = xb[:width], ab[:width], pb[:width], cb[:width]
         ordered = a > 0
-        if ss_ok and (
-            not np.array_equal(ordered, xs < policy.s) or np.any(post > policy.S + 1e-9)
-        ):
-            ss_ok = False
+        if ss_ok:  # the (s,S) invariant: orders exactly below s, and never past S
+            ss_ok = np.array_equal(ordered, xs < policy.s) and not np.any(post > policy.S + 1e-9)
         # priced in place, bitwise order_cost(a) + expected_h(post)
         np.add(np.multiply(a, model.c_bar, out=cost), model.K, out=cost, where=ordered)
         cost += model.expected_h(post)
