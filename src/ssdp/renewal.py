@@ -73,6 +73,7 @@ def sample_renewal(
         if (ended := np.flatnonzero(done)).size:  # compact only when some path finished
             finished = active.take(ended)
             passage[finished], counts[finished] = sums.take(ended), rounds - 1
+            del ended, finished  # freed before the compaction, which keeps peak RSS down
             active, sums = active[~done], sums[~done]
     return RenewalSample(
         seed=seed,
