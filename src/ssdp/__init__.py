@@ -57,6 +57,5 @@ from .simulate import (
     SimConfig,
     compare_policies,
     simulate_average,
-    simulate_discounted,
 )
 from .config import load_model, model_from_dict

@@ -1,32 +1,34 @@
 """Monte-Carlo policy evaluation: the independent check on the DP output.
 
-Two chains run on the same demand draws, carried as one matrix of atom
-indices (``DemandDistribution.sample_atoms``, uint8 for up to 256 atoms);
-no other array grows with the horizon.  The continuous chain steps unclamped
-real-valued states even when the policy came from a grid, so a disagreement
-with the DP beyond the confidence interval points at grid truncation.  It
-gathers a block of ``BLOCK`` steps' demand values into the state rows those
-steps overwrite, writes each step's orders into its row (``_order_map``),
-then prices the block in place with the exact model cost c(x, a) =
-K 1{a>0} + c_bar a + E h(x + a - D): c_bar a, plus K where a > 0, plus one
-``model.expected_h`` call (bitwise ``eh_curve``).  Each path's total adds
-numpy's ``sum(axis=0)`` of the block's kept rows (step by step for more than
-one path) to the running total, with no BLAS call.  The grid chain, run by
-``simulate_average`` for policies that stay on the lattice, is the Markov
-chain the DP solves: grid-index states, the kernel's own split of each demand
-draw between two neighbouring grid points (tabled once per policy for every
-(atom, state) pair), clamping at x_lo, and step cost order cost +
-``model.eh[post]``.  Its steps leave their flat (atom, state) indices in
-block rows; one gather from the cost tiled per atom prices the kept steps
-into their spent uniform rows, and ``np.add.accumulate`` carries the running
-total through them step by step for any number of paths.  The sweep's check
-compares the grid chain's mean with the exact w(s,S) of
-``average.exact_average_cost``; ``compare_policies`` runs the continuous
-chain alone.
+Two chains run on the same demand draws, one path-major matrix of atom indices
+(``DemandDistribution.sample_atoms``, uint8 for up to 256 atoms).  The
+continuous chain steps unclamped real-valued states even when the policy came
+from a grid, so a disagreement with the DP beyond the confidence interval
+points at grid truncation; its step cost is the exact c(x, a) = K 1{a>0} +
+c_bar a + E h(x + a - D), priced in place with one ``model.expected_h`` call
+(bitwise ``eh_curve``) per round.  The grid chain, run by ``simulate_average``
+for policies that stay on the lattice, is the Markov chain the DP solves:
+grid-index states, the kernel's split of each draw between two neighbouring
+grid points (tabled per (atom, state) pair), clamping at x_lo, and step cost
+order cost + ``model.eh[post]``.  The sweep's check compares its mean with the
+exact w(s,S) of ``average.exact_average_cost``; ``compare_policies`` runs the
+continuous chain alone.
+
+Both chains step in ``_drive``: the horizon splits into k = min(blocks,
+LANES // n_paths) segments of whole ``BLOCK``s, whose k * n_paths lanes step
+side by side in rounds of BLOCK // k rows, so the buffers hold BLOCK x n_paths
+entries for any k.  Segment i >= 1 starts ``WARMUP`` unpriced steps before its
+boundary from x0, on the true draws.  Two (s,S) paths that place the same order
+stay identical, so the speculative path meets the exact one; each boundary is
+compared bitwise with the previous segment's end, and from the first that
+differs the rest is rerun from the exact state with k = 1.  Each block's kept
+costs are added step by step and the block sums in block order, for any number
+of paths; only blocks x n_paths sums and the atom matrix grow with the horizon.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -40,7 +42,6 @@ __all__ = [
     "SimConfig",
     "OrderUpTo",
     "SimResult",
-    "simulate_discounted",
     "simulate_average",
     "compare_policies",
     "ComparisonRow",
@@ -48,7 +49,9 @@ __all__ = [
     "policy_fn",
 ]
 
-BLOCK = 256  # steps whose states, orders and split uniforms are buffered together
+BLOCK = 256  # steps per block sum; a round buffers BLOCK x n_paths states, orders, uniforms
+LANES = 2048  # segments x paths stepped side by side
+WARMUP = 64  # unpriced steps a segment takes from x0 before its boundary
 
 
 @dataclass(frozen=True)
@@ -64,10 +67,11 @@ class SimConfig:
     horizon: int
     n_paths: int
     seed: int
-    alpha: Optional[float] = None
     policy: object = "never_order"
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.x0):
+            raise ModelError(f"x0 must be finite, got {self.x0}")
         if self.horizon < 1:
             raise ModelError("horizon must be at least 1")
         if self.n_paths < 1:
@@ -121,7 +125,6 @@ class SimResult:
     horizon: int
     seed: int
     burn_in_used: int = 0
-    bias_bound: float = 0.0
     ss_invariant_ok: Optional[bool] = None
     path_stats: Optional[np.ndarray] = field(default=None, repr=False)
     grid_chain: Optional["SimResult"] = field(default=None, repr=False)
@@ -131,59 +134,136 @@ def _atom_matrix(model: InventoryModel, cfg: SimConfig) -> np.ndarray:
     return model.demand.sample_atoms(np.random.default_rng(cfg.seed), (cfg.n_paths, cfg.horizon))
 
 
-def _run_paths(
-    model: InventoryModel,
-    cfg: SimConfig,
-    atoms: np.ndarray,
-    policy,
-    burn: int = 0,
-    alpha: Optional[float] = None,
-) -> tuple[np.ndarray, float, Optional[bool]]:
-    """Step the fleet of paths; returns (per-path totals, max step cost, sS check).
-
-    A total adds the costs of steps t >= ``burn``, times alpha^t if ``alpha`` is
-    given.  States advance one step at a time into block rows; costs and the
-    (s,S) invariant are evaluated per block from those rows, elementwise, so
-    each cost is the one a step-by-step evaluation gives.
-    """
-    order, _ = _order_map(policy, model)
-    is_ss = hasattr(policy, "s") and hasattr(policy, "S") and not isinstance(policy, PolicyTable)
+def _drive(chain, atoms: np.ndarray, burn: int, t0: int = 0, start=None) -> np.ndarray:
+    """Block sums (blocks from t0 x paths) of the chain's step costs at steps t >= burn:
+    k segments side by side, or k = 1 from the exact state ``start`` (the rerun)."""
     n, horizon = atoms.shape
-    total, c_max = np.zeros(n), -np.inf
-    # one step per row, so each step writes contiguous memory; row k + 1 of
-    # xb is the state after step k, and the last row seeds the next block
-    xb, ab, pb, cb = np.empty((4, min(BLOCK, horizon) + 1, n))
-    xb[0] = cfg.x0
-    ss_ok = True if is_ss else None
-    for t0 in range(0, horizon, BLOCK):
-        block = atoms[:, t0 : t0 + BLOCK].T
-        width = block.shape[0]
-        # the block's demands wait in the state rows that their steps overwrite
-        # (atom indices are in range; "clip" lets take() write to out unbuffered)
-        model.demand.values.take(block, out=xb[1 : width + 1], mode="clip")
-        for x, a, post, x_next in zip(xb, ab, pb, xb[1 : width + 1]):
-            order(x, a, post)  # post is scratch until the order is placed
+    blocks = -(-(horizon - t0) // BLOCK)
+    per = -(-blocks // (1 if start is not None else min(blocks, max(1, LANES // n))))
+    bounds = range(t0, horizon, per * BLOCK)  # each segment's first step
+    k = len(bounds)
+    rows, span, warm = max(1, BLOCK // k), min(per * BLOCK, horizon - t0), WARMUP * (k > 1)
+    state = chain.begin(k * n, rows, [b - warm for b in bounds])
+
+    def run(q, count, priced):  # rows q .. q + count - 1 past every boundary
+        parts = []
+        for i, b in enumerate(bounds):  # only rows inside [0, horizon) read draws
+            lo, hi = min(max(-b - q, 0), count), max(min(horizon - b - q, count), 0)
+            parts.append((slice(i * n, i * n + n), lo, hi, atoms[:, b + q + lo : b + q + hi].T))
+        return chain.round(parts, count, priced)
+
+    for q in range(-warm, 0, rows):
+        run(q, min(rows, -q), False)
+    state[:n] = chain.x0 if start is None else start
+    starts = state[n:].copy()
+    sums, acc = np.empty((k, per, n)), np.zeros(k * n)
+    for q0 in range(0, span, BLOCK):
+        for q in range(q0, min(q0 + BLOCK, span), rows):
+            cost = run(q, min(rows, q0 + BLOCK - q, span - q), True)
+            for i, b in enumerate(bounds):  # steps before burn or past the horizon add 0.0
+                cost[: max(burn - b - q, 0), i * n : i * n + n] = 0.0
+                cost[max(horizon - b - q, 0) :, i * n : i * n + n] = 0.0
+            for row in cost:
+                acc += row
+        sums[:, q0 // BLOCK] = acc.reshape(k, n)
+        acc[:] = 0.0
+    sums = sums.reshape(k * per, n)
+    ends = state[: (k - 1) * n]  # segment i - 1 ends where segment i starts
+    moved = (ends.view(np.int64) != starts.view(np.int64)).reshape(k - 1, n).any(axis=1)
+    if moved.any():
+        i = int(moved.argmax()) + 1
+        rerun = _drive(chain, atoms, burn, bounds[i], ends[(i - 1) * n : i * n].copy())
+        sums[i * per : i * per + len(rerun)] = rerun
+    return sums[:blocks]
+
+
+class _Paths:
+    """The continuous chain on ``_drive``'s lanes: real-valued states, exact step costs."""
+
+    def __init__(self, model: InventoryModel, x0: float, policy) -> None:
+        self.model, self.x0, self.order = model, float(x0), _order_map(policy, model)[0]
+        is_ss = hasattr(policy, "s") and hasattr(policy, "S") and not isinstance(policy, PolicyTable)
+        self.ss, self.ss_ok = ((policy.s, policy.S), True) if is_ss else (None, None)
+
+    def begin(self, lanes: int, rows: int, times: list) -> np.ndarray:
+        # one step per row, so each step writes contiguous memory; row r + 1 of
+        # xb is the state after step r, and the last row seeds the next round
+        self.buf = np.empty((3, rows + 1, lanes))
+        self.buf[0, 0] = self.x0
+        return self.buf[0, 0]
+
+    def round(self, parts: list, count: int, priced: bool) -> np.ndarray:
+        xb, ab, pb = self.buf
+        for cols, lo, hi, block in parts:  # demands wait in the state rows their steps overwrite
+            x = xb[1 : count + 1, cols]
+            self.model.demand.values.take(block, out=x[lo:hi], mode="clip")
+            x[:lo] = x[hi:] = 0.0
+        for x, a, post, x_next in zip(xb, ab, pb, xb[1 : count + 1]):
+            self.order(x, a, post)  # post is scratch until the order is placed
             np.add(x, a, out=post)
             np.subtract(post, x_next, out=x_next)
-        xs, a, post, cost = xb[:width], ab[:width], pb[:width], cb[:width]
-        ordered = a > 0
-        if ss_ok:  # the (s,S) invariant: orders exactly below s, and never past S
-            ss_ok = np.array_equal(ordered, xs < policy.s) and not np.any(post > policy.S + 1e-9)
-        # priced in place, bitwise order_cost(a) + expected_h(post)
-        np.add(np.multiply(a, model.c_bar, out=cost), model.K, out=cost, where=ordered)
-        cost += model.expected_h(post)
-        c_max = np.maximum(c_max, cost.max())
-        kept = cost[max(burn - t0, 0) :]
-        if alpha is not None:
-            kept *= (alpha ** np.arange(t0 + width - len(kept), t0 + width))[:, None]
-        total += kept.sum(axis=0)
-        xb[0] = xb[width]
-    return total, float(c_max), ss_ok
+        xs, a, post = xb[:count], ab[:count], pb[:count]
+        if priced:
+            ordered = a > 0
+            if self.ss_ok:  # the (s,S) invariant: orders exactly below s, and never past S
+                s, S = self.ss
+                self.ss_ok = np.array_equal(ordered, xs < s) and not np.any(post > S + 1e-9)
+            # priced over the orders, bitwise order_cost(a) + expected_h(post)
+            np.add(np.multiply(a, self.model.c_bar, out=a), self.model.K, out=a, where=ordered)
+            a += self.model.expected_h(post)
+        xb[0] = xb[count]
+        return a
 
 
-def _run_grid_chain(
-    model: InventoryModel, cfg: SimConfig, atoms: np.ndarray, burn: int
-) -> Optional[np.ndarray]:
+class _GridPaths:
+    """The grid chain on ``_drive``'s lanes: grid-index states from per-(atom, state) tables."""
+
+    def __init__(self, model: InventoryModel, seed: int, start: int, steps: np.ndarray) -> None:
+        g = model.grid
+        idx = np.arange(g.n)
+        self.cost = np.tile(model.one_step_cost(idx, steps), model.demand.n_atoms)  # at (atom, state)
+        # row-major [atom, state]: pos = (x_post - d - x_lo) / step clamped to [0, n-1]
+        pos = g.points[idx + steps] - model.demand.values[:, None]
+        pos -= g.x_lo
+        pos /= g.step
+        np.clip(pos, 0.0, g.n - 1.0, out=pos)
+        self.lower = pos.astype(np.intp)  # floor, as pos >= 0
+        np.minimum(self.lower, g.n - 2, out=self.lower)
+        self.weight = pos - self.lower  # of the upper neighbour; take() reads both tables flat
+        self.x0, self.n_states = start, g.n
+        self.seed = np.random.SeedSequence(seed).spawn(1)[0]
+
+    def begin(self, lanes: int, rows: int, times: list) -> np.ndarray:
+        n = lanes // len(times)  # segment i reads the stream's uniforms from step times[i] on
+        self.rngs = [np.random.Generator(np.random.PCG64(self.seed).advance(max(t, 0) * n))
+                     for t in times]
+        self.j, self.u = np.empty((rows, lanes), dtype=np.intp), np.zeros((rows, lanes))
+        self.spare, self.w, self.up = np.empty((rows, n)), np.empty(lanes), np.empty(lanes, bool)
+        self.state = np.full(lanes, self.x0)
+        return self.state
+
+    def round(self, parts: list, count: int, priced: bool) -> Optional[np.ndarray]:
+        j, u, state, w, up = self.j[:count], self.u[:count], self.state, self.w, self.up
+        for (cols, lo, hi, block), rng in zip(parts, self.rngs):
+            np.multiply(block, self.n_states, out=j[lo:hi, cols], dtype=np.intp)  # (atom, state 0)
+            j[:lo, cols] = j[hi:, cols] = 0
+            u[lo:hi, cols] = rng.random(out=self.spare[: hi - lo])
+        for jk, uk in zip(j, u):
+            jk += state  # the step's (atom, state) index stays in its row
+            self.lower.take(jk, out=state, mode="clip")
+            np.less(uk, self.weight.take(jk, out=w, mode="clip"), out=up)
+            state += up
+        return self.cost.take(j, out=u, mode="clip") if priced else None  # into spent uniforms
+
+
+def _run_paths(model: InventoryModel, cfg: SimConfig, atoms: np.ndarray, policy, burn: int = 0):
+    """Per-path totals of the continuous chain's step costs at t >= ``burn``, and the
+    (s,S) check.  Each cost is the one a step-by-step evaluation gives."""
+    chain = _Paths(model, cfg.x0, policy)
+    return functools.reduce(np.add, _drive(chain, atoms, burn), 0.0), chain.ss_ok
+
+
+def _run_grid_chain(model: InventoryModel, cfg: SimConfig, atoms: np.ndarray, burn: int):
     """Per-path mean step cost after ``burn`` steps of the grid chain.
 
     Returns None when x0 is not a grid point or the policy orders off the
@@ -191,48 +271,16 @@ def _run_grid_chain(
     demand draws.  Each step splits x_post - d between the two grid points
     around it with the weights ``post_expectation_matrix`` uses, computed
     once per (atom, state) by the same float operations; the uniforms that
-    pick the side come from a child stream of ``cfg.seed``, drawn per block.
+    pick the side come from a child stream of ``cfg.seed``, one per path-step.
     """
-    g = model.grid
     fn, _ = policy_fn(cfg.policy, model)
     try:
-        start = g.index_of(cfg.x0)
-        steps = policy_order_steps(model, fn(g.points))
+        start = model.grid.index_of(cfg.x0)
+        steps = policy_order_steps(model, fn(model.grid.points))
     except ModelError:
         return None
-    idx = np.arange(g.n)
-    cost = np.tile(model.one_step_cost(idx, steps), model.demand.n_atoms)  # at (atom, state)
-    # row-major [atom, state]: pos = (x_post - d - x_lo) / step clamped to [0, n-1]
-    pos = g.points[idx + steps] - model.demand.values[:, None]
-    pos -= g.x_lo
-    pos /= g.step
-    np.clip(pos, 0.0, g.n - 1.0, out=pos)
-    lower = pos.astype(np.intp)  # floor, as pos >= 0
-    np.minimum(lower, g.n - 2, out=lower)
-    weight = pos - lower  # of the upper neighbour; take() reads both tables flat
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    n, horizon = atoms.shape
-    state = np.full(n, start)
-    total, w, up = np.zeros(n), np.empty(n), np.empty(n, dtype=bool)
-    flat = np.empty((min(BLOCK, horizon), n), dtype=np.intp)
-    u = np.empty(flat.shape)
-    for t0 in range(0, horizon, BLOCK):
-        block = atoms[:, t0 : t0 + BLOCK].T
-        j, ub = flat[: block.shape[0]], u[: block.shape[0]]
-        np.multiply(block, g.n, out=j, dtype=np.intp)  # flat index of (atom, state 0)
-        rng.random(out=ub)
-        for jk, uk in zip(j, ub):
-            jk += state  # the step's (atom, state) index stays in its row
-            lower.take(jk, out=state, mode="clip")
-            np.less(uk, weight.take(jk, out=w, mode="clip"), out=up)
-            state += up
-        # price the kept steps into their spent uniform rows; the total rides in the first
-        kept, jk = ub[max(burn - t0, 0) :], j[max(burn - t0, 0) :]
-        if len(kept):
-            cost.take(jk, out=kept, mode="clip")
-            kept[0] += total
-            total[:] = np.add.accumulate(kept, axis=0, out=kept)[-1]
-    return total / (horizon - burn)
+    chain = _GridPaths(model, cfg.seed, start, steps)
+    return functools.reduce(np.add, _drive(chain, atoms, burn), 0.0) / (cfg.horizon - burn)
 
 
 def _mean_and_se(x: np.ndarray) -> tuple[float, float]:  # the standard error of one path is 0
@@ -254,34 +302,15 @@ def _result(model: InventoryModel, cfg: SimConfig, path_stats, criterion, **extr
     )
 
 
-def _discounted(model: InventoryModel, cfg: SimConfig, atoms: np.ndarray) -> SimResult:
-    if cfg.alpha is None or not (0.0 <= cfg.alpha < 1.0):
-        raise ModelError("simulate_discounted needs alpha in [0,1)")
-    totals, c_max, ss_ok = _run_paths(model, cfg, atoms, cfg.policy, alpha=cfg.alpha)
-    tail = (cfg.alpha**cfg.horizon) * c_max / (1.0 - cfg.alpha) if cfg.alpha > 0 else 0.0
-    return _result(
-        model, cfg, totals, "discounted", bias_bound=float(tail), ss_invariant_ok=ss_ok
-    )
-
-
 def _average(model: InventoryModel, cfg: SimConfig, atoms: np.ndarray) -> SimResult:
     if cfg.horizon < 1000:
         raise ModelError("average-cost simulation needs horizon >= 1000")
     burn = cfg.horizon // 10
-    totals, _, ss_ok = _run_paths(model, cfg, atoms, cfg.policy, burn=burn)
+    totals, ss_ok = _run_paths(model, cfg, atoms, cfg.policy, burn=burn)
     return _result(
         model, cfg, totals / (cfg.horizon - burn), "average",
         burn_in_used=burn, ss_invariant_ok=ss_ok,
     )
-
-
-def simulate_discounted(model: InventoryModel, cfg: SimConfig) -> SimResult:
-    """Sample mean and standard error of the horizon-truncated discounted cost.
-
-    The reported ``bias_bound`` is alpha^horizon / (1 - alpha) times the
-    largest one-step cost seen, a ceiling on the truncated tail.
-    """
-    return _discounted(model, cfg, _atom_matrix(model, cfg))
 
 
 def simulate_average(model: InventoryModel, cfg: SimConfig) -> SimResult:
@@ -326,14 +355,12 @@ def compare_policies(
 
     Every policy sees the same demand streams, so the paired per-path
     differences against the first policy have far less variance than the
-    raw means.  The criterion is discounted when cfg.alpha is set,
-    long-run average otherwise.
+    raw means.  The criterion is the long-run average.
     """
     if len(policies) < 2:
         raise ModelError("compare_policies needs at least two policies")
     atoms = _atom_matrix(model, cfg)
-    run = _average if cfg.alpha is None else _discounted
-    runs = [run(model, replace(cfg, policy=p), atoms) for p in policies]
+    runs = [_average(model, replace(cfg, policy=p), atoms) for p in policies]
     base = runs[0].path_stats
     rows = [
         ComparisonRow(r.policy_id, r.mean, r.std_error, *_mean_and_se(r.path_stats - base))

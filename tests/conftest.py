@@ -384,7 +384,9 @@ def oracle_grid_chain(model, cfg, order_steps, demands, burn, block):
     at a time from the demand values (paths x steps).  Each step clamps
     x_post - d to [x_lo, x_hi] and moves to the upper neighbour when its
     uniform is below the upper weight; the uniforms come from the first child
-    stream of ``cfg.seed``, drawn ``block`` steps at a time.
+    stream of ``cfg.seed``, drawn ``block`` steps at a time.  The kept costs of
+    each block of ``block`` steps are added step by step, and the block sums are
+    added to the total in order.
     """
     g = model.grid
     idx = np.arange(g.n)
@@ -397,8 +399,11 @@ def oracle_grid_chain(model, cfg, order_steps, demands, burn, block):
     for t in range(horizon):
         if t % block == 0:
             u = rng.random((min(block, horizon - t), n))
+            block_sum = np.zeros(n)
         if t >= burn:
-            total += cost[state]
+            block_sum += cost[state]
+        if t % block == block - 1 or t == horizon - 1:
+            total += block_sum
         pos = post_x[state]
         pos -= demands[:, t]
         pos -= g.x_lo

@@ -22,7 +22,6 @@ from ssdp.dp import (
     track_action_convergence,
 )
 from ssdp.model import ModelError, build_cost
-from ssdp.simulate import SimConfig, simulate_discounted
 
 from conftest import (
     CONFIGS,
@@ -253,15 +252,6 @@ def test_terminal_equal_to_v_alpha_is_fixed(instance_a, solve_a_09):
 def test_policy_evaluation_zero_stub(zero_stub):
     v = policy_evaluation(zero_stub, np.zeros(zero_stub.grid.n), 0.9, tol=1e-10)
     assert np.all(v == 0.0)
-
-
-def test_policy_evaluation_never_order_matches_simulation(instance_a):
-    never = np.zeros(instance_a.grid.n)
-    pe = policy_evaluation(instance_a, never, 0.5, tol=1e-10)
-    cfg = SimConfig(x0=5.0, horizon=60, n_paths=20_000, seed=99, alpha=0.5, policy="never_order")
-    sim = simulate_discounted(instance_a, cfg)
-    i5 = instance_a.grid.index_of(5.0)
-    assert abs(sim.mean - pe[i5]) <= 3 * sim.std_error + sim.bias_bound + 1e-6
 
 
 def test_policy_evaluation_degenerate_closed_form(degenerate_model):

@@ -1,4 +1,5 @@
 import functools
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,6 @@ from ssdp.simulate import (
     compare_policies,
     policy_fn,
     simulate_average,
-    simulate_discounted,
 )
 
 from conftest import make_exponential, make_instance_a, make_off_lattice, oracle_grid_chain
@@ -27,16 +27,14 @@ def test_zero_stub_costs_nothing(zero_stub):
     cfg = SimConfig(x0=0.0, horizon=1500, n_paths=16, seed=1, policy="never_order")
     rep = simulate_average(zero_stub, cfg)
     assert rep.mean == 0.0 and rep.std_error == 0.0
-    cfg2 = SimConfig(x0=0.0, horizon=50, n_paths=16, seed=1, alpha=0.5, policy="never_order")
-    assert simulate_discounted(zero_stub, cfg2).mean == 0.0
 
 
 def test_single_step_cost_is_deterministic(instance_a):
-    # alpha = 0, one step: expected-cost formulation makes the draw irrelevant
-    cfg = SimConfig(x0=0.0, horizon=1, n_paths=8, seed=2, alpha=0.0, policy="never_order")
-    rep = simulate_discounted(instance_a, cfg)
-    assert rep.mean == pytest.approx(3.0, abs=1e-12)
-    assert rep.std_error == 0.0
+    # one step: the expected-cost formulation makes the draw irrelevant
+    cfg = SimConfig(x0=0.0, horizon=1, n_paths=8, seed=2, policy="never_order")
+    totals, _ = simulate._run_paths(instance_a, cfg, simulate._atom_matrix(instance_a, cfg), cfg.policy)
+    assert totals[0] == pytest.approx(3.0, abs=1e-12)
+    assert np.all(totals == totals[0])
 
 
 def test_degenerate_average_closed_form(degenerate_model):
@@ -67,15 +65,6 @@ def test_ss_step_invariants_tracked(instance_a):
     rep = simulate_average(instance_a, cfg)
     assert rep.ss_invariant_ok is True
     assert rep.policy_id == "sS(s=1.0,S=2.0)"
-
-
-def test_discounted_matches_policy_evaluation(instance_a, discounted_a_09):
-    pol = discounted_a_09.policy
-    pe = ssdp.policy_evaluation(instance_a, pol, 0.9, tol=1e-8)
-    cfg = SimConfig(x0=0.0, horizon=250, n_paths=4000, seed=29, alpha=0.9, policy=pol)
-    rep = simulate_discounted(instance_a, cfg)
-    i0 = instance_a.grid.index_of(0.0)
-    assert abs(rep.mean - pe[i0]) <= 3 * rep.std_error + rep.bias_bound
 
 
 def test_crn_determinism(instance_a):
@@ -136,6 +125,12 @@ def test_needs_two_policies(instance_a):
         )
 
 
+@pytest.mark.parametrize("x0", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_x0_rejected(x0):
+    with pytest.raises(ModelError, match="x0 must be finite"):
+        SimConfig(x0=x0, horizon=1000, n_paths=2, seed=1)
+
+
 def test_unknown_policy_rejected(instance_a):
     with pytest.raises(ModelError):
         simulate_average(
@@ -157,16 +152,15 @@ def _stepwise_costs(model, cfg, demands, policy):
     return costs
 
 
-def _blocked_totals(costs, burn, alpha):
+def _blocked_totals(costs, burn):
     """``_run_paths``' totals from an oracle cost matrix, in its documented order:
-    per block of ``BLOCK`` steps, the kept steps (t >= burn, times alpha^t when
-    alpha is given) are added up step by step, and that sum is added to the total."""
-    weight = 1.0 if alpha is None else alpha
+    per block of ``BLOCK`` steps, the kept steps (t >= burn) are added up step by
+    step, and that sum is added to the total."""
     total = np.zeros(costs.shape[0])
     for t0 in range(0, costs.shape[1], simulate.BLOCK):
         kept = range(max(t0, burn), min(t0 + simulate.BLOCK, costs.shape[1]))
         if kept:
-            total += functools.reduce(np.add, (costs[:, t] * weight**t for t in kept))
+            total += functools.reduce(np.add, (costs[:, t] for t in kept))
     return total
 
 
@@ -184,45 +178,85 @@ def _chain_model(name):
 def test_blocked_costs_equal_stepwise(policy):
     # the exponential atoms differ from their indices, so atom indices read
     # as demand values would show there (on instance_a atom k is demand k)
-    for model, table in (_chain_model("instance_a"), _chain_model("exponential")):
+    # one path and two paths too: a sum over one path's steps is not pairwise either
+    for (model, table), n_paths in itertools.product(
+        (_chain_model("instance_a"), _chain_model("exponential")), (1, 2, 5)
+    ):
         pol = table if policy == "table" else policy
         # a horizon that is not a whole number of blocks
-        cfg = SimConfig(x0=-3.0, horizon=simulate.BLOCK * 2 + 37, n_paths=5, seed=3, policy=pol)
+        cfg = SimConfig(x0=-3.0, horizon=simulate.BLOCK * 2 + 37, n_paths=n_paths, seed=3,
+                        policy=pol)
         atoms = simulate._atom_matrix(model, cfg)
         ref = _stepwise_costs(model, cfg, model.demand.values[atoms], pol)
         # burn 300 starts inside the second block
-        for burn, alpha in ((0, None), (300, None), (0, 0.9)):
-            totals, c_max, _ = simulate._run_paths(model, cfg, atoms, pol, burn, alpha)
-            want = _blocked_totals(ref, burn, alpha)
-            assert np.array_equal(totals, want), (model.demand.source, burn, alpha)
-            assert c_max == ref.max()
+        for burn in (0, 300):
+            totals, _ = simulate._run_paths(model, cfg, atoms, pol, burn)
+            want = _blocked_totals(ref, burn)
+            assert np.array_equal(totals, want), (model.demand.source, n_paths, burn)
 
 
-@given(
+def _chain_case(name, kind, level_at, s_at):
+    """A model and a policy of the given kind whose levels are grid points."""
+    model, table = _chain_model(name)
+    point = lambda at: float(model.grid.points[int(at * (model.grid.n - 1))])  # noqa: E731
+    return model, {
+        "table": table,
+        "never_order": "never_order",
+        "order_up_to": OrderUpTo(point(level_at)),
+        "sS": SsPolicy(s=point(level_at * s_at), S=point(level_at)),
+    }[kind]
+
+
+# horizons of up to four blocks, so up to four segments of 1 to 6 paths step side by
+# side; never_order and table paths never meet in the continuous chain, so their
+# segments are rerun from the first boundary
+CHAIN_CASES = dict(
     name=st.sampled_from(["instance_a", "off_lattice", "exponential"]),
-    kind=st.sampled_from(["table", "order_up_to", "never_order"]),
+    kind=st.sampled_from(["sS", "table", "order_up_to", "never_order"]),
     x0_at=st.floats(0.0, 1.0),
     level_at=st.floats(0.0, 1.0),
-    horizon=st.integers(1, 2 * simulate.BLOCK + 40),
+    s_at=st.floats(0.0, 1.0),
+    horizon=st.integers(1, 3 * simulate.BLOCK + 40),
     burn_at=st.floats(0.0, 1.0, exclude_max=True),
     n_paths=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
 )
+
+
+@given(**CHAIN_CASES)
+@example(name="exponential", kind="sS", x0_at=0.3, level_at=0.6, s_at=0.7,
+         horizon=3 * simulate.BLOCK + 40, burn_at=0.1, n_paths=6, seed=3)
+@example(name="instance_a", kind="table", x0_at=0.9, level_at=0.0, s_at=0.0,
+         horizon=2 * simulate.BLOCK + 1, burn_at=0.6, n_paths=1, seed=4)
+@settings(max_examples=60, deadline=None)
+def test_continuous_chain_equals_stepwise_oracle(
+    name, kind, x0_at, level_at, s_at, horizon, burn_at, n_paths, seed
+):
+    model, policy = _chain_case(name, kind, level_at, s_at)
+    g = model.grid
+    x0 = g.x_lo - 2.0 + x0_at * (g.x_hi - g.x_lo + 4.0)  # any state, on the grid or not
+    cfg = SimConfig(x0=x0, horizon=horizon, n_paths=n_paths, seed=seed, policy=policy)
+    atoms = simulate._atom_matrix(model, cfg)
+    burn = int(burn_at * horizon)
+    totals, _ = simulate._run_paths(model, cfg, atoms, policy, burn)
+    ref = _stepwise_costs(model, cfg, model.demand.values[atoms], policy)
+    assert np.array_equal(totals, _blocked_totals(ref, burn))
+
+
+@given(**CHAIN_CASES)
 # never ordering from near x_lo clamps within a few steps; off_lattice's
 # largest atom reaches below x_lo from every post-order state under -1.25
-@example(name="instance_a", kind="never_order", x0_at=0.05, level_at=0.0,
+@example(name="instance_a", kind="never_order", x0_at=0.05, level_at=0.0, s_at=0.0,
          horizon=simulate.BLOCK + 7, burn_at=0.0, n_paths=4, seed=1)
-@example(name="off_lattice", kind="order_up_to", x0_at=0.5, level_at=0.2,
+@example(name="off_lattice", kind="order_up_to", x0_at=0.5, level_at=0.2, s_at=0.0,
          horizon=3 * simulate.BLOCK - 1, burn_at=0.5, n_paths=3, seed=2)
 @settings(max_examples=60, deadline=None)
 def test_grid_chain_equals_stepwise_oracle(
-    name, kind, x0_at, level_at, horizon, burn_at, n_paths, seed
+    name, kind, x0_at, level_at, s_at, horizon, burn_at, n_paths, seed
 ):
-    model, table = _chain_model(name)
+    model, policy = _chain_case(name, kind, level_at, s_at)
     g = model.grid
     x0 = float(g.points[int(x0_at * (g.n - 1))])
-    policy = {"table": table, "never_order": "never_order",
-              "order_up_to": OrderUpTo(float(g.points[int(level_at * (g.n - 1))]))}[kind]
     cfg = SimConfig(x0=x0, horizon=horizon, n_paths=n_paths, seed=seed, policy=policy)
     atoms = simulate._atom_matrix(model, cfg)
     burn = int(burn_at * horizon)
@@ -230,6 +264,24 @@ def test_grid_chain_equals_stepwise_oracle(
     got = simulate._run_grid_chain(model, cfg, atoms, burn)
     ref = oracle_grid_chain(model, cfg, steps, model.demand.values[atoms], burn, simulate.BLOCK)
     assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("policy", [SsPolicy(s=0.25, S=2.0), "never_order"])
+def test_sweep_segments_meet_within_the_warm_up(policy, monkeypatch):
+    # the sweep's check at seed 3: every speculative segment start meets the exact
+    # path within WARMUP steps, so no segment is rerun; never_order's continuous
+    # paths never meet, so there the rerun shows
+    drive, starts = simulate._drive, []
+
+    def spy(chain, atoms, burn, t0=0, start=None):
+        starts.append((type(chain).__name__, t0))
+        return drive(chain, atoms, burn, t0, start)
+
+    monkeypatch.setattr(simulate, "_drive", spy)
+    cfg = SimConfig(x0=2.0, horizon=4000, n_paths=256, seed=3, policy=policy)
+    assert simulate_average(make_exponential(), cfg).grid_chain is not None
+    rerun = [("_Paths", 2 * simulate.BLOCK)] if policy == "never_order" else []  # 8 segments
+    assert starts == [("_Paths", 0), *rerun, ("_GridPaths", 0)]
 
 
 def test_grid_chain_equals_continuous_chain_on_lattice(instance_a):
