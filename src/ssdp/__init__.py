@@ -20,7 +20,6 @@ from .dp import (
     ConvergenceError,
     SolveReport,
     TerminalValue,
-    action_bound_set,
     bellman_update,
     check_terminal_admissible,
     policy_evaluation,

@@ -43,14 +43,12 @@ __all__ = [
     "OptimalityInequalityReport",
     "check_terminal_admissible",
     "AdmissibilityReport",
-    "action_bound_set",
     "track_action_convergence",
     "ActionConvergenceReport",
     "EPS_ACT",
 ]
 
 EPS_ACT = 1e-9  # absolute tolerance for eps-optimal action sets
-BOUND_SET_EPS = 1e-9
 ADMISSIBLE_SLACK = 1e-9  # slack of check_terminal_admissible's two inequalities
 ACTION_REF_TOL = 1e-10  # solve tolerance of track_action_convergence's reference sets
 CYCLE_BLOCK = 2**20  # table cells (states x reorder indices) per streamed cycle-table block
@@ -461,22 +459,6 @@ def check_terminal_admissible(
         one_step_ge_f=drop <= ADMISSIBLE_SLACK,
         max_excess_over_v=excess,
     )
-
-
-def action_bound_set(
-    x: float,
-    model: InventoryModel,
-    v_alpha: np.ndarray,
-) -> np.ndarray:
-    """Actions whose one-step cost alone does not exceed v_alpha(x).
-
-    Every finite-horizon optimal action set (t >= 1, admissible terminal)
-    is contained in this set, which is what makes it a bound set.
-    """
-    i = model.grid.index_of(x)
-    row = model.one_step_cost(i, np.arange(model.grid.n - i))
-    ks = np.nonzero(row <= v_alpha[i] + BOUND_SET_EPS)[0]
-    return ks * model.grid.step
 
 
 @dataclass(eq=False)

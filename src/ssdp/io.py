@@ -2,7 +2,9 @@
 
 CSV files use the csv module's default dialect (RFC-4180 quoting, CRLF),
 and floats are rendered with repr (shortest round-trip form), so reruns
-with identical inputs are byte-identical.
+with identical inputs are byte-identical.  Every table is written from its
+columns, each converted to Python values at once, ``CSV_CHUNK`` rows at a
+time, so the text of a large grid table is never held whole.
 """
 
 from __future__ import annotations
@@ -26,25 +28,28 @@ __all__ = [
     "write_results_csv",
 ]
 
-
-def _cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
+CSV_CHUNK = 64  # rows formatted and written at a time
 
 
-def write_table_csv(path, header, rows) -> None:
+def _column(values) -> list:
+    """One column as Python values for the csv module, which writes floats with
+    str (the shortest round-trip repr), ints with str and None as an empty cell:
+    a numeric numpy array takes one ``tolist``; in a list, numpy scalars take
+    ``item`` and booleans become true/false."""
+    if isinstance(values, np.ndarray):
+        return values.tolist()
+    items = (v.item() if isinstance(v, np.generic) else v for v in values)
+    return [("true" if v else "false") if isinstance(v, bool) else v for v in items]
+
+
+def write_table_csv(path, header, columns) -> None:
+    """A CSV table from equal-length columns, ``CSV_CHUNK`` rows at a time."""
+    n = len(columns[0]) if columns else 0
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_cell(c) for c in row])
+        for r in range(0, n, CSV_CHUNK):
+            w.writerows(zip(*(_column(c[r : r + CSV_CHUNK]) for c in columns)))
 
 
 def write_json(path, payload: dict) -> None:
@@ -54,8 +59,8 @@ def write_json(path, payload: dict) -> None:
 
 def write_solve_csv(path, value, policy) -> None:
     """Columns: x, v, chosen_action, n_eps_optimal, from grid values and their PolicyTable."""
-    rows = zip(policy.grid.points, value, policy.chosen, policy.set_sizes())
-    write_table_csv(path, ["x", "v", "chosen_action", "n_eps_optimal"], rows)
+    columns = [policy.grid.points, value, policy.chosen, policy.set_sizes()]
+    write_table_csv(path, ["x", "v", "chosen_action", "n_eps_optimal"], columns)
 
 
 def write_solve_sidecar(path, report) -> None:
@@ -72,7 +77,7 @@ def write_solve_sidecar(path, report) -> None:
 def write_threshold_csv(path, rows) -> None:
     """Rows: (context, s, S, g_min, K_convex_ok, extrapolation_count)."""
     header = ["context", "s", "S", "g_min", "K_convex_ok", "extrapolation_count"]
-    write_table_csv(path, header, rows)
+    write_table_csv(path, header, list(zip(*rows)))
 
 
 def write_sweep_csv(path, sweep) -> None:
@@ -99,14 +104,13 @@ def write_sweep_csv(path, sweep) -> None:
         )
         for r in sweep.records
     )
-    write_table_csv(path, header, rows)
+    write_table_csv(path, header, list(zip(*rows)))
 
 
 def write_results_csv(path, rows) -> None:
     """Rows: (policy_id, criterion, mean, std_error, n_paths, horizon, seed)."""
-    write_table_csv(
-        path, ["policy_id", "criterion", "mean", "std_error", "n_paths", "horizon", "seed"], rows
-    )
+    header = ["policy_id", "criterion", "mean", "std_error", "n_paths", "horizon", "seed"]
+    write_table_csv(path, header, list(zip(*rows)))
 
 
 @dataclass

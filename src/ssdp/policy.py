@@ -12,6 +12,7 @@ relative value function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,7 +56,8 @@ TIE_EPS = 1e-9
 BRUTE_FORCE_MARGIN = 1e-6
 G_CONSISTENCY_TOL = 1e-7
 KCONVEX_TOL = 1e-9
-KCONVEX_BLOCK = 4096  # cells per row block of the K-convexity scan
+KCONVEX_BLOCK = 8192  # cells per row block of the K-convexity scan
+KCONVEX_BUFSIZE = 1024  # numpy's ufunc buffer, in elements, during the scan
 
 
 class CertificationError(RuntimeError):
@@ -149,7 +151,7 @@ class KConvexityReport:
     K: float
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a g that swamps K overflows; the verdict says so
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a g that swamps K overflows
 def is_K_convex(grid: Grid, g: np.ndarray, K: float) -> KConvexityReport:
     """Definitional K-convexity check over all grid triples x < m < y.
 
@@ -163,9 +165,15 @@ def is_K_convex(grid: Grid, g: np.ndarray, K: float) -> KConvexityReport:
 
     one reversed running minimum over y and one argmax over m.  Rows are
     scanned in blocks of about ``KCONVEX_BLOCK`` cells, whose columns start
-    one past the block's first row; cells with y <= x or m <= x are masked.
-    That makes the scan O(n^2) time with O(n) working memory; no n x n array
-    is built.  Among tied triples the smallest x, then m, then y is reported.
+    one past the block's first row, in two buffers made once per call: y - x,
+    turned in place into (m - x) times the running minimum, and sigma, turned
+    into the violations.  No cell with m > x reads a cell with y <= x, so only
+    the leading triangle m <= x and the last column are set to -inf.  numpy's
+    ufunc buffer is ``KCONVEX_BUFSIZE`` elements meanwhile, so broadcasting a
+    block's rows copies nothing block-sized: O(n^2) time, O(n + KCONVEX_BLOCK)
+    memory.  Each cell is the float operation of a plain per-row scan; among
+    tied triples the smallest x, then m, then y is reported.  A NaN cell (an
+    overflowing g) is its block's argmax and counts as no violation.
     """
     if K < 0:
         raise ModelError("K must be nonnegative")
@@ -175,25 +183,41 @@ def is_K_convex(grid: Grid, g: np.ndarray, K: float) -> KConvexityReport:
     if n < 3:
         return KConvexityReport(True, 0.0, None, KCONVEX_TOL, K)
     worst, worst_triple = -np.inf, None
-    r0 = 0
-    while r0 < n - 2:
-        # rows x in [r0, r1), columns y (and m) from r0 + 1 to n - 1
-        r1 = min(n - 2, r0 + max(1, KCONVEX_BLOCK // (n - 1 - r0)))
-        rows = np.arange(r0, r1)[:, None]
-        above = np.arange(r0 + 1, n) > rows
-        sigma = np.divide(vals[r0 + 1 :] + K - vals[rows], xs[r0 + 1 :] - xs[rows],
-                          out=np.full(above.shape, np.inf), where=above)
-        # tail[:, c]: min of sigma over the columns after c, for m at column c
-        tail = np.minimum.accumulate(sigma[:, :0:-1], axis=1)[:, ::-1]
-        viol = vals[r0 + 1 : -1] - vals[rows] - (xs[r0 + 1 : -1] - xs[rows]) * tail
-        viol[~above[:, :-1]] = -np.inf
-        # the first largest cell in row-major order: smallest x, then m
-        i, k = divmod(int(viol.argmax()), viol.shape[1])
-        if viol[i, k] > worst:
-            worst = float(viol[i, k])
-            y = r0 + 2 + k + int(np.argmin(sigma[i, k + 1 :]))
-            worst_triple = (float(xs[r0 + i]), float(xs[r0 + 1 + k]), float(xs[y]))
-        r0 = r1
+    vk = vals + K
+    dx_flat, sig_flat = np.empty((2, max(KCONVEX_BLOCK, n - 1)))
+    # before[i, c]: column c lies at or before row i; a block of R >= 2 rows has R^2 < cells
+    before = np.tri(math.isqrt(KCONVEX_BLOCK) + 1, k=-1, dtype=bool)
+    bufsize = np.setbufsize(KCONVEX_BUFSIZE)
+    try:
+        r0 = 0
+        while r0 < n - 2:
+            # rows x in [r0, r1), columns y (and m) from r0 + 1 to n - 1
+            w = n - 1 - r0
+            r1 = min(n - 2, r0 + max(1, KCONVEX_BLOCK // w))
+            rows, xr = r1 - r0, vals[r0:r1, None]
+            dxf, sgf = dx_flat[: rows * w], sig_flat[: rows * w]
+            dx, sig = dxf.reshape(rows, w), sgf.reshape(rows, w)
+            np.subtract(xs[r0 + 1 :], xs[r0:r1, None], out=dx)
+            np.divide(np.subtract(vk[r0 + 1 :], xr, out=sig), dx, out=sig)
+            # sig[:, c] for c >= 1: the min of sigma over the columns from c on
+            tail = sig[:, :0:-1]
+            np.minimum.accumulate(tail, axis=1, out=tail)
+            # flat, one cell on: (m - x) * min over y > m, for m at column c
+            np.multiply(dxf[:-1], sgf[1:], out=dxf[:-1])
+            viol = np.subtract(vals[r0 + 1 :], xr, out=sig)
+            np.subtract(viol, dx, out=viol)
+            viol[:, -1] = -np.inf
+            np.copyto(viol[:, :rows], -np.inf, where=before[:rows, :rows])
+            # the first largest cell in row-major order: smallest x, then m
+            i, k = divmod(int(viol.argmax()), w)
+            if viol[i, k] > worst:
+                worst = float(viol[i, k])
+                x, m = r0 + i, r0 + 1 + k
+                sigma = (vk[m + 1 :] - vals[x]) / (xs[m + 1 :] - xs[x])
+                worst_triple = (float(xs[x]), float(xs[m]), float(xs[m + 1 + int(sigma.argmin())]))
+            r0 = r1
+    finally:
+        np.setbufsize(bufsize)
     return KConvexityReport(
         verdict=worst <= KCONVEX_TOL, worst_violation=worst, worst_triple=worst_triple,
         tol=KCONVEX_TOL, K=K

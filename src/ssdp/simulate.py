@@ -21,9 +21,13 @@ entries for any k.  Segment i >= 1 starts ``WARMUP`` unpriced steps before its
 boundary from x0, on the true draws.  Two (s,S) paths that place the same order
 stay identical, so the speculative path meets the exact one; each boundary is
 compared bitwise with the previous segment's end, and from the first that
-differs the rest is rerun from the exact state with k = 1.  Each block's kept
-costs are added step by step and the block sums in block order, for any number
-of paths; only blocks x n_paths sums and the atom matrix grow with the horizon.
+differs the rest is rerun from the exact state with k = 1.  Continuous paths
+meet only under an order map that resets them to a fixed level ((s,S), a
+finite order-up-to level); under ``never_order`` or a ``PolicyTable`` each
+keeps its own offset, so those chains step as one segment from the start.
+Each block's kept costs are added step by step and the block sums in block
+order, for any number of paths; only blocks x n_paths sums and the atom matrix
+grow with the horizon.
 """
 
 from __future__ import annotations
@@ -136,10 +140,12 @@ def _atom_matrix(model: InventoryModel, cfg: SimConfig) -> np.ndarray:
 
 def _drive(chain, atoms: np.ndarray, burn: int, t0: int = 0, start=None) -> np.ndarray:
     """Block sums (blocks from t0 x paths) of the chain's step costs at steps t >= burn:
-    k segments side by side, or k = 1 from the exact state ``start`` (the rerun)."""
+    k segments side by side, or k = 1 from the exact state ``start`` (the rerun) and
+    for a chain whose paths cannot meet."""
     n, horizon = atoms.shape
     blocks = -(-(horizon - t0) // BLOCK)
-    per = -(-blocks // (1 if start is not None else min(blocks, max(1, LANES // n))))
+    split = 1 if start is not None or not chain.meets else min(blocks, max(1, LANES // n))
+    per = -(-blocks // split)
     bounds = range(t0, horizon, per * BLOCK)  # each segment's first step
     k = len(bounds)
     rows, span, warm = max(1, BLOCK // k), min(per * BLOCK, horizon - t0), WARMUP * (k > 1)
@@ -184,6 +190,7 @@ class _Paths:
         self.model, self.x0, self.order = model, float(x0), _order_map(policy, model)[0]
         is_ss = hasattr(policy, "s") and hasattr(policy, "S") and not isinstance(policy, PolicyTable)
         self.ss, self.ss_ok = ((policy.s, policy.S), True) if is_ss else (None, None)
+        self.meets = is_ss or (isinstance(policy, OrderUpTo) and math.isfinite(policy.level))
 
     def begin(self, lanes: int, rows: int, times: list) -> np.ndarray:
         # one step per row, so each step writes contiguous memory; row r + 1 of
@@ -217,6 +224,8 @@ class _Paths:
 
 class _GridPaths:
     """The grid chain on ``_drive``'s lanes: grid-index states from per-(atom, state) tables."""
+
+    meets = True  # paths on a finite lattice can meet under any policy
 
     def __init__(self, model: InventoryModel, seed: int, start: int, steps: np.ndarray) -> None:
         g = model.grid

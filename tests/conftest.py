@@ -5,6 +5,7 @@ hand-rolled kernel rows, direct linear solves) so the tests never trust the
 solver's own code paths for expected values.
 """
 
+import csv
 import os
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import strategies as st
 
 import ssdp
-from ssdp import average
+from ssdp import average, policy
 from ssdp.dp import sS_cycle_tables
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -377,6 +378,70 @@ def oracle_k_convexity_rows(values, xs, K):
             y = i + 2 + k + int(np.argmin(sigma[k + 1 :]))
             worst_triple = (float(xs[i]), float(xs[i + 1 + k]), float(xs[y]))
     return worst, worst_triple
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_is_K_convex(grid, g, K):
+    """``policy.is_K_convex`` as it was before its fused scan: the same blocks of
+    about ``policy.KCONVEX_BLOCK`` cells, each built from fresh temporaries, with
+    sigma divided only where y > x and a full boolean mask of the cells with
+    m <= x.  A NaN cell is its block's argmax and counts as no violation, so
+    with an overflowing g the report depends on the block partition; both scans
+    read the same constant.
+    """
+    if K < 0:
+        raise ssdp.ModelError("K must be nonnegative")
+    vals = np.asarray(g, dtype=float)
+    xs = grid.points
+    n = vals.size
+    if n < 3:
+        return policy.KConvexityReport(True, 0.0, None, policy.KCONVEX_TOL, K)
+    worst, worst_triple = -np.inf, None
+    r0 = 0
+    while r0 < n - 2:
+        r1 = min(n - 2, r0 + max(1, policy.KCONVEX_BLOCK // (n - 1 - r0)))
+        rows = np.arange(r0, r1)[:, None]
+        above = np.arange(r0 + 1, n) > rows
+        sigma = np.divide(vals[r0 + 1 :] + K - vals[rows], xs[r0 + 1 :] - xs[rows],
+                          out=np.full(above.shape, np.inf), where=above)
+        tail = np.minimum.accumulate(sigma[:, :0:-1], axis=1)[:, ::-1]
+        viol = vals[r0 + 1 : -1] - vals[rows] - (xs[r0 + 1 : -1] - xs[rows]) * tail
+        viol[~above[:, :-1]] = -np.inf
+        i, k = divmod(int(viol.argmax()), viol.shape[1])
+        if viol[i, k] > worst:
+            worst = float(viol[i, k])
+            y = r0 + 2 + k + int(np.argmin(sigma[i, k + 1 :]))
+            worst_triple = (float(xs[r0 + i]), float(xs[r0 + 1 + k]), float(xs[y]))
+        r0 = r1
+    return policy.KConvexityReport(
+        verdict=worst <= policy.KCONVEX_TOL, worst_violation=worst, worst_triple=worst_triple,
+        tol=policy.KCONVEX_TOL, K=K
+    )
+
+
+def reference_cell(x) -> str:
+    """One CSV cell as the row-at-a-time writer formatted it: "" for None,
+    true/false for booleans, str(int) for integers, repr(float) for floats,
+    str otherwise (numpy scalars included)."""
+    if x is None:
+        return ""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(x)
+
+
+def reference_write_table_csv(path, header, rows):
+    """The row-at-a-time CSV writer: the csv module's default dialect, one
+    ``reference_cell`` per cell."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([reference_cell(c) for c in row])
 
 
 def oracle_grid_chain(model, cfg, order_steps, demands, burn, block):

@@ -12,7 +12,6 @@ from ssdp.policy import solve_zero_setup
 from ssdp.dp import (
     EPS_ACT,
     TerminalValue,
-    action_bound_set,
     bellman_update,
     check_terminal_admissible,
     policy_evaluation,
@@ -292,33 +291,18 @@ def test_admissible_fails_above_v_alpha(instance_a, solve_a_09):
     assert not rep.f_le_v_alpha
 
 
-# ---------------------------------------------------------- action bound set
+# ------------------------------------------------ one-step bound on actions
 
 
-def test_action_bound_set_zero_stub(zero_stub):
-    rep = solve_infinite(zero_stub, 0.9, tol=1e-10)
-    acts = action_bound_set(0.0, zero_stub, rep.value)
-    i = zero_stub.grid.index_of(0.0)
-    assert len(acts) == zero_stub.grid.n - i
-
-
-def test_action_bound_set_contains_finite_horizon_actions(instance_a, solve_a_09):
+def test_finite_horizon_actions_cost_at_most_v_alpha(instance_a, solve_a_09):
+    # from a zero terminal v_t <= v_alpha, and the continuation is nonnegative, so
+    # every eps-optimal action at a stage t >= 1 costs at most v_alpha(x) in one step
     res = solve_finite(instance_a, 50, TerminalValue.zero(instance_a.grid), 0.9)
-    for x in (-10.0, -3.0, 0.0, 4.0):
-        i = instance_a.grid.index_of(x)
-        bound = np.round(action_bound_set(x, instance_a, solve_a_09.value)).astype(int)
-        outside = np.setdiff1d(np.arange(instance_a.grid.n - i), bound)
-        for t in range(1, 50):
-            assert not np.any(res.policies[t].contains(i, outside))
-
-
-def test_action_bound_set_huge_K(instance_a):
-    from dataclasses import replace
-
-    m = replace(instance_a, K=1e6)
-    rep = solve_infinite(m, 0.9, tol=1e-6)
-    acts = action_bound_set(0.0, m, rep.value)
-    assert np.array_equal(acts, np.array([0.0]))
+    i, j = np.triu_indices(instance_a.grid.n)  # every feasible (state, order) pair
+    within = instance_a.one_step_cost(i, j - i) <= solve_a_09.value[i] + 1e-9
+    assert not within.all()  # the bound excludes some actions
+    for t in range(1, 50):
+        assert not np.any(res.policies[t].contains(i, j - i) & ~within), t
 
 
 # -------------------------------------------------------- action convergence

@@ -36,6 +36,7 @@ from conftest import (
     oracle_k_convexity_rows,
     oracle_optimal_average_cost,
     oracle_post_expectation,
+    reference_is_K_convex,
     small_models,
 )
 
@@ -264,6 +265,61 @@ def test_k_convexity_memory_is_linear_per_row():
         tracemalloc.stop()
     assert not rep.verdict
     assert peak < grid.n**2 * 8 / 100, f"peak {peak} bytes"
+
+
+def _same_report(got, want):
+    """Equal verdict and triple, and a bitwise-equal worst violation."""
+    assert got.verdict == want.verdict
+    assert np.float64(got.worst_violation).tobytes() == np.float64(want.worst_violation).tobytes()
+    assert got.worst_triple == want.worst_triple
+
+
+@given(
+    n=st.integers(2, 300),  # a grid has at least two points
+    step=st.sampled_from([1.0, 0.25, 0.03]),
+    K=st.sampled_from([0.0, 0.5, 2.0]),
+    kind=st.sampled_from(["noisy", "integer", "constant", "k_convex", "overflow"]),
+    cells=st.sampled_from([policy.KCONVEX_BLOCK, 100, 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# n = 2 and 3: no triple and one triple; 300 noisy points: many blocks, not K-convex
+@example(n=2, step=1.0, K=0.0, kind="noisy", cells=policy.KCONVEX_BLOCK, seed=0)
+@example(n=3, step=1.0, K=0.5, kind="integer", cells=policy.KCONVEX_BLOCK, seed=0)
+@example(n=300, step=0.03, K=2.0, kind="noisy", cells=policy.KCONVEX_BLOCK, seed=1)
+@example(n=300, step=0.25, K=0.0, kind="overflow", cells=policy.KCONVEX_BLOCK, seed=2)
+@settings(max_examples=150, deadline=None)
+def test_k_convexity_equals_reference_scan(n, step, K, kind, cells, seed):
+    # the fused scan against the scan it replaced, which reads the same block size
+    rng = np.random.default_rng(seed)
+    grid = Grid(x_lo=-1.0, x_hi=-1.0 + step * (n - 1), step=step)
+    if kind == "noisy":  # a K-convex curve plus noise that breaks K-convexity
+        vals = grid.points**2 + K * (grid.points < 0) + rng.normal(scale=0.5, size=n)
+    elif kind == "integer":  # few distinct values, so many tied triples
+        vals = rng.integers(-3, 4, size=n).astype(float)
+    elif kind == "constant":
+        vals = np.full(n, rng.normal())
+    elif kind == "k_convex":
+        vals = np.cumsum(np.cumsum(rng.uniform(0.0, 1.0, size=n))) * step**2
+        vals += K * (np.arange(n) < rng.integers(0, n + 1))
+    else:  # entries near +-1e308: differences overflow to inf and inf - inf is NaN
+        vals = rng.choice([-1.7e308, -1e308, 0.0, 1.5, 1e308, 1.7e308], size=n)
+    with mock.patch.object(policy, "KCONVEX_BLOCK", cells):
+        _same_report(is_K_convex(grid, vals, K), reference_is_K_convex(grid, vals, K))
+
+
+@pytest.mark.parametrize("step", [0.03, 0.015])
+def test_k_convexity_equals_reference_scan_on_fine_grids(step):
+    # n = 1001 and 2001: the exponential config's G at alpha = 0.99 (K-convex), and
+    # the same G with noise (not K-convex)
+    cfg = json.loads((CONFIGS / "exponential_demand.json").read_text())
+    cfg["grid"]["step"] = step
+    model = model_from_dict(cfg)
+    g = build_G(model, solve_infinite(model, 0.99, tol=1e-8).value, 0.99)
+    noisy = g + np.random.default_rng(model.grid.n).normal(scale=1e-3, size=g.size)
+    for vals in (g, noisy):
+        rep = is_K_convex(model.grid, vals, model.K)
+        _same_report(rep, reference_is_K_convex(model.grid, vals, model.K))
+        assert rep.verdict == (vals is g)
 
 
 convex_vals = st.lists(st.floats(0.0, 5.0), min_size=12, max_size=12).map(

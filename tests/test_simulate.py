@@ -1,6 +1,7 @@
 import functools
 import itertools
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -208,8 +209,9 @@ def _chain_case(name, kind, level_at, s_at):
 
 
 # horizons of up to four blocks, so up to four segments of 1 to 6 paths step side by
-# side; never_order and table paths never meet in the continuous chain, so their
-# segments are rerun from the first boundary
+# side; never_order and table paths never meet in the continuous chain, so it steps
+# them as one segment; with no warm-up a segment starts at x0 on its boundary, and
+# the segments that miss the exact path are rerun from the first boundary
 CHAIN_CASES = dict(
     name=st.sampled_from(["instance_a", "off_lattice", "exponential"]),
     kind=st.sampled_from(["sS", "table", "order_up_to", "never_order"]),
@@ -220,17 +222,18 @@ CHAIN_CASES = dict(
     burn_at=st.floats(0.0, 1.0, exclude_max=True),
     n_paths=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
+    warmup=st.sampled_from([simulate.WARMUP, 0]),
 )
 
 
 @given(**CHAIN_CASES)
 @example(name="exponential", kind="sS", x0_at=0.3, level_at=0.6, s_at=0.7,
-         horizon=3 * simulate.BLOCK + 40, burn_at=0.1, n_paths=6, seed=3)
+         horizon=3 * simulate.BLOCK + 40, burn_at=0.1, n_paths=6, seed=3, warmup=0)
 @example(name="instance_a", kind="table", x0_at=0.9, level_at=0.0, s_at=0.0,
-         horizon=2 * simulate.BLOCK + 1, burn_at=0.6, n_paths=1, seed=4)
+         horizon=2 * simulate.BLOCK + 1, burn_at=0.6, n_paths=1, seed=4, warmup=simulate.WARMUP)
 @settings(max_examples=60, deadline=None)
 def test_continuous_chain_equals_stepwise_oracle(
-    name, kind, x0_at, level_at, s_at, horizon, burn_at, n_paths, seed
+    name, kind, x0_at, level_at, s_at, horizon, burn_at, n_paths, seed, warmup
 ):
     model, policy = _chain_case(name, kind, level_at, s_at)
     g = model.grid
@@ -238,7 +241,8 @@ def test_continuous_chain_equals_stepwise_oracle(
     cfg = SimConfig(x0=x0, horizon=horizon, n_paths=n_paths, seed=seed, policy=policy)
     atoms = simulate._atom_matrix(model, cfg)
     burn = int(burn_at * horizon)
-    totals, _ = simulate._run_paths(model, cfg, atoms, policy, burn)
+    with mock.patch.object(simulate, "WARMUP", warmup):
+        totals, _ = simulate._run_paths(model, cfg, atoms, policy, burn)
     ref = _stepwise_costs(model, cfg, model.demand.values[atoms], policy)
     assert np.array_equal(totals, _blocked_totals(ref, burn))
 
@@ -247,12 +251,12 @@ def test_continuous_chain_equals_stepwise_oracle(
 # never ordering from near x_lo clamps within a few steps; off_lattice's
 # largest atom reaches below x_lo from every post-order state under -1.25
 @example(name="instance_a", kind="never_order", x0_at=0.05, level_at=0.0, s_at=0.0,
-         horizon=simulate.BLOCK + 7, burn_at=0.0, n_paths=4, seed=1)
+         horizon=simulate.BLOCK + 7, burn_at=0.0, n_paths=4, seed=1, warmup=simulate.WARMUP)
 @example(name="off_lattice", kind="order_up_to", x0_at=0.5, level_at=0.2, s_at=0.0,
-         horizon=3 * simulate.BLOCK - 1, burn_at=0.5, n_paths=3, seed=2)
+         horizon=3 * simulate.BLOCK - 1, burn_at=0.5, n_paths=3, seed=2, warmup=0)
 @settings(max_examples=60, deadline=None)
 def test_grid_chain_equals_stepwise_oracle(
-    name, kind, x0_at, level_at, s_at, horizon, burn_at, n_paths, seed
+    name, kind, x0_at, level_at, s_at, horizon, burn_at, n_paths, seed, warmup
 ):
     model, policy = _chain_case(name, kind, level_at, s_at)
     g = model.grid
@@ -261,27 +265,56 @@ def test_grid_chain_equals_stepwise_oracle(
     atoms = simulate._atom_matrix(model, cfg)
     burn = int(burn_at * horizon)
     steps = policy_order_steps(model, policy_fn(policy, model)[0](g.points))
-    got = simulate._run_grid_chain(model, cfg, atoms, burn)
+    with mock.patch.object(simulate, "WARMUP", warmup):
+        got = simulate._run_grid_chain(model, cfg, atoms, burn)
     ref = oracle_grid_chain(model, cfg, steps, model.demand.values[atoms], burn, simulate.BLOCK)
     assert np.array_equal(got, ref)
 
 
-@pytest.mark.parametrize("policy", [SsPolicy(s=0.25, S=2.0), "never_order"])
-def test_sweep_segments_meet_within_the_warm_up(policy, monkeypatch):
-    # the sweep's check at seed 3: every speculative segment start meets the exact
-    # path within WARMUP steps, so no segment is rerun; never_order's continuous
-    # paths never meet, so there the rerun shows
-    drive, starts = simulate._drive, []
+def _spy_segments(monkeypatch):
+    """Record each ``_drive`` call's chain and first step, and each chain's segment count."""
+    drive, starts, segments = simulate._drive, [], []
 
     def spy(chain, atoms, burn, t0=0, start=None):
         starts.append((type(chain).__name__, t0))
         return drive(chain, atoms, burn, t0, start)
 
     monkeypatch.setattr(simulate, "_drive", spy)
+    for cls in (simulate._Paths, simulate._GridPaths):
+        def begin(self, lanes, rows, times, begin=cls.begin):
+            segments.append(len(times))
+            return begin(self, lanes, rows, times)
+
+        monkeypatch.setattr(cls, "begin", begin)
+    return starts, segments
+
+
+@pytest.mark.parametrize("policy", [SsPolicy(s=0.25, S=2.0), "never_order"])
+def test_sweep_segments_meet_within_the_warm_up(policy, monkeypatch):
+    # the sweep's check at seed 3: every speculative segment start meets the exact
+    # path within WARMUP steps, so no segment is rerun; never_order's continuous
+    # paths cannot meet, so that chain steps as one segment and nothing is rerun
+    starts, segments = _spy_segments(monkeypatch)
     cfg = SimConfig(x0=2.0, horizon=4000, n_paths=256, seed=3, policy=policy)
     assert simulate_average(make_exponential(), cfg).grid_chain is not None
-    rerun = [("_Paths", 2 * simulate.BLOCK)] if policy == "never_order" else []  # 8 segments
-    assert starts == [("_Paths", 0), *rerun, ("_GridPaths", 0)]
+    assert starts == [("_Paths", 0), ("_GridPaths", 0)]
+    assert segments == [1 if policy == "never_order" else 8, 8]
+
+
+def test_segments_that_miss_are_rerun_to_the_same_result(monkeypatch):
+    # with no warm-up every segment starts at x0 on its boundary and misses the
+    # exact path, so both chains rerun from the first boundary (8 segments of two
+    # blocks), and the means are bitwise those of the run whose segments meet
+    model = make_exponential()
+    cfg = SimConfig(x0=2.0, horizon=4000, n_paths=256, seed=3, policy=SsPolicy(s=0.25, S=2.0))
+    want = simulate_average(model, cfg)
+    starts, _ = _spy_segments(monkeypatch)
+    monkeypatch.setattr(simulate, "WARMUP", 0)
+    got = simulate_average(model, cfg)
+    rerun = 2 * simulate.BLOCK
+    assert starts == [("_Paths", 0), ("_Paths", rerun), ("_GridPaths", 0), ("_GridPaths", rerun)]
+    assert np.array_equal(got.path_stats, want.path_stats)
+    assert np.array_equal(got.grid_chain.path_stats, want.grid_chain.path_stats)
 
 
 def test_grid_chain_equals_continuous_chain_on_lattice(instance_a):
