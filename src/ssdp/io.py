@@ -3,8 +3,8 @@
 CSV files use the csv module's default dialect (RFC-4180 quoting, CRLF),
 and floats are rendered with repr (shortest round-trip form), so reruns
 with identical inputs are byte-identical.  Every table is written from its
-columns, each converted to Python values at once, ``CSV_CHUNK`` rows at a
-time, so the text of a large grid table is never held whole.
+columns, ``CSV_CHUNK`` rows at a time, each column slice converted to Python
+values with one call, so a large grid table is never held whole as text.
 """
 
 from __future__ import annotations
