@@ -13,6 +13,11 @@ directory and removed afterwards:
 
     python3 scripts/bench.py --workload verify_exp --seeds 701-710
 
+After the pairs it runs one traced run (``--trace 1``: one untraced job, then
+two traced ones) per side at the first seed and stores both sides' per-layer
+self times and counts, with the change minus the parent for each, under
+``traced``: the layer where a saving sits.
+
 Runs are sequential; a full set of 10 pairs of 30-second runs takes about
 15 minutes.  A metric counts as improved when the change is better in at
 least nine tenths of the pairs and the medians differ by more than the
@@ -57,10 +62,10 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=False,
     )
     lines = proc.stdout.strip().splitlines()
@@ -122,6 +127,13 @@ def summarize(runs: list[dict], declared: list[dict]) -> dict:
     return out
 
 
+def traced_layers(parent: dict, change: dict) -> dict:
+    """Per-layer metrics of one traced run per side: each side's value and the change
+    minus the parent, in the parent's order (that of ``BENCHMARK.json``)."""
+    return {name: {"parent": p, "change": change[name], "delta": change[name] - p}
+            for name, p in parent.items()}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True)
@@ -151,6 +163,8 @@ def main() -> int:
                 runs.append(r)
                 print(f"seed {seed} {side:6s} " + "  ".join(
                     f"{k}={v:.4g}" for k, v in r["metrics"].items()), flush=True)
+        traced = {side: run_once(sides[side], args.workload, seeds[0], 0.0, trace=1)
+                  for side in ("parent", "change")}
         commits = {"parent": git(parent, "rev-parse", "HEAD"),
                    "change": git(ROOT, "rev-parse", "HEAD"),
                    "parent_src_lines": src_lines(parent),
@@ -170,6 +184,10 @@ def main() -> int:
                             "all_correct": all(r["correct"] for r in runs if r["side"] == side)}
                      for side in ("parent", "change")},
         "summary": summarize(runs, declared["end_to_end"]),
+        "traced": {"seed": seeds[0],
+                   "correct": {side: r["correct"] for side, r in traced.items()},
+                   "layers": traced_layers(traced["parent"]["metrics"],
+                                           traced["change"]["metrics"])},
         "runs": [{k: r[k] for k in ("seed", "side", "ran_first", "correct", "attempted",
                                     "failed", "metrics")} for r in runs],
     }
@@ -182,6 +200,10 @@ def main() -> int:
               f"median change {s['median_rel_change']:+.2%} (bound {s['bound']:.0%}, "
               f"beyond={s['beyond_bound']})  "
               f"improved={s['improved']} worsened={s['worsened']}")
+    for name, row in report["traced"]["layers"].items():
+        if row["delta"]:  # the self times, and any count that moved
+            print(f"traced {name:40s} parent {row['parent']:.4g}  change {row['change']:.4g}  "
+                  f"delta {row['delta']:+.4g}")
     print(f"wrote {path}")
     return 0
 

@@ -30,6 +30,7 @@ from .dp import (
     ConvergenceError,
     TerminalValue,
     _check_alpha,
+    check_t_max,
     solve_finite,
     solve_infinite,
     track_action_convergence,
@@ -45,7 +46,7 @@ from .io import (
     write_threshold_csv,
 )
 from .model import ModelError
-from .renewal import overshoot_bound_check, sample_renewal, wald_check
+from .renewal import check_paths, overshoot_bound_check, sample_renewal, wald_check
 from .simulate import SimConfig, simulate_average
 
 EXIT_OK = 0
@@ -359,6 +360,11 @@ def cmd_verify(args) -> int:
             # renewal theory needs P(D > 0) > 0; asked for alone, the suite still fails
             selected.remove("renewal")
             manifest.notes.append("renewal suite skipped: zero demand almost surely, P(D > 0) = 0")
+        # size flags are checked before any suite allocates
+        if "renewal" in selected:
+            check_paths(args.paths)
+        if "action-convergence" in selected:
+            check_t_max(args.t_max, model.grid.n)
         # the K = 0 solve, made once for the suites that read it
         zero_setup = functools.cache(lambda: policy.solve_zero_setup(model, args.alpha, tol=args.tol))
         try:
@@ -414,9 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ModelError as exc:

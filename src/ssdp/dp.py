@@ -44,6 +44,7 @@ __all__ = [
     "check_terminal_admissible",
     "AdmissibilityReport",
     "track_action_convergence",
+    "check_t_max",
     "ActionConvergenceReport",
     "EPS_ACT",
 ]
@@ -53,6 +54,7 @@ ADMISSIBLE_SLACK = 1e-9  # slack of check_terminal_admissible's two inequalities
 ACTION_REF_TOL = 1e-10  # solve tolerance of track_action_convergence's reference sets
 CYCLE_BLOCK = 2**20  # table cells (states x reorder indices) per streamed cycle-table block
 ACTION_BLOCK = 2**13  # table cells (stages x states) per block of tracked actions
+ACTION_TABLE_BYTES_CAP = 256 * 2**20  # largest t_max x n distance table
 
 
 class ConvergenceError(RuntimeError):
@@ -486,6 +488,18 @@ def _suffix_settle(cond: np.ndarray) -> np.ndarray:
     return np.where(tail > 0, cond.shape[0] + 1 - tail, -1)
 
 
+def check_t_max(t_max: int, n: int) -> None:
+    """Raise ModelError unless t_max >= 1 and the t_max x n float distance table fits
+    ``ACTION_TABLE_BYTES_CAP``."""
+    if t_max < 1:
+        raise ModelError(f"t_max must be at least 1, got {t_max}")
+    if (table := 8 * t_max * n) > ACTION_TABLE_BYTES_CAP:
+        raise ModelError(
+            f"t_max (--t-max) {t_max:,} needs a {table:,}-byte distance table over {n} states, "
+            f"above the {ACTION_TABLE_BYTES_CAP:,}-byte cap"
+        )
+
+
 def track_action_convergence(
     model: InventoryModel,
     alpha: float,
@@ -499,10 +513,9 @@ def track_action_convergence(
     blurred by the value-iteration error.  The stages' g and m rows go into a buffer of about
     ``ACTION_BLOCK`` cells; each full buffer is one stacked ``PolicyTable``
     whose chosen actions and distances are resolved at once, so only the
-    t_max x n distances outlive a block.  Raises ModelError when t_max < 1.
+    t_max x n distances outlive a block.  Raises ModelError from ``check_t_max``.
     """
-    if t_max < 1:
-        raise ModelError(f"t_max must be at least 1, got {t_max}")
+    check_t_max(t_max, model.grid.n)
     ref = solve_infinite(model, alpha, tol=ACTION_REF_TOL)
     adm = check_terminal_admissible(terminal, model, alpha, ref.value)
     if not adm.admissible:

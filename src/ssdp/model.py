@@ -39,6 +39,7 @@ __all__ = [
 CONVEXITY_SLACK = 1e-12
 TRUNCATION_FLOOR = 1.0 - 1e-8
 EH_BUCKETS_CAP = 2**16  # most buckets in the E h knot table
+DRAW_CHUNK = 8192  # levels drawn at a time (the stream is that of one draw)
 # largest n x band work array post_expectation_matrix may allocate
 OPERATOR_BAND_BYTES_CAP = 256 * 2**20
 
@@ -134,14 +135,16 @@ class PiecewiseLinear:
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
-        out = np.interp(arr, self.xs, self.ys)
-        below = arr < self.xs[0]
-        above = arr > self.xs[-1]
-        if np.any(below):
-            out = np.where(below, self.ys[0] + (arr - self.xs[0]) * self.slopes[0], out)
-        if np.any(above):
-            out = np.where(above, self.ys[-1] + (arr - self.xs[-1]) * self.slopes[-1], out)
-        return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+        flat = arr.reshape(-1)
+        out = np.interp(flat, self.xs, self.ys)
+        # past an end, y_end + (x - x_end) * slope_end, in place and only where it applies
+        for end, side in ((0, np.less), (-1, np.greater)):
+            past = side(flat, self.xs[end])
+            if past.any():
+                np.subtract(flat, self.xs[end], out=out, where=past)
+                np.multiply(out, self.slopes[end], out=out, where=past)
+                np.add(out, self.ys[end], out=out, where=past)
+        return float(out[0]) if np.isscalar(x) or arr.ndim == 0 else out.reshape(arr.shape)
 
     def is_convex(self) -> bool:
         return bool(np.all(np.diff(self.slopes) >= -CONVEXITY_SLACK))
@@ -256,7 +259,7 @@ class DemandDistribution:
     def sample_atoms(self, rng: np.random.Generator, size) -> np.ndarray:
         """Atom indices of inverse-CDF draws, in the smallest unsigned dtype that holds them.
 
-        Levels are drawn per 8,192-element chunk (the stream of one ``rng.random(size)``) and
+        Levels are drawn ``DRAW_CHUNK`` at a time (the stream of one ``rng.random(size)``) and
         read from the level table of ``_guide`` (Chen & Asau 1974; Devroye 1986, III.2.4).
         """
         atoms = np.empty(size, dtype=np.min_scalar_type(self.n_atoms - 1))
@@ -264,17 +267,44 @@ class DemandDistribution:
             out[:] = self._atoms_of(rng.random(out.size))
         return atoms
 
+    @cached_property
+    def _bucket_values(self) -> np.ndarray:
+        """Per level bucket of ``_guide``: its atom's value, or NaN where a CDF edge splits
+        the bucket (the atom values are finite, so NaN marks only split buckets)."""
+        table = self._guide[1]
+        values = np.append(self.values, np.nan)  # index n_atoms: the split sentinel
+        return read_only(values.take(table))
+
+    def draw_values(self, rng: np.random.Generator, out: np.ndarray, levels: np.ndarray,
+                    buckets: np.ndarray) -> None:
+        """Write the demands of the next ``out.size`` levels of ``rng``'s stream into ``out``.
+
+        Each level reads its bucket's value from ``_bucket_values``; only levels in split
+        buckets take ``np.searchsorted``, so every draw is ``sample_atoms``' atom.
+        ``levels`` (float) and ``buckets`` (intp) are work buffers of ``out``'s shape, so a
+        caller that draws chunk after chunk allocates them once.
+        """
+        edges, table = self._guide
+        rng.random(out=levels)
+        # level * 2**k is exact, and its truncation is the floor: the bucket, in range
+        np.multiply(levels, table.size, out=buckets, casting="unsafe")
+        self._bucket_values.take(buckets, out=out, mode="clip")
+        split = np.flatnonzero(np.isnan(out))
+        out[split] = self.values.take(np.searchsorted(edges, levels.take(split)) - 1)
+
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        """Values of ``sample_atoms``' draws, gathered chunk by chunk with no atom array."""
+        """Values of ``sample_atoms``' draws, ``draw_values`` chunk by chunk with no atom array."""
         draws = np.empty(size)
+        levels = np.empty(min(draws.size, DRAW_CHUNK))
+        buckets = np.empty(levels.size, np.intp)
         for out in _chunks(draws):
-            self.values.take(self._atoms_of(rng.random(out.size)), out=out)
+            self.draw_values(rng, out, levels[: out.size], buckets[: out.size])
         return draws
 
 
 def _chunks(a: np.ndarray) -> list[np.ndarray]:
-    """Consecutive views of 8,192 elements over the flattened array."""
-    return np.split(a.reshape(-1), range(8192, a.size, 8192))
+    """Consecutive views of ``DRAW_CHUNK`` elements over the flattened array."""
+    return np.split(a.reshape(-1), range(DRAW_CHUNK, a.size, DRAW_CHUNK))
 
 
 # family -> {parameter: (comparison, lower bound: a number or an earlier parameter)}

@@ -173,7 +173,8 @@ def is_K_convex(grid: Grid, g: np.ndarray, K: float) -> KConvexityReport:
     block's rows copies nothing block-sized: O(n^2) time, O(n + KCONVEX_BLOCK)
     memory.  Each cell is the float operation of a plain per-row scan; among
     tied triples the smallest x, then m, then y is reported.  A NaN cell (an
-    overflowing g) is its block's argmax and counts as no violation.
+    overflowing g) is a violation above every number, so the verdict is false
+    and the first NaN triple is reported, at any block size.
     """
     if K < 0:
         raise ModelError("K must be nonnegative")
@@ -209,8 +210,8 @@ def is_K_convex(grid: Grid, g: np.ndarray, K: float) -> KConvexityReport:
             viol[:, -1] = -np.inf
             np.copyto(viol[:, :rows], -np.inf, where=before[:rows, :rows])
             # the first largest cell in row-major order: smallest x, then m
-            i, k = divmod(int(viol.argmax()), w)
-            if viol[i, k] > worst:
+            i, k = divmod(int(viol.argmax()), w)  # argmax takes the first NaN
+            if viol[i, k] > worst or (math.isnan(viol[i, k]) and not math.isnan(worst)):
                 worst = float(viol[i, k])
                 x, m = r0 + i, r0 + 1 + k
                 sigma = (vk[m + 1 :] - vals[x]) / (xs[m + 1 :] - xs[x])

@@ -4,7 +4,10 @@ N(y) counts demand partial sums not exceeding y; the first passage is
 S_{N(y)+1} and the overshoot is R(y) = S_{N(y)+1} - y.  The module checks
 Wald's identity E S_{N(y)+1} = E(N(y)+1) E D and the overshoot cost bound
 E h*(x - S_{N(y)+1}) <= (1 + E N(y)) E h*(x - y - D), where h* equals the
-holding curve on the nonpositive half-line and 0 elsewhere.
+holding curve on the nonpositive half-line and 0 elsewhere.  The sampler
+draws into buffers made once per call and compacts its active paths in
+place; the checks take their means and standard deviations in place, over
+one sample-sized temporary (Wald) or two (the overshoot: points and costs).
 """
 
 from __future__ import annotations
@@ -15,11 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from .model import DemandDistribution, InventoryModel, ModelError
+from .model import DRAW_CHUNK, DemandDistribution, InventoryModel, ModelError
 
 __all__ = [
     "RenewalSample",
     "sample_renewal",
+    "check_paths",
     "wald_check",
     "WaldReport",
     "overshoot_bound_check",
@@ -27,21 +31,35 @@ __all__ = [
 ]
 
 _MAX_ROUNDS = 10_000_000
+MAX_PATHS = 10_000_000  # about 280 MB of per-path arrays; path ids fit int32
 
 
 @dataclass(eq=False)
 class RenewalSample:
-    """Per-path renewal counts, first-passage sums, and overshoots."""
+    """Per-path renewal counts and first-passage sums."""
 
     seed: int
     n_paths: int
     counts: np.ndarray  # N(y) per path
     first_passage: np.ndarray  # S_{N(y)+1} per path
-    overshoot: np.ndarray  # R(y) = S_{N(y)+1} - y
+    y: float
+
+    @property
+    def overshoot(self) -> np.ndarray:
+        """R(y) = S_{N(y)+1} - y per path, computed on each read."""
+        return self.first_passage - self.y
 
     @property
     def mean_count(self) -> float:
         return float(self.counts.mean())
+
+
+def check_paths(n_paths: int) -> None:
+    """Raise ModelError unless 1 <= n_paths <= ``MAX_PATHS``."""
+    if n_paths < 1:
+        raise ModelError(f"n_paths (--paths) must be at least 1, got {n_paths}")
+    if n_paths > MAX_PATHS:
+        raise ModelError(f"n_paths (--paths) {n_paths:,} is above the cap of {MAX_PATHS:,} paths")
 
 
 def sample_renewal(
@@ -49,39 +67,67 @@ def sample_renewal(
 ) -> RenewalSample:
     """Draw i.i.d. demands per path until the partial sum exceeds y.
 
-    Deterministic given the seed (single vectorized stream, one draw per
-    still-active path per round).  The active paths and their sums are compacted
-    only after a round in which some path finished.  For y < 0 the renewal
-    interval is empty: N = 0 and the first passage is the first demand.
+    Deterministic given the seed: one stream, one draw per still-active path
+    per round, in path order.  Each round draws ``DRAW_CHUNK`` levels at a
+    time (``DemandDistribution.draw_values``) into buffers made once per call
+    and adds them straight into that chunk of the partial sums.  No sum can
+    pass y while ``rounds * max atom`` (summed in floats, as the sums are)
+    stays at or below y, so those rounds test nothing.  Later rounds record
+    each chunk's finished paths and move its active path ids (int32) and sums
+    down in place, in order: 28 bytes a path and the chunk buffers.  For
+    y < 0 the renewal interval is empty: N = 0 and the first passage is the
+    first demand.
     """
     if demand.p_positive == 0.0:
         raise ModelError("renewal process degenerate: P(D > 0) = 0")
-    if n_paths < 1:
-        raise ModelError("need at least one path")
+    check_paths(n_paths)
     rng = np.random.default_rng(seed)
     counts = np.empty(n_paths, dtype=np.int64)
     passage = np.empty(n_paths)
-    active = np.arange(n_paths)
-    sums = np.zeros(n_paths)  # partial sums of the active paths, in the same order
-    rounds = 0
-    while active.size:
+    ids = np.arange(n_paths, dtype=np.int32)  # the active paths, first `active` entries
+    sums = np.zeros(n_paths)  # their partial sums, in the same order
+    chunk = min(n_paths, DRAW_CHUNK)
+    draws, levels, kept_sums = np.empty((3, chunk))
+    buckets, kept_ids = np.empty(chunk, np.intp), np.empty(chunk, np.int32)
+    done = np.empty(chunk, bool)
+    active, rounds, reach = n_paths, 0, 0.0  # reach: no partial sum exceeds it
+    while active:
         rounds += 1
         if rounds > _MAX_ROUNDS:
             raise ModelError("renewal sampling did not terminate; check the demand table")
-        sums += demand.sample(rng, active.size)
-        done = sums > y
-        if (ended := np.flatnonzero(done)).size:  # compact only when some path finished
-            finished = active.take(ended)
-            passage[finished], counts[finished] = sums.take(ended), rounds - 1
-            del ended, finished  # freed before the compaction, which keeps peak RSS down
-            active, sums = active[~done], sums[~done]
-    return RenewalSample(
-        seed=seed,
-        n_paths=n_paths,
-        counts=counts,
-        first_passage=passage,
-        overshoot=passage - y,
-    )
+        reach += demand.max_value
+        kept = 0
+        for j in range(0, active, chunk):
+            k = min(chunk, active - j)
+            d, s, i = draws[:k], sums[j : j + k], ids[j : j + k]
+            demand.draw_values(rng, d, levels[:k], buckets[:k])
+            s += d
+            if reach <= y:
+                continue
+            ended = np.flatnonzero(np.greater(s, y, out=done[:k]))
+            if ended.size:
+                finished = i.take(ended, mode="clip").astype(np.intp)
+                passage[finished], counts[finished] = s.take(ended, mode="clip"), rounds - 1
+                stay = np.flatnonzero(np.logical_not(done[:k], out=done[:k]))
+                s = s.take(stay, out=kept_sums[: stay.size], mode="clip")
+                i = i.take(stay, out=kept_ids[: stay.size], mode="clip")
+            if ended.size or kept < j:
+                sums[kept : kept + s.size], ids[kept : kept + s.size] = s, i
+            kept += s.size
+        if reach > y:
+            active = kept
+    return RenewalSample(seed=seed, n_paths=n_paths, counts=counts, first_passage=passage, y=y)
+
+
+def _mean_and_sd(x: np.ndarray) -> tuple[float, float]:
+    """``x.mean()`` and ``x.std(ddof=1)`` (0.0 for one element) as numpy computes them,
+    bitwise, with ``x`` overwritten by its squared deviations instead of a copy."""
+    mean = np.add.reduce(x) / x.size
+    if x.size < 2:
+        return float(mean), 0.0
+    x -= mean
+    np.multiply(x, x, out=x)
+    return float(mean), math.sqrt(np.add.reduce(x) / (x.size - 1))
 
 
 @dataclass(frozen=True)
@@ -109,12 +155,13 @@ def wald_check(sample: RenewalSample, demand: DemandDistribution) -> WaldReport:
     rhs = float((sample.counts.mean() + 1.0) * ed)
     if sample.n_paths < 2:
         return WaldReport(lhs=lhs, rhs=rhs, z=None, n_paths=sample.n_paths)
-    x = sample.first_passage - (sample.counts + 1.0) * ed
-    sd = float(x.std(ddof=1))
+    x = np.add(sample.counts, 1.0)
+    x *= ed
+    mean, sd = _mean_and_sd(np.subtract(sample.first_passage, x, out=x))
     if sd == 0.0:
-        z = 0.0 if abs(float(x.mean())) == 0.0 else math.inf
+        z = 0.0 if abs(mean) == 0.0 else math.inf
     else:
-        z = float(x.mean()) / (sd / math.sqrt(sample.n_paths))
+        z = mean / (sd / math.sqrt(sample.n_paths))
     return WaldReport(lhs=lhs, rhs=rhs, z=z, n_paths=sample.n_paths)
 
 
@@ -149,12 +196,12 @@ def overshoot_bound_check(
     smp = sample or sample_renewal(model.demand, y, n_paths, seed)
 
     def hstar(z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        return np.where(z <= 0, model.h(z), 0.0)
+        out = model.h(z)
+        out[z > 0] = 0.0
+        return out
 
-    lhs_samples = hstar(x - smp.first_passage)
-    lhs = float(lhs_samples.mean())
-    se = float(lhs_samples.std(ddof=1) / math.sqrt(smp.n_paths)) if smp.n_paths > 1 else 0.0
+    lhs, sd = _mean_and_sd(hstar(np.subtract(x, smp.first_passage)))
+    se = sd / math.sqrt(smp.n_paths)
     exact = float(np.dot(model.demand.probs, hstar(x - y - model.demand.values)))
     rhs = (1.0 + smp.mean_count) * exact
     return OvershootReport(

@@ -385,9 +385,9 @@ def reference_is_K_convex(grid, g, K):
     """``policy.is_K_convex`` as it was before its fused scan: the same blocks of
     about ``policy.KCONVEX_BLOCK`` cells, each built from fresh temporaries, with
     sigma divided only where y > x and a full boolean mask of the cells with
-    m <= x.  A NaN cell is its block's argmax and counts as no violation, so
-    with an overflowing g the report depends on the block partition; both scans
-    read the same constant.
+    m <= x.  A NaN cell (an overflowing g) counts as a violation above every
+    number: the first one in row-major order is the worst, at any block size.
+    Both scans read the same constant.
     """
     if K < 0:
         raise ssdp.ModelError("K must be nonnegative")
@@ -408,7 +408,7 @@ def reference_is_K_convex(grid, g, K):
         viol = vals[r0 + 1 : -1] - vals[rows] - (xs[r0 + 1 : -1] - xs[rows]) * tail
         viol[~above[:, :-1]] = -np.inf
         i, k = divmod(int(viol.argmax()), viol.shape[1])
-        if viol[i, k] > worst:
+        if viol[i, k] > worst or (np.isnan(viol[i, k]) and not np.isnan(worst)):
             worst = float(viol[i, k])
             y = r0 + 2 + k + int(np.argmin(sigma[i, k + 1 :]))
             worst_triple = (float(xs[r0 + i]), float(xs[r0 + 1 + k]), float(xs[y]))
@@ -417,6 +417,30 @@ def reference_is_K_convex(grid, g, K):
         verdict=worst <= policy.KCONVEX_TOL, worst_violation=worst, worst_triple=worst_triple,
         tol=policy.KCONVEX_TOL, K=K
     )
+
+
+def reference_sample_renewal(demand, y, n_paths, seed):
+    """``renewal.sample_renewal`` as it was before its chunked rewrite: one
+    ``rng.random`` per round over the active paths, each level's atom by
+    ``np.searchsorted`` over the CDF, and a compaction of the active path ids and
+    sums after every round in which some path finished.  Returns (counts,
+    first passage)."""
+    edges = np.concatenate(([-np.inf], np.cumsum(demand.probs)[:-1], [np.inf]))
+    rng = np.random.default_rng(seed)
+    counts = np.empty(n_paths, dtype=np.int64)
+    passage = np.empty(n_paths)
+    active = np.arange(n_paths)
+    sums = np.zeros(n_paths)
+    rounds = 0
+    while active.size:
+        rounds += 1
+        sums += demand.values[np.searchsorted(edges, rng.random(active.size)) - 1]
+        done = sums > y
+        if (ended := np.flatnonzero(done)).size:
+            finished = active.take(ended)
+            passage[finished], counts[finished] = sums.take(ended), rounds - 1
+            active, sums = active[~done], sums[~done]
+    return counts, passage
 
 
 def reference_cell(x) -> str:
@@ -545,6 +569,16 @@ def oracle_optimal_average_cost(model):
     w = (model.K + model.c_bar * model.grid.points[S] + gamma[S, s]) / N[S, s]
     i = int(np.argmin(w))
     return float(w[i]), (float(model.grid.points[s[i]]), float(model.grid.points[S[i]]))
+
+
+@st.composite
+def probability_tables(draw, max_atoms=255):
+    """Tables of 1 to max_atoms atoms with weights from 1e-3 to 1 and tiny ones
+    (1e-17 to 1e-9), normalized, whose sum may then end up to 9e-13 below 1."""
+    n = draw(st.integers(1, max_atoms))
+    tiny = st.sampled_from([1e-17, 1e-12, 1e-9])
+    w = np.array(draw(st.lists(st.one_of(st.floats(1e-3, 1.0), tiny), min_size=n, max_size=n)))
+    return w / w.sum() * (1.0 - draw(st.sampled_from([0.0, 1e-13, 9e-13])))
 
 
 @st.composite

@@ -350,7 +350,10 @@ def test_verify_renewal_pinned_values(tmp_path):
     assert r.returncode == 0, r.stderr
     renewal = json.loads((out / "renewal.json").read_text())
     assert renewal["mean_N"] == 9.9785
-    assert renewal["wald"]["lhs"] == 10.983294009591411
+    assert renewal["wald"] == {"lhs": 10.983294009591411, "rhs": 10.978497977685535,
+                               "z": 0.4651860457816725}
+    assert renewal["overshoot"] == {"lhs": 27.458235023978524, "rhs": 301.9087449442138,
+                                    "margin": 274.4726178637116}
 
 
 def test_sweep_failure_still_writes_manifest(tmp_path):
@@ -430,6 +433,61 @@ def test_verify_t_max_below_one_is_a_config_error(tmp_path, t_max):
     assert "Traceback" not in r.stderr
     notes = json.loads((out / "manifest.json").read_text())["notes"]
     assert notes == [f"ModelError: t_max must be at least 1, got {t_max}"]
+
+
+@pytest.mark.parametrize(
+    "args, note",
+    [
+        # 7.28 TiB of renewal paths and a 90.2 GiB distance table, refused before allocation
+        (("--suite", "renewal", "--paths", "1000000000000"),
+         "n_paths (--paths) 1,000,000,000,000 is above the cap of 10,000,000 paths"),
+        (("--suite", "renewal", "--paths", "10000001"),
+         "n_paths (--paths) 10,000,001 is above the cap of 10,000,000 paths"),
+        (("--suite", "renewal", "--paths", "0"), "n_paths (--paths) must be at least 1, got 0"),
+        (("--suite", "action-convergence", "--t-max", "100000000"),
+         "t_max (--t-max) 100,000,000 needs a 96,800,000,000-byte distance table over 121 "
+         "states, above the 268,435,456-byte cap"),
+        (("--suite", "all", "--t-max", "277310"),
+         "t_max (--t-max) 277,310 needs a 268,436,080-byte distance table over 121 states, "
+         "above the 268,435,456-byte cap"),
+    ],
+)
+def test_verify_size_flags_above_their_caps_are_config_errors(tmp_path, args, note):
+    out = tmp_path / "big"
+    r = run_cli("verify", EXPONENTIAL, *args, "--out", out)
+    assert r.returncode == 2, r.stderr
+    assert f"config error: {note}" in r.stderr and "Traceback" not in r.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["notes"] == [f"ModelError: {note}"] and manifest["checks"] == {}
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch, capsys):
+    from ssdp import cli
+
+    parser = cli._parser()
+    seen = []
+    monkeypatch.setattr(parser, "parse_args",
+                        lambda argv, real=parser.parse_args: seen.append(real(argv)) or seen[-1])
+    solve = ["solve", str(INSTANCE_A), "--alpha", "0.9", "--horizon", "2", "--out",
+             str(tmp_path / "s")]
+    bad = ["verify", str(INSTANCE_A), "--suite", "nope", "--out", str(tmp_path / "b")]
+    verify = ["verify", str(INSTANCE_A), "--suite", "renewal", "--paths", "50", "--out",
+              str(tmp_path / "v")]
+    assert cli.main(solve) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(bad)
+    assert exc.value.code == 2
+    message = capsys.readouterr().err
+    assert "invalid choice: 'nope'" in message
+    assert cli.main(verify) == 0
+    assert cli._parser() is parser and len(seen) == 2  # the bad argv raised inside parse_args
+    # each namespace is what a fresh parser makes of its argv: nothing leaks across calls
+    for argv, args in zip((solve, verify), seen):
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
+    assert "horizon" not in vars(seen[1]) and "suite" not in vars(seen[0])
+    with pytest.raises(SystemExit) as fresh:
+        cli.build_parser().parse_args(bad)
+    assert fresh.value.code == 2 and capsys.readouterr().err == message
 
 
 def _exponential_with_step(tmp_path, step):

@@ -36,6 +36,7 @@ from conftest import (
     oracle_cost,
     oracle_discretize,
     oracle_post_expectation,
+    probability_tables,
 )
 
 
@@ -203,6 +204,22 @@ def test_h_normalization_shift():
     assert m.h_shift == (3.0, 2.0)
     assert m.h(0.0) == 0.0
     assert float(m.h(grid.points).min()) == 0.0
+
+
+def test_piecewise_linear_extends_its_end_segments_bitwise():
+    # the end-slope extension, applied in place, against the formula over the whole array
+    h = PiecewiseLinear.from_breakpoints([[-1.3, 2.7], [0.1, 0.0], [0.9, 0.7], [2.2, 3.1]])
+    x = np.concatenate((np.random.default_rng(4).uniform(-40.0, 40.0, 4983),
+                        h.xs, np.nextafter(h.xs, -np.inf), np.nextafter(h.xs, np.inf),
+                        [-1e300, 1e300, -np.inf, np.inf, np.nan]))
+    want = np.interp(x, h.xs, h.ys)
+    want = np.where(x < h.xs[0], h.ys[0] + (x - h.xs[0]) * h.slopes[0], want)
+    want = np.where(x > h.xs[-1], h.ys[-1] + (x - h.xs[-1]) * h.slopes[-1], want)
+    assert h(x).tobytes() == want.tobytes()
+    assert h(x.reshape(50, -1)).tobytes() == want.tobytes()
+    for v, w in zip(x[::41], want[::41]):  # scalars come back as floats
+        assert isinstance(h(float(v)), float) and np.float64(h(float(v))).tobytes() == w.tobytes()
+        assert np.float64(h(np.float64(v))).tobytes() == w.tobytes()
 
 
 def test_nonconvex_h_rejected():
@@ -673,17 +690,23 @@ def test_policy_table_memory_is_below_n_squared():
 
 class _Levels:
     """A stand-in generator whose ``random`` hands out given levels in order, as a
-    stream does across calls (a single level repeats)."""
+    stream does across calls (a single level repeats), as a new array or into ``out``."""
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=float)
         self.used = 0
 
-    def random(self, size):
+    def random(self, size=None, out=None):
+        size = out.shape if out is not None else size
         if self.u.ndim == 0:
-            return np.broadcast_to(self.u, size).copy()
-        start, self.used = self.used, self.used + int(np.prod(size))
-        return self.u[start : self.used].reshape(size)
+            levels = np.broadcast_to(self.u, size).copy()
+        else:
+            start, self.used = self.used, self.used + int(np.prod(size))
+            levels = self.u[start : self.used].reshape(size)
+        if out is None:
+            return levels
+        out[...] = levels
+        return out
 
 
 @pytest.mark.parametrize(
@@ -741,16 +764,6 @@ def test_sample_atoms_is_one_draw_of_the_stream(make, size):
     assert np.array_equal(atoms, want)
     draws = demand.sample(np.random.default_rng(3), size)
     assert draws.tobytes() == demand.values.take(want).tobytes()
-
-
-@st.composite
-def probability_tables(draw):
-    """Tables of 1-255 atoms with weights from 1e-3 to 1 and tiny ones (1e-17 to
-    1e-9), normalized, whose sum may then end up to 9e-13 below 1."""
-    n = draw(st.integers(1, 255))
-    tiny = st.sampled_from([1e-17, 1e-12, 1e-9])
-    w = np.array(draw(st.lists(st.one_of(st.floats(1e-3, 1.0), tiny), min_size=n, max_size=n)))
-    return w / w.sum() * (1.0 - draw(st.sampled_from([0.0, 1e-13, 9e-13])))
 
 
 @settings(max_examples=100, deadline=None)

@@ -322,6 +322,19 @@ def test_k_convexity_equals_reference_scan_on_fine_grids(step):
         assert rep.verdict == (vals is g)
 
 
+@pytest.mark.parametrize("cells", [policy.KCONVEX_BLOCK, 100, 1])
+def test_k_convexity_counts_a_nan_cell_as_a_violation(cells):
+    # g near +-1e308: inf - inf makes NaN cells, the first of which is in row x = -1;
+    # a NaN that counted as no violation once passed this g at the default block
+    grid = Grid(x_lo=-1.0, x_hi=-1.0 + 0.25 * 49, step=0.25)
+    g = np.random.default_rng(2).choice([-1.7e308, -1e308, 0.0, 1.5, 1e308, 1.7e308], size=50)
+    with mock.patch.object(policy, "KCONVEX_BLOCK", cells):
+        rep = is_K_convex(grid, g, 0.5)
+        _same_report(rep, reference_is_K_convex(grid, g, 0.5))
+    assert not rep.verdict and np.isnan(rep.worst_violation)
+    assert rep.worst_triple == (-1.0, -0.75, -0.5)
+
+
 convex_vals = st.lists(st.floats(0.0, 5.0), min_size=12, max_size=12).map(
     lambda d2: np.concatenate(([0.0], np.cumsum(np.cumsum(sorted(d2))))),
 )

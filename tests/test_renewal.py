@@ -1,11 +1,24 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ssdp.model import DemandDistribution, ModelError
-from ssdp.renewal import overshoot_bound_check, sample_renewal, wald_check
+from ssdp.renewal import (
+    MAX_PATHS,
+    _mean_and_sd,
+    overshoot_bound_check,
+    sample_renewal,
+    wald_check,
+)
 
-from conftest import make_instance_a
+from conftest import (
+    make_exponential,
+    make_instance_a,
+    probability_tables,
+    reference_sample_renewal,
+)
 
 
 def d_point(v=1.0):
@@ -56,6 +69,62 @@ def test_path_invariants(y, seed):
     if y >= 0:
         # partial sum before the passage never exceeded y
         assert np.all(s.first_passage - s.overshoot <= y + 1e-12)
+
+
+@given(
+    probs=probability_tables(max_atoms=40),
+    gaps=st.lists(st.floats(0.05, 3.0), min_size=40, max_size=40),
+    zero_atom=st.booleans(),
+    y=st.sampled_from([-1.0, 0.0, 0.7, 10.0]),
+    n_paths=st.sampled_from([1, 2, 8193]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# tiny atoms split level buckets; an atom at 0 with most of the mass; a sum below 1
+@example(probs=np.array([0.5, 1e-12, 0.5 - 1e-12]), gaps=[0.5] * 40, zero_atom=True, y=10.0,
+         n_paths=8193, seed=3)
+@example(probs=np.array([0.9, 0.1]) * (1.0 - 1e-13), gaps=[2.5] * 40, zero_atom=True, y=0.0,
+         n_paths=8193, seed=1)
+@settings(max_examples=60, deadline=None)
+def test_sample_equals_the_reference_sampler(probs, gaps, zero_atom, y, n_paths, seed):
+    # the chunked, in-place sampler against the one it replaced, to the bit
+    values = np.cumsum(gaps[: probs.size]) - (gaps[0] if zero_atom else 0.0)
+    demand = DemandDistribution(values=values, probs=probs)
+    assume(demand.p_positive > 0.0 and (y + 1.0) / demand.mean * n_paths <= 400_000)
+    s = sample_renewal(demand, y, n_paths, seed)
+    counts, passage = reference_sample_renewal(demand, y, n_paths, seed)
+    assert s.counts.tobytes() == counts.tobytes()
+    assert s.first_passage.tobytes() == passage.tobytes()
+
+
+def test_sample_memory_per_path():
+    # ids and sums are compacted in place: about 33 bytes a path at 100,000 paths
+    # (the sampler that compacted by fresh arrays peaked at 57.5)
+    demand = make_exponential().demand
+    sample_renewal(demand, 10.0, 10, 0)  # the demand's level tables, made once
+    tracemalloc.start()
+    try:
+        s = sample_renewal(demand, 10.0, 100_000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.counts.sum() + s.n_paths == 1_097_850
+    assert peak < 52 * 100_000, f"peak {peak} bytes"
+
+
+@pytest.mark.parametrize("n_paths", [0, MAX_PATHS + 1, 10**12])
+def test_path_count_outside_its_range_is_rejected(n_paths):
+    with pytest.raises(ModelError, match=r"n_paths \(--paths\)"):
+        sample_renewal(d_point(1.0), y=1.0, n_paths=n_paths, seed=0)
+
+
+@given(n=st.integers(1, 3000), scale=st.sampled_from([1e-3, 1.0, 1e6]),
+       shift=st.sampled_from([0.0, 7.5, -1e4]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_mean_and_sd_are_numpys_bitwise(n, scale, shift, seed):
+    x = np.random.default_rng(seed).standard_exponential(n) * scale + shift
+    want = (x.mean(), x.std(ddof=1) if n > 1 else 0.0)
+    got = _mean_and_sd(x.copy())
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 # ----------------------------------------------------------------- wald

@@ -104,3 +104,35 @@ def test_bench_counts_src_lines_like_wc(tmp_path):
     (pkg / "notes.txt").write_text("not\ncounted\n")
     (pkg / "sub" / "c.py").write_text("not counted\n")
     assert src_lines(tmp_path) == 4
+
+
+def test_bench_records_the_traced_layers_of_both_sides(monkeypatch):
+    import json
+    from types import SimpleNamespace
+
+    bench = load_bench()
+    reports = {
+        "parent": {"renewal.sample_renewal.s": 0.0305, "cli.self.s": 0.0080,
+                   "renewal.draws": 1098635, "proc.cpu_s": 0.0695},
+        "change": {"renewal.sample_renewal.s": 0.0200, "cli.self.s": 0.0060,
+                   "renewal.draws": 1098635, "proc.cpu_s": 0.0560},
+    }
+    argvs = []
+
+    def fake_run(argv, cwd, **kwargs):
+        # run.py's last two lines: the environment, then the result
+        argvs.append(argv)
+        metrics = {k: {"value": v, "unit": "s"} for k, v in reports[cwd.name].items()}
+        out = [json.dumps({"environment": {"python": "3.11.7"}}),
+               json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics})]
+        return SimpleNamespace(returncode=0, stdout="perfbench ...\n" + "\n".join(out), stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    runs = {side: bench.run_once(Path(side), "verify_exp", 701, 0.0, trace=1)
+            for side in ("parent", "change")}
+    assert all(argv[argv.index("--trace") + 1] == "1" for argv in argvs)
+    layers = bench.traced_layers(runs["parent"]["metrics"], runs["change"]["metrics"])
+    assert list(layers) == list(reports["parent"])
+    assert layers["renewal.sample_renewal.s"] == {"parent": 0.0305, "change": 0.0200,
+                                                  "delta": 0.0200 - 0.0305}
+    assert layers["cli.self.s"]["delta"] < 0 and layers["renewal.draws"]["delta"] == 0
