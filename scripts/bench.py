@@ -63,11 +63,16 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True, check=False,
-    )
+    """One perfbench run in ``checkout``.  It gets a new, empty PYTHONPYCACHEPREFIX, which
+    its set-up probes inherit, so neither side reads bytecode that its checkout's
+    __pycache__ happens to hold and both compile src/ssdp alike."""
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", str(trace)],
+            cwd=checkout, capture_output=True, text=True, check=False,
+            env={**os.environ, "PYTHONPYCACHEPREFIX": pycache},
+        )
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"perfbench failed in {checkout} at seed {seed}:\n{proc.stderr}")
@@ -77,7 +82,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
-        "environment": environment(info["environment"]),
+        "environment": {**environment(info["environment"]),
+                        "PYTHONPYCACHEPREFIX": "a new empty directory per run"},
     }
 
 

@@ -24,7 +24,7 @@ from .dp import (
     sS_cycle_tables,
     solve_infinite,
 )
-from .policy import G_CONSISTENCY_TOL, CertificationError, build_G, extract_sS, is_K_convex
+from .policy import CertificationError, build_G, extract_sS, is_K_convex
 
 __all__ = [
     "geometric_schedule",
@@ -132,7 +132,7 @@ def _solve_one(model: InventoryModel, alpha: float, tol: float) -> AlphaRecord:
     s = S = None
     warn = None
     try:
-        g = build_G(model, v, alpha, check_tol=G_CONSISTENCY_TOL)
+        g = build_G(model, v, alpha, tol=tol)
         cert = is_K_convex(model.grid, g, model.K)
         if cert.verdict:
             ss = extract_sS(model.grid, g, model.K)

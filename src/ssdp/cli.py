@@ -150,6 +150,7 @@ def cmd_solve(args) -> int:
                 else:
                     manifest.notes.append(result.explanation)
             else:
+                check_t_max(args.horizon, model.grid.n, "horizon (--horizon)", "value")
                 if args.terminal == "v0alpha":
                     fs = policy.finite_horizon_sS(model, args.alpha, args.horizon, tol=args.tol)
                     manifest.add_check("threshold_dp_agreement", fs.agreement_ok)
@@ -305,14 +306,10 @@ def _suite_sandwich(model, args, manifest, out, zero_setup):
     monotone = bool(np.all(np.diff(v0, axis=0) >= -1e-12))
     vF = solve_finite(model, horizon, zs.terminal(), alpha).values
     sandwich = bool(np.all(v0 <= vF + 1e-12) and np.all(vF <= report.value[None, :] + tol))
-    g_alpha = policy.build_G(model, report.value, alpha, check_tol=policy.G_CONSISTENCY_TOL)
-    g_prev = zs.g0
-    chain = True
-    for t in range(horizon):
-        g_t = policy.build_G(model, vF[t], alpha)
-        chain &= bool(np.all(g_prev <= g_t + 1e-12))
-        g_prev = g_t
-    chain &= bool(np.all(g_prev <= g_alpha + tol))
+    g_alpha = policy.build_G(model, report.value, alpha, tol=tol)
+    # zs.g0 <= G_0 <= ... <= G_{horizon-1} <= g_alpha, G_t from vF_t in one stacked call
+    G = np.vstack((zs.g0, policy.build_G(model, vF[:horizon], alpha)))
+    chain = bool(np.all(G[:-1] <= G[1:] + 1e-12) and np.all(G[-1] <= g_alpha + tol))
     return [
         ("sandwich.value_monotone_in_t", monotone, f"horizon={horizon}"),
         ("sandwich.terminal_between_0_and_v", sandwich, f"alpha={alpha}"),
@@ -321,13 +318,12 @@ def _suite_sandwich(model, args, manifest, out, zero_setup):
 
 
 def _suite_action_convergence(model, args, manifest, out, zero_setup):
-    checks = []
-    for terminal in (TerminalValue.zero(model.grid), zero_setup().terminal()):
-        rep = track_action_convergence(model, args.alpha, terminal, t_max=args.t_max)
-        detail = (f"max_t_star={int(rep.settle_t.max())}" if rep.all_settled
-                  else f"unsettled_states={rep.unsettled.tolist()}")
-        checks.append((f"action_convergence.terminal_{terminal.id}", rep.all_settled, detail))
-    return checks
+    terminals = (TerminalValue.zero(model.grid), zero_setup().terminal())
+    reports = track_action_convergence(model, args.alpha, terminals, t_max=args.t_max)
+    return [(f"action_convergence.terminal_{f.id}", rep.all_settled,
+             f"max_t_star={int(rep.settle_t.max())}" if rep.all_settled
+             else f"unsettled_states={rep.unsettled.tolist()}")
+            for f, rep in zip(terminals, reports)]
 
 
 def _suite_brute_force(model, args, manifest, out, zero_setup):

@@ -15,7 +15,9 @@ all three are built once per model and shared by every solve.  A stage
 writes alpha W v into its g row and adds ``g_base``, accumulates the strict
 suffix minimum into its m row and adds K there, with no other temporaries;
 value iteration reuses two rows.  Each update's eps-optimal action sets are
-kept as the arrays g and m of a ``PolicyTable``.
+kept as the arrays g and m of a ``PolicyTable``.  A stage also takes a (k, n)
+stack in one kernel product, bitwise as row by row: action-convergence tracking
+so advances all of a run's terminal values against one reference solve.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ ADMISSIBLE_SLACK = 1e-9  # slack of check_terminal_admissible's two inequalities
 ACTION_REF_TOL = 1e-10  # solve tolerance of track_action_convergence's reference sets
 CYCLE_BLOCK = 2**20  # table cells (states x reorder indices) per streamed cycle-table block
 ACTION_BLOCK = 2**13  # table cells (stages x states) per block of tracked actions
-ACTION_TABLE_BYTES_CAP = 256 * 2**20  # largest t_max x n distance table
+ACTION_TABLE_BYTES_CAP = 256 * 2**20  # largest t_max x n (or horizon x n) stage table
 
 
 class ConvergenceError(RuntimeError):
@@ -80,9 +82,9 @@ class TerminalValue:
 
 
 def _strict_suffix_min(g: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[i] = min over j > i of g[j] (+inf at the top state), accumulated in place."""
-    out[-1] = np.inf
-    np.minimum.accumulate(g[:0:-1], out=out[-2::-1])
+    """out[..., i] = min over j > i of g[..., j] (+inf at the top), accumulated in place."""
+    out[..., -1] = np.inf
+    np.minimum.accumulate(g[..., :0:-1], axis=-1, out=out[..., -2::-1])
     return out
 
 
@@ -92,7 +94,7 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _stage(model: InventoryModel, v: np.ndarray, alpha: float, g: np.ndarray, m: np.ndarray):
-    """One Bellman sweep from v: g and m written into the given rows, T v returned."""
+    """One Bellman sweep from a row or (k, n) stack v: g and m written in place, T v returned."""
     if alpha != 0.0:  # alpha E v, plus the model's c_bar x + E h
         np.add(np.multiply(model.kernel.expect(v), alpha, out=g), model.g_base, out=g)
     else:
@@ -449,13 +451,13 @@ def check_terminal_admissible(
     model: InventoryModel,
     alpha: float,
     v_alpha: np.ndarray,
+    v1: Optional[np.ndarray] = None,
 ) -> AdmissibilityReport:
     """Verify the two terminal-value inequalities that make action tracking meaningful,
-    each within ``ADMISSIBLE_SLACK``."""
+    each within ``ADMISSIBLE_SLACK``; ``v1`` is the first stage T F, if already computed."""
     f = terminal.values
     excess = float(np.max(f - v_alpha))
-    v1, _ = _update(model, f, alpha)
-    drop = float(np.max(f - v1))
+    drop = float(np.max(f - (_update(model, f, alpha)[0] if v1 is None else v1)))
     return AdmissibilityReport(
         f_le_v_alpha=excess <= ADMISSIBLE_SLACK,
         one_step_ge_f=drop <= ADMISSIBLE_SLACK,
@@ -475,7 +477,10 @@ class ActionConvergenceReport:
     distances: np.ndarray
     settle_t: np.ndarray
     exact_settle_t: np.ndarray
-    unsettled: np.ndarray
+
+    @property
+    def unsettled(self) -> np.ndarray:
+        return np.nonzero(self.settle_t < 0)[0]
 
     @property
     def all_settled(self) -> bool:
@@ -488,14 +493,14 @@ def _suffix_settle(cond: np.ndarray) -> np.ndarray:
     return np.where(tail > 0, cond.shape[0] + 1 - tail, -1)
 
 
-def check_t_max(t_max: int, n: int) -> None:
-    """Raise ModelError unless t_max >= 1 and the t_max x n float distance table fits
-    ``ACTION_TABLE_BYTES_CAP``."""
+def check_t_max(t_max: int, n: int, flag: str = "t_max (--t-max)", table: str = "distance") -> None:
+    """Raise ModelError unless t_max >= 1 and a t_max x n float ``table`` (a terminal's
+    distances by default; ``flag`` names the stage count) fits ``ACTION_TABLE_BYTES_CAP``."""
     if t_max < 1:
         raise ModelError(f"t_max must be at least 1, got {t_max}")
-    if (table := 8 * t_max * n) > ACTION_TABLE_BYTES_CAP:
+    if (size := 8 * t_max * n) > ACTION_TABLE_BYTES_CAP:
         raise ModelError(
-            f"t_max (--t-max) {t_max:,} needs a {table:,}-byte distance table over {n} states, "
+            f"{flag} {t_max:,} needs a {size:,}-byte {table} table over {n} states, "
             f"above the {ACTION_TABLE_BYTES_CAP:,}-byte cap"
         )
 
@@ -503,41 +508,37 @@ def check_t_max(t_max: int, n: int) -> None:
 def track_action_convergence(
     model: InventoryModel,
     alpha: float,
-    terminal: TerminalValue,
+    terminals,
     t_max: int,
-) -> ActionConvergenceReport:
-    """Track finite-horizon chosen actions against the infinite-horizon sets.
+) -> list[ActionConvergenceReport]:
+    """Track finite-horizon chosen actions against the infinite-horizon sets: one report
+    per terminal value of the sequence ``terminals``, in order.
 
-    Requires an admissible terminal value.  The reference solve runs at the
-    tight tolerance ``ACTION_REF_TOL`` so that eps-optimal membership is not
-    blurred by the value-iteration error.  The stages' g and m rows go into a buffer of about
-    ``ACTION_BLOCK`` cells; each full buffer is one stacked ``PolicyTable``
-    whose chosen actions and distances are resolved at once, so only the
-    t_max x n distances outlive a block.  Raises ModelError from ``check_t_max``.
+    Requires admissible terminal values.  One reference solve at the tight tolerance
+    ``ACTION_REF_TOL`` serves them all, so that eps-optimal membership is not blurred by
+    the value-iteration error.  The terminals advance as one (k, n) stack, whose first
+    stage v_1 = T F also decides admissibility.  The stages' g and m rows go into a buffer
+    of about ``ACTION_BLOCK`` cells for the whole stack; each full buffer is one stacked
+    ``PolicyTable`` resolved at once, so only the (k, t_max, n) distances outlive a block,
+    each terminal's slice contiguous.  Raises ModelError from ``check_t_max``.
     """
     check_t_max(t_max, model.grid.n)
     ref = solve_infinite(model, alpha, tol=ACTION_REF_TOL)
-    adm = check_terminal_admissible(terminal, model, alpha, ref.value)
-    if not adm.admissible:
-        raise ModelError(
-            "terminal value fails the admissibility inequalities; "
-            "action-convergence tracking is not meaningful"
-        )
-    rows = min(t_max, max(1, ACTION_BLOCK // model.grid.n))
-    g, m = np.empty((2, rows, model.grid.n))
-    dist = np.empty((t_max, model.grid.n))
-    v = _stage(model, terminal.values, alpha, g[0], m[0])  # chosen_t: the update of v_t, t >= 1
+    F = np.array([f.values for f in terminals])
+    rows = min(t_max, max(1, ACTION_BLOCK // F.size))
+    g, m = np.empty((2, rows) + F.shape)
+    dist = np.empty((len(F), t_max, model.grid.n))
+    v = _stage(model, F, alpha, g[0], m[0])  # chosen_t: the update of v_t, t >= 1
+    for f, v1 in zip(terminals, v):
+        if not check_terminal_admissible(f, model, alpha, ref.value, v1).admissible:
+            raise ModelError(f"terminal value {f.id} fails the admissibility inequalities; "
+                             "action-convergence tracking is not meaningful")
     for t in range(t_max):
         b = t % rows
         v = _stage(model, v, alpha, g[b], m[b])
         if b == rows - 1 or t == t_max - 1:
             block = PolicyTable(grid=model.grid, g=g[: b + 1], m=m[: b + 1], K=model.K, eps=EPS_ACT)
-            dist[t - b : t + 1] = ref.policy.distance(block.chosen)
-    settle = _suffix_settle(dist <= model.grid.step + 1e-12)
-    exact = _suffix_settle(dist <= 1e-12)
-    return ActionConvergenceReport(
-        distances=dist,
-        settle_t=settle,
-        exact_settle_t=exact,
-        unsettled=np.nonzero(settle < 0)[0],
-    )
+            dist[:, t - b : t + 1] = ref.policy.distance(block.chosen).swapaxes(0, 1)
+    step = model.grid.step  # settled per terminal, so the masks stay t_max x n
+    return [ActionConvergenceReport(distances=d, settle_t=_suffix_settle(d <= step + 1e-12),
+                                    exact_settle_t=_suffix_settle(d <= 1e-12)) for d in dist]

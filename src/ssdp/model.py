@@ -658,8 +658,8 @@ class Kernel:
     below: np.ndarray
 
     def expect(self, v: np.ndarray) -> np.ndarray:
-        """E v(next) indexed by post-order position j (state + order)."""
-        return self.matrix @ v
+        """E v(next) indexed by post-order position j (state + order), along v's last axis."""
+        return (self.matrix @ v.T).T
 
 
 def build_kernel(model: InventoryModel) -> Kernel:

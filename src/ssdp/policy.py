@@ -88,9 +88,10 @@ def build_G(
     model: InventoryModel,
     values,
     alpha: float,
-    check_tol: Optional[float] = None,
+    tol: Optional[float] = None,
 ) -> np.ndarray:
-    """g(x) = c_bar x + E h(x-D) + alpha E v(x-D) on the grid.
+    """g(x) = c_bar x + E h(x-D) + alpha E v(x-D) on the grid, for one value row or,
+    in one sparse product, for a (T, n) stack of them, bitwise as row by row.
 
     Value lookups below x_lo are linearly extrapolated from the two lowest
     grid points (the value function is asymptotically linear there).  That
@@ -101,28 +102,31 @@ def build_G(
     lookups is the kernel's ``clamp_events``.  A stage function G_t takes
     v_t; the average-cost H takes the relative value u with alpha = 1.
 
-    When v is a fixed point of the optimality equation, passing ``check_tol``
-    confirms that min(min_a [K + g(x+a)], g(x)) - c_bar x reproduces v(x)
-    within it on the extrapolation-free interior; failure signals a
+    When one row v is a fixed point of the optimality equation solved to ``tol``,
+    passing ``tol`` confirms that min(min_a [K + g(x+a)], g(x)) - c_bar x
+    reproduces v(x) on the extrapolation-free interior within max(``G_CONSISTENCY_TOL``,
+    tol), as the gap is bounded by the certified solve error; failure signals a
     grid/tolerance misconfiguration and raises CertificationError.
     """
     vals = np.asarray(values, dtype=float)
-    if vals.shape != (model.grid.n,):
+    if vals.shape[-1:] != (model.grid.n,) or vals.ndim > (1 if tol is not None else 2):
         raise ModelError("value table shape does not match the grid")
     kernel = model.kernel
-    ev = kernel.matrix @ vals + kernel.below * (vals[1] - vals[0])
-    g_vals = model.g_base + alpha * ev
+    g_vals = (kernel.matrix @ vals.T).T  # then in place, so a stack adds one (T, n) temporary
+    g_vals += kernel.below * (vals[..., 1:2] - vals[..., :1])
+    np.add(np.multiply(g_vals, alpha, out=g_vals), model.g_base, out=g_vals)
     if not np.all(np.isfinite(g_vals)):
         raise ModelError("G-function must be finite on the grid")
-    if check_tol is not None:
+    if tol is not None:
+        tol = max(G_CONSISTENCY_TOL, tol)
         interior = model.grid.points >= model.grid.x_lo + model.demand.max_value
         later = _strict_suffix_min(g_vals, np.empty_like(g_vals))
         vhat = np.minimum(g_vals, model.K + later) - model.cbar_x
         gap = float(np.max(np.abs(vhat[interior] - vals[interior]))) if interior.any() else 0.0
-        if gap > check_tol:
+        if gap > tol:
             raise CertificationError(
                 f"G-function consistency: reformulated optimality equation misses v "
-                f"by {gap:.3e} (> {check_tol:.1e}); grid or tolerance misconfigured"
+                f"by {gap:.3e} (> {tol:.1e}); grid or tolerance misconfigured"
             )
     return g_vals
 
@@ -247,7 +251,7 @@ def solve_zero_setup(model: InventoryModel, alpha: float, tol: float = 1e-8) -> 
     model0 = object.__new__(InventoryModel)
     vars(model0).update(vars(model), K=0.0, kernel=model.kernel)
     report = solve_infinite(model0, alpha, tol=tol)
-    g0 = build_G(model0, report.value, alpha, check_tol=G_CONSISTENCY_TOL)
+    g0 = build_G(model0, report.value, alpha, tol=tol)
     conv = is_K_convex(model.grid, g0, K=0.0)
     if not conv.verdict:
         raise CertificationError(
@@ -316,8 +320,7 @@ def finite_horizon_sS(
     certs: list[KConvexityReport] = []
     mismatches: list = []
     agreement = True
-    for t in range(n_periods):
-        g_t = build_G(model, fin.values[t], alpha)
+    for t, g_t in enumerate(build_G(model, fin.values[:n_periods], alpha)):
         cert = is_K_convex(model.grid, g_t, model.K)
         certs.append(cert)
         if not cert.verdict:
@@ -372,9 +375,7 @@ def discounted_sS(
     to these thresholds are ``finite_horizon_sS(...).policies``.
     """
     report = solve_infinite(model, alpha, tol=tol)
-    # the consistency gap is bounded by the certified solve error, so the
-    # check tolerance must not undercut a coarse tol
-    g = build_G(model, report.value, alpha, check_tol=max(G_CONSISTENCY_TOL, tol))
+    g = build_G(model, report.value, alpha, tol=tol)
     cert = is_K_convex(model.grid, g, model.K)
     if not cert.verdict:
         return DiscountedSsResult(

@@ -79,7 +79,7 @@ def test_criterion_04_monotone_and_sandwich(instance_a, solve_a_09, zero_setup_a
     stackF = finF.values
     assert np.all(stack0 <= stackF + 1e-12), "v_t,0 above v_t,F"
     assert np.all(stackF <= solve_a_09.value[None, :] + tol), "v_t,F above v_alpha + tol"
-    g_alpha = build_G(instance_a, solve_a_09.value, alpha, check_tol=G_CONSISTENCY_TOL)
+    g_alpha = build_G(instance_a, solve_a_09.value, alpha, tol=G_CONSISTENCY_TOL)
     prev = zero_setup_a_09.g0
     for t in range(30):
         g_t = build_G(instance_a, finF.values[t], alpha)
@@ -93,7 +93,7 @@ def test_criterion_05_k_convexity_certificates(instance_a):
     for alpha in (0.9, 0.99):
         rep = ssdp.solve_infinite(instance_a, alpha, tol=1e-8)
         zs = ssdp.solve_zero_setup(instance_a, alpha, tol=1e-8)
-        g_alpha = build_G(instance_a, rep.value, alpha, check_tol=G_CONSISTENCY_TOL)
+        g_alpha = build_G(instance_a, rep.value, alpha, tol=G_CONSISTENCY_TOL)
         cert = is_K_convex(instance_a.grid, g_alpha, instance_a.K)
         assert cert.verdict, f"G_alpha not K-convex at {alpha}"
         fin = ssdp.solve_finite(instance_a, 25, zs.terminal(), alpha)
@@ -188,8 +188,10 @@ def test_criterion_10_renewal_diagnostics(instance_a):
 
 
 def test_criterion_11_action_convergence(instance_a, zero_setup_a_09):
-    for terminal in (TerminalValue.zero(instance_a.grid), zero_setup_a_09.terminal()):
-        rep = track_action_convergence(instance_a, 0.9, terminal, t_max=200)
+    terminals = (TerminalValue.zero(instance_a.grid), zero_setup_a_09.terminal())
+    reports = track_action_convergence(instance_a, 0.9, terminals, t_max=200)
+    assert len(reports) == 2
+    for terminal, rep in zip(terminals, reports):
         assert np.all(rep.exact_settle_t >= 1), f"{terminal.id}: unsettled states"
         assert int(rep.exact_settle_t.max()) <= 200
     report(11, "finite-horizon chosen actions land in the infinite-horizon eps-optimal sets "

@@ -62,6 +62,10 @@ def test_solve_alpha_out_of_range(tmp_path):
         (("solve", "--alpha", "0.9", "--horizon", "0"), "horizon must be at least 1"),
         (("sweep", "--schedule", "geometric:x"), "bad schedule spec 'geometric:x'"),
         (("verify", "--suite", "sandwich", "--alpha", "-1"), "alpha must lie in [0,1)"),
+        # 32.8 GB of stage values, refused before any solve by the --t-max byte cap
+        (("solve", "--alpha", "0.9", "--horizon", "100000000", "--terminal", "zero"),
+         "horizon (--horizon) 100,000,000 needs a 32,800,000,000-byte value table over 41 "
+         "states, above the 268,435,456-byte cap"),
     ],
 )
 def test_bad_argument_still_writes_manifest(tmp_path, args, note):
@@ -554,21 +558,48 @@ def test_verify_builds_one_kernel(tmp_path, monkeypatch):
     assert len(builds) == 1
 
 
-def test_verify_all_solves_zero_setup_once_with_the_same_details(tmp_path, monkeypatch):
-    from ssdp import cli, policy
+def test_verify_all_solves_zero_setup_once_with_the_same_details(tmp_path, monkeypatch, capsys):
+    from ssdp import cli, dp, policy
 
-    calls = []
+    calls, ref_solves = [], []
     real = policy.solve_zero_setup
     monkeypatch.setattr(policy, "solve_zero_setup", lambda *a, **k: calls.append(1) or real(*a, **k))
+    real_solve = dp.solve_infinite
+    monkeypatch.setattr(dp, "solve_infinite", lambda model, alpha, tol=1e-8: ref_solves.append(
+        tol) or real_solve(model, alpha, tol=tol))
 
     def checks(suite):
         out = tmp_path / suite
         assert cli.main(["verify", str(INSTANCE_A), "--suite", suite, "--paths", "2000",
                          "--out", str(out)]) == 0
-        return json.loads((out / "manifest.json").read_text())["checks"]
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("PASS ")]
+        return lines, json.loads((out / "manifest.json").read_text())["checks"]
 
-    together = checks("all")
+    together_lines, together = checks("all")
     assert len(calls) == 1
-    alone = {**checks("sandwich"), **checks("action-convergence")}
+    assert ref_solves.count(dp.ACTION_REF_TOL) == 1  # one reference for both terminals
+    suites = [checks(s) for s in ("renewal", "sandwich", "action-convergence", "brute-force-sS")]
     assert len(calls) == 3  # one K = 0 solve per run
-    assert {k: together[k] for k in alone} == alone
+    # the suites alone print the same PASS lines, in order, and record the same checks
+    assert together_lines == [ln for lines, _ in suites for ln in lines] and len(together_lines) == 8
+    assert together == {k: v for _, suite_checks in suites for k, v in suite_checks.items()}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("solve", "--alpha", "0.9", "--horizon", "3", "--tol", "1e-3"),
+        ("sweep", "--tol", "1e-5"),
+        ("verify", "--suite", "all", "--paths", "2000", "--tol", "1e-3"),
+    ],
+)
+def test_coarse_tol_passes_the_g_consistency_check(tmp_path, args):
+    # the G-consistency check runs at max(G_CONSISTENCY_TOL, tol) in every command; at
+    # 1e-7 these runs missed v by about 2.8e-5 (exit 4) or withheld thresholds at small alpha
+    out = tmp_path / "coarse"
+    r = run_cli(args[0], EXPONENTIAL, *args[1:], "--out", out)
+    assert r.returncode == 0, r.stderr + r.stdout
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["notes"] == [] and manifest["checks"]
+    assert all(check["passed"] for check in manifest["checks"].values())
+

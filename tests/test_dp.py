@@ -309,8 +309,8 @@ def test_finite_horizon_actions_cost_at_most_v_alpha(instance_a, solve_a_09):
 
 
 def test_track_convergence_zero_stub(zero_stub):
-    rep = track_action_convergence(
-        zero_stub, 0.9, TerminalValue.zero(zero_stub.grid), t_max=5
+    [rep] = track_action_convergence(
+        zero_stub, 0.9, [TerminalValue.zero(zero_stub.grid)], t_max=5
     )
     assert np.all(rep.distances == 0.0)
     assert np.all(rep.settle_t == 1)
@@ -319,12 +319,12 @@ def test_track_convergence_zero_stub(zero_stub):
 def test_track_convergence_requires_admissible_terminal(instance_a, solve_a_09):
     bad = TerminalValue(values=solve_a_09.value + 5.0, id="user")
     with pytest.raises(ModelError):
-        track_action_convergence(instance_a, 0.9, bad, t_max=5)
+        track_action_convergence(instance_a, 0.9, [bad], t_max=5)
 
 
 def test_track_convergence_instance_a(instance_a):
-    rep = track_action_convergence(
-        instance_a, 0.9, TerminalValue.zero(instance_a.grid), t_max=200
+    [rep] = track_action_convergence(
+        instance_a, 0.9, [TerminalValue.zero(instance_a.grid)], t_max=200
     )
     assert rep.all_settled
     assert int(rep.settle_t.max()) <= 200
@@ -334,17 +334,21 @@ def test_track_convergence_instance_a(instance_a):
 def test_stage_blocks_match_the_per_stage_loop(make):
     model = make()
     terminals = (TerminalValue.zero(model.grid), solve_zero_setup(model, 0.9).terminal())
-    # all 200 stages in one block, the default budget, blocks of 3 rows and of 1 row
-    budgets = (200 * model.grid.n, dp.ACTION_BLOCK, 3 * model.grid.n, 1)
-    for terminal in terminals:
-        for t_max in (1, 2, 200):
-            expected = oracle_action_convergence(model, 0.9, terminal, t_max)
-            for budget in budgets:
+    # the budget counts the cells of the whole stack: all 200 stages of both terminals in
+    # one block, the default, 3n cells (one stage of both, three of one alone) and 1 cell
+    budgets = (400 * model.grid.n, dp.ACTION_BLOCK, 3 * model.grid.n, 1)
+    for t_max in (1, 2, 200):
+        expected = [oracle_action_convergence(model, 0.9, f, t_max) for f in terminals]
+        for budget in budgets:
+            for lo, hi in ((0, 2), (0, 1), (1, 2)):  # both in one stack, and each alone
                 with mock.patch.object(dp, "ACTION_BLOCK", budget):
-                    rep = track_action_convergence(model, 0.9, terminal, t_max=t_max)
-                got = (rep.distances, rep.settle_t, rep.exact_settle_t)
-                for a, b in zip(got, expected):
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (t_max, budget)
+                    reps = track_action_convergence(model, 0.9, terminals[lo:hi], t_max=t_max)
+                assert len(reps) == hi - lo
+                for rep, want in zip(reps, expected[lo:hi]):
+                    got = (rep.distances, rep.settle_t, rep.exact_settle_t)
+                    for a, b in zip(got, want):
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (t_max, budget)
+                    assert np.array_equal(rep.unsettled, np.flatnonzero(want[1] < 0))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9, 0.99])
@@ -373,7 +377,7 @@ def test_stage_is_bitwise_the_textbook_stage(config, alpha):
     for _ in range(5):
         v, g, m = reference_stage(model, v, alpha)
         chosen.append(ssdp.PolicyTable(grid=model.grid, g=g, m=m, K=model.K, eps=dp.EPS_ACT).chosen)
-    rep = track_action_convergence(model, alpha, terminal, t_max=5)
+    [rep] = track_action_convergence(model, alpha, [terminal], t_max=5)
     assert rep.distances.tobytes() == ref_sets.distance(np.array(chosen)).tobytes()
 
 
@@ -398,7 +402,7 @@ def test_track_convergence_memory_at_1001_points():
     model.kernel, model.eh  # built and cached before the measured call
     tracemalloc.start()
     try:
-        rep = track_action_convergence(model, 0.9, TerminalValue.zero(model.grid), t_max=200)
+        [rep] = track_action_convergence(model, 0.9, [TerminalValue.zero(model.grid)], t_max=200)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

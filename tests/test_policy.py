@@ -45,7 +45,7 @@ from conftest import (
 
 
 def test_build_g_zero_stub(zero_stub):
-    g = build_G(zero_stub, np.zeros(zero_stub.grid.n), 0.9, check_tol=G_CONSISTENCY_TOL)
+    g = build_G(zero_stub, np.zeros(zero_stub.grid.n), 0.9, tol=G_CONSISTENCY_TOL)
     assert np.all(g == 0.0)
 
 
@@ -59,7 +59,7 @@ def test_build_g_degenerate_closed_form(degenerate_model):
     m = degenerate_model
     alpha = 0.9
     rep = solve_infinite(m, alpha, tol=1e-9)
-    g = build_G(m, rep.value, alpha, check_tol=G_CONSISTENCY_TOL)
+    g = build_G(m, rep.value, alpha, tol=G_CONSISTENCY_TOL)
     pos = m.grid.points >= 0
     expect = m.c_bar * m.grid.points[pos] + m.h(m.grid.points[pos]) / (1 - alpha)
     assert np.max(np.abs(g[pos] - expect)) <= 1e-7
@@ -69,7 +69,7 @@ def test_build_g_consistency_check_catches_tampering(instance_a, solve_a_09):
     tampered = solve_a_09.value.copy()
     tampered[instance_a.grid.index_of(5.0)] += 1.0
     with pytest.raises(CertificationError):
-        build_G(instance_a, tampered, 0.9, check_tol=G_CONSISTENCY_TOL)
+        build_G(instance_a, tampered, 0.9, tol=G_CONSISTENCY_TOL)
 
 
 @pytest.mark.parametrize("name", OPERATOR_MODELS)
@@ -82,6 +82,29 @@ def test_build_g_matches_extrapolating_reference(name):
         expect = m.c_bar * m.grid.points + m.expected_h(m.grid.points) + alpha * (W_ext @ v)
         assert np.max(np.abs(g - expect)) <= 1e-12 * np.max(np.abs(v))
     assert m.kernel.clamp_events == flagged
+
+
+@pytest.mark.parametrize("config", ["instance_a", "exponential_demand", "degenerate_zero_demand"])
+def test_stacked_build_g_is_bitwise_row_by_row(config):
+    model = ssdp.load_model(CONFIGS / f"{config}.json")
+    rows = solve_finite(model, 40, dp.TerminalValue.zero(model.grid), 0.9).values
+    rows[7] = np.random.default_rng(3).uniform(0.0, 50.0, model.grid.n)  # v[1] - v[0] varies
+    for alpha in (0.9, 1.0):
+        for stack in (rows, rows[:2], rows[:1], rows[::-3]):  # some, one, and a strided view
+            got = build_G(model, stack, alpha)
+            want = np.array([build_G(model, v, alpha) for v in stack])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    with pytest.raises(ModelError, match="shape"):  # the consistency check takes one row
+        build_G(model, rows[:2], 0.9, tol=G_CONSISTENCY_TOL)
+
+
+def test_consistency_check_tolerance_follows_a_coarse_solve(instance_a):
+    # the gap is bounded by the solve's certified error: a 1e-3 solve misses v by
+    # about 2.6e-5, so the check runs at max(G_CONSISTENCY_TOL, tol)
+    v = solve_infinite(instance_a, 0.9, tol=1e-3).value
+    build_G(instance_a, v, 0.9, tol=1e-3)
+    with pytest.raises(CertificationError, match=r"> 1\.0e-07"):
+        build_G(instance_a, v, 0.9, tol=1e-8)
 
 
 def test_build_g_counts_extrapolations(instance_a, solve_a_09):
@@ -511,7 +534,7 @@ def test_slope_condition_fails_flat_h(zero_stub):
 def test_g_chain_ordering(instance_a, solve_a_09, zero_setup_a_09):
     alpha = 0.9
     fin = solve_finite(instance_a, 30, zero_setup_a_09.terminal(), alpha)
-    g_alpha = build_G(instance_a, solve_a_09.value, alpha, check_tol=G_CONSISTENCY_TOL)
+    g_alpha = build_G(instance_a, solve_a_09.value, alpha, tol=G_CONSISTENCY_TOL)
     prev = zero_setup_a_09.g0
     for t in range(30):
         g_t = build_G(instance_a, fin.values[t], alpha)

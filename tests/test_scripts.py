@@ -136,3 +136,28 @@ def test_bench_records_the_traced_layers_of_both_sides(monkeypatch):
     assert layers["renewal.sample_renewal.s"] == {"parent": 0.0305, "change": 0.0200,
                                                   "delta": 0.0200 - 0.0305}
     assert layers["cli.self.s"]["delta"] < 0 and layers["renewal.draws"]["delta"] == 0
+
+
+def test_bench_gives_every_run_of_both_sides_a_fresh_pycache_prefix(monkeypatch):
+    import json
+    from types import SimpleNamespace
+
+    bench = load_bench()
+    prefixes = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        assert prefix.is_dir() and not any(prefix.iterdir())  # exists and is empty
+        prefixes.append((cwd.name, prefix))
+        out = [json.dumps({"environment": {"python": "3.11.7"}}),
+               json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {}})]
+        return SimpleNamespace(returncode=0, stdout="\n".join(out), stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    runs = [bench.run_once(Path(side), "verify_exp", 701, 0.0)
+            for side in ("parent", "change", "change", "parent")]
+    assert [side for side, _ in prefixes] == ["parent", "change", "change", "parent"]
+    assert len({prefix for _, prefix in prefixes}) == 4  # one per run
+    assert not any(prefix.exists() for _, prefix in prefixes)  # removed after the run
+    assert all(r["environment"]["PYTHONPYCACHEPREFIX"] == "a new empty directory per run"
+               for r in runs)
