@@ -456,8 +456,10 @@ def check_terminal_admissible(
     """Verify the two terminal-value inequalities that make action tracking meaningful,
     each within ``ADMISSIBLE_SLACK``; ``v1`` is the first stage T F, if already computed."""
     f = terminal.values
+    if v1 is None:
+        v1, _ = _update(model, f, alpha)
     excess = float(np.max(f - v_alpha))
-    drop = float(np.max(f - (_update(model, f, alpha)[0] if v1 is None else v1)))
+    drop = float(np.max(f - v1))
     return AdmissibilityReport(
         f_le_v_alpha=excess <= ADMISSIBLE_SLACK,
         one_step_ge_f=drop <= ADMISSIBLE_SLACK,
