@@ -2,8 +2,8 @@
 """End-to-end run on the integer benchmark instance.
 
 Solves the discounted problem, extracts and cross-validates (s,S), runs the
-vanishing-discount sweep, and compares the limiting policy against the
-order-up-to-0 heuristic and never-order under common random numbers.
+vanishing-discount sweep, simulates the limiting policy, and compares its
+exact long-run average cost w(s,S) with that of the order-up-to-0 heuristic.
 """
 
 import argparse
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import ssdp
 from ssdp import average
-from ssdp.simulate import OrderUpTo, SimConfig, compare_policies, simulate_average
+from ssdp.simulate import SimConfig, simulate_average
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "instance_a.json"
 
@@ -43,17 +43,17 @@ def main() -> None:
     oi = avg.optimality
     print(f"  optimality-inequality residual: max {oi.max_interior:.4g} (slack {oi.slack:.4g})")
 
-    cfg = SimConfig(x0=0.0, horizon=4000, n_paths=256, seed=args.seed)
     sim = simulate_average(model, SimConfig(x0=0.0, horizon=4000, n_paths=256,
                                             seed=args.seed, policy=avg.policy))
     print(f"\nsimulated long-run average of limiting policy: "
           f"{sim.mean:.4f} +- {sim.std_error:.4f} (w_estimate {sw.w_estimate:.4f})")
 
-    cmp = compare_policies(model, [avg.policy, OrderUpTo(0.0), "never_order"], cfg)
-    print("\npolicy comparison (common random numbers, average cost):")
-    for row in cmp.rows:
-        print(f"  {row.policy_id:24s} mean={row.mean:10.4f}  "
-              f"diff vs first={row.diff_mean:+.4f} (se {row.diff_std_error:.4f})")
+    print("\npolicy comparison (exact average cost w(s,S) on the grid chain):")
+    w_limit = average.exact_average_cost(model, avg.policy)
+    for name, pol in (("limiting", avg.policy), ("order-up-to-0", ssdp.SsPolicy(0.0, 0.0))):
+        w = average.exact_average_cost(model, pol)
+        print(f"  {name:14s} (s,S) = {str(pol.pair()):12s} w = {w:10.4f}  "
+              f"diff vs limiting = {w - w_limit:+.4f}")
 
 
 if __name__ == "__main__":

@@ -51,10 +51,5 @@ from .average import (
     track_discount_actions,
 )
 from .renewal import overshoot_bound_check, sample_renewal, wald_check
-from .simulate import (
-    OrderUpTo,
-    SimConfig,
-    compare_policies,
-    simulate_average,
-)
+from .simulate import SimConfig, simulate_average
 from .config import load_model, model_from_dict

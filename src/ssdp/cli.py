@@ -376,6 +376,17 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFICATION if failures else EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """A run seed: numpy's SeedSequence takes non-negative integers only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ssdp", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
@@ -384,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("config", help="model config JSON")
     common.add_argument("--out", required=True, help="output directory")
-    common.add_argument("--seed", type=int, default=0, help="run seed recorded in the manifest")
+    common.add_argument("--seed", type=_seed, default=0, help="run seed recorded in the manifest")
     common.add_argument(
         "--workers", type=int, default=1, help="no effect: results are the same at any value"
     )

@@ -141,13 +141,6 @@ class FiniteHorizonResult:
     values: np.ndarray
     policies: list
 
-    @property
-    def horizon(self) -> int:
-        return len(self.policies)
-
-    def stage_policy(self, epoch: int) -> PolicyTable:
-        return self.policies[self.horizon - epoch - 1]
-
 
 def solve_finite(
     model: InventoryModel,
@@ -227,8 +220,8 @@ def _iterate(
     Returns (value, sweeps, certified error bound).  Raises ModelError at a
     non-finite span, ConvergenceError past ``_iteration_cap`` sweeps.
     """
-    if not tol > 0:
-        raise ModelError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ModelError(f"tol (--tol) must be finite and positive, got {tol}")
     cap = _iteration_cap(alpha, tol)
     scale = alpha / (1.0 - alpha)
     v = np.zeros(n)

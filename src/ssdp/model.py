@@ -98,7 +98,7 @@ class Grid:
 
     def index_of(self, x: float) -> int:
         pos = (x - self.x_lo) / self.step  # fractional grid coordinate: 0 at x_lo, n-1 at x_hi
-        idx = int(round(pos))
+        idx = int(round(pos)) if math.isfinite(pos) else -1
         if idx < 0 or idx >= self.n or abs(pos - idx) > 1e-9:
             raise ModelError(f"{x} is not a grid point of [{self.x_lo}, {self.x_hi}] step {self.step}")
         return idx

@@ -75,11 +75,6 @@ class SsPolicy:
         if self.s > self.S:
             raise ModelError(f"(s,S) needs s <= S, got ({self.s}, {self.S})")
 
-    def order_quantity(self, x) -> np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        out = np.where(arr < self.s, self.S - arr, 0.0)
-        return float(out) if arr.ndim == 0 else out
-
     def pair(self) -> tuple[float, float]:
         return (self.s, self.S)
 

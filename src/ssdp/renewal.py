@@ -45,11 +45,6 @@ class RenewalSample:
     y: float
 
     @property
-    def overshoot(self) -> np.ndarray:
-        """R(y) = S_{N(y)+1} - y per path, computed on each read."""
-        return self.first_passage - self.y
-
-    @property
     def mean_count(self) -> float:
         return float(self.counts.mean())
 

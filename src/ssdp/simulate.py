@@ -1,18 +1,17 @@
-"""Monte-Carlo policy evaluation: the independent check on the DP output.
+"""Monte-Carlo evaluation of an (s,S) policy: the independent check on the DP output.
 
 Two chains run on the same demand draws, one path-major matrix of atom indices
 (``DemandDistribution.sample_atoms``, uint8 for up to 256 atoms).  The
 continuous chain steps unclamped real-valued states even when the policy came
 from a grid, so a disagreement with the DP beyond the confidence interval
-points at grid truncation; its step cost is the exact c(x, a) = K 1{a>0} +
-c_bar a + E h(x + a - D), priced in place with one ``model.expected_h`` call
-(bitwise ``eh_curve``) per round.  The grid chain, run by ``simulate_average``
-for policies that stay on the lattice, is the Markov chain the DP solves:
-grid-index states, the kernel's split of each draw between two neighbouring
-grid points (tabled per (atom, state) pair), clamping at x_lo, and step cost
-order cost + ``model.eh[post]``.  The sweep's check compares its mean with the
-exact w(s,S) of ``average.exact_average_cost``; ``compare_policies`` runs the
-continuous chain alone.
+points at grid truncation; it orders (S - x)·(x < s) in place, and its step
+cost is the exact c(x, a) = K 1{a>0} + c_bar a + E h(x + a - D), priced in
+place with one ``model.expected_h`` call (bitwise ``eh_curve``) per round.  The
+grid chain, run when x0, s and S are grid points, is the Markov chain the DP
+solves: grid-index states, the kernel's split of each draw between two
+neighbouring grid points (tabled per (atom, state) pair), clamping at x_lo,
+and step cost order cost + ``model.eh[post]``.  The sweep's check compares its
+mean with the exact w(s,S) of ``average.exact_average_cost``.
 
 Both chains step in ``_drive``: the horizon splits into k = min(blocks,
 LANES // n_paths) segments of whole ``BLOCK``s, whose k * n_paths lanes step
@@ -21,48 +20,29 @@ entries for any k.  Segment i >= 1 starts ``WARMUP`` unpriced steps before its
 boundary from x0, on the true draws.  Two (s,S) paths that place the same order
 stay identical, so the speculative path meets the exact one; each boundary is
 compared bitwise with the previous segment's end, and from the first that
-differs the rest is rerun from the exact state with k = 1.  Continuous paths
-meet only under an order map that resets them to a fixed level ((s,S), a
-finite order-up-to level); under ``never_order`` or a ``PolicyTable`` each
-keeps its own offset, so those chains step as one segment from the start.
-Each block's kept costs are added step by step and the block sums in block
-order, for any number of paths; only blocks x n_paths sums and the atom matrix
-grow with the horizon.
+differs the rest is rerun from the exact state with k = 1.  Each block's kept
+costs are added step by step and the block sums in block order, for any number
+of paths; only blocks x n_paths sums and the atom matrix grow with the horizon.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from .dp import policy_order_steps
-from .model import InventoryModel, ModelError, PolicyTable
+from .model import InventoryModel, ModelError
+from .policy import SsPolicy
 
-__all__ = [
-    "SimConfig",
-    "OrderUpTo",
-    "SimResult",
-    "simulate_average",
-    "compare_policies",
-    "ComparisonRow",
-    "ComparisonResult",
-    "policy_fn",
-]
+__all__ = ["SimConfig", "SimResult", "simulate_average"]
 
 BLOCK = 256  # steps per block sum; a round buffers BLOCK x n_paths states, orders, uniforms
 LANES = 2048  # segments x paths stepped side by side
 WARMUP = 64  # unpriced steps a segment takes from x0 before its boundary
-
-
-@dataclass(frozen=True)
-class OrderUpTo:
-    """Base-stock rule: order up to ``level`` whenever x < level."""
-
-    level: float
 
 
 @dataclass
@@ -71,7 +51,7 @@ class SimConfig:
     horizon: int
     n_paths: int
     seed: int
-    policy: object = "never_order"
+    policy: SsPolicy
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.x0):
@@ -80,43 +60,8 @@ class SimConfig:
             raise ModelError("horizon must be at least 1")
         if self.n_paths < 1:
             raise ModelError("n_paths must be at least 1")
-
-
-def _order_map(policy, model: InventoryModel) -> tuple[Callable, str]:
-    """``order(x, out, spare)``, which writes the policy's orders at the states x into
-    out and returns it (``spare``: a scratch row like x), and a stable policy id."""
-    if policy == "never_order":  # max(-inf - x, 0.0) is 0.0
-        return _order_map(OrderUpTo(-math.inf), model)[0], "never_order"
-    if isinstance(policy, OrderUpTo):
-        lvl = float(policy.level)
-
-        def order(x, out, spare):
-            return np.maximum(np.subtract(lvl, x, out=out), 0.0, out=out)
-
-        return order, f"order_up_to({lvl})"
-    if hasattr(policy, "s") and hasattr(policy, "S"):
-        s, S = float(policy.s), float(policy.S)
-
-        def order(x, out, spare):  # (S - x) * (x < s); -0.0 above S adds to x as 0.0 does
-            return np.multiply(np.subtract(S, x, out=out), np.less(x, s, out=spare), out=out)
-
-        return order, f"sS(s={s},S={S})"
-    if isinstance(policy, PolicyTable):
-        chosen, g = policy.chosen, model.grid
-
-        def order(x, out, spare):  # chosen at the nearest grid index, clipped to the grid
-            np.divide(np.subtract(x, g.x_lo, out=spare), g.step, out=spare)
-            np.clip(np.round(spare, out=spare), 0, g.n - 1, out=spare)
-            return chosen.take(spare.astype(np.intp), out=out)
-
-        return order, "policy_table"
-    raise ModelError(f"unknown policy spec {policy!r}")
-
-
-def policy_fn(policy, model: InventoryModel) -> tuple[Callable[[np.ndarray], np.ndarray], str]:
-    """Vectorized state -> order map plus a stable policy id string (``_order_map``'s)."""
-    order, pid = _order_map(policy, model)
-    return (lambda x: order(np.asarray(x, dtype=float), *np.empty((2,) + np.shape(x)))), pid
+        if not isinstance(self.policy, SsPolicy):
+            raise ModelError(f"policy must be an SsPolicy, got {self.policy!r}")
 
 
 @dataclass(eq=False)
@@ -140,11 +85,10 @@ def _atom_matrix(model: InventoryModel, cfg: SimConfig) -> np.ndarray:
 
 def _drive(chain, atoms: np.ndarray, burn: int, t0: int = 0, start=None) -> np.ndarray:
     """Block sums (blocks from t0 x paths) of the chain's step costs at steps t >= burn:
-    k segments side by side, or k = 1 from the exact state ``start`` (the rerun) and
-    for a chain whose paths cannot meet."""
+    k segments side by side, or k = 1 from the exact state ``start`` (the rerun)."""
     n, horizon = atoms.shape
     blocks = -(-(horizon - t0) // BLOCK)
-    split = 1 if start is not None or not chain.meets else min(blocks, max(1, LANES // n))
+    split = 1 if start is not None else min(blocks, max(1, LANES // n))
     per = -(-blocks // split)
     bounds = range(t0, horizon, per * BLOCK)  # each segment's first step
     k = len(bounds)
@@ -186,11 +130,9 @@ def _drive(chain, atoms: np.ndarray, burn: int, t0: int = 0, start=None) -> np.n
 class _Paths:
     """The continuous chain on ``_drive``'s lanes: real-valued states, exact step costs."""
 
-    def __init__(self, model: InventoryModel, x0: float, policy) -> None:
-        self.model, self.x0, self.order = model, float(x0), _order_map(policy, model)[0]
-        is_ss = hasattr(policy, "s") and hasattr(policy, "S") and not isinstance(policy, PolicyTable)
-        self.ss, self.ss_ok = ((policy.s, policy.S), True) if is_ss else (None, None)
-        self.meets = is_ss or (isinstance(policy, OrderUpTo) and math.isfinite(policy.level))
+    def __init__(self, model: InventoryModel, x0: float, policy: SsPolicy) -> None:
+        self.model, self.x0 = model, float(x0)
+        self.s, self.S, self.ss_ok = float(policy.s), float(policy.S), True
 
     def begin(self, lanes: int, rows: int, times: list) -> np.ndarray:
         # one step per row, so each step writes contiguous memory; row r + 1 of
@@ -201,19 +143,20 @@ class _Paths:
 
     def round(self, parts: list, count: int, priced: bool) -> np.ndarray:
         xb, ab, pb = self.buf
+        s, S = self.s, self.S
         for cols, lo, hi, block in parts:  # demands wait in the state rows their steps overwrite
             x = xb[1 : count + 1, cols]
             self.model.demand.values.take(block, out=x[lo:hi], mode="clip")
             x[:lo] = x[hi:] = 0.0
         for x, a, post, x_next in zip(xb, ab, pb, xb[1 : count + 1]):
-            self.order(x, a, post)  # post is scratch until the order is placed
+            # (S - x) * (x < s), post as scratch; -0.0 above S adds to x as 0.0 does
+            np.multiply(np.subtract(S, x, out=a), np.less(x, s, out=post), out=a)
             np.add(x, a, out=post)
             np.subtract(post, x_next, out=x_next)
         xs, a, post = xb[:count], ab[:count], pb[:count]
         if priced:
             ordered = a > 0
             if self.ss_ok:  # the (s,S) invariant: orders exactly below s, and never past S
-                s, S = self.ss
                 self.ss_ok = np.array_equal(ordered, xs < s) and not np.any(post > S + 1e-9)
             # priced over the orders, bitwise order_cost(a) + expected_h(post)
             np.add(np.multiply(a, self.model.c_bar, out=a), self.model.K, out=a, where=ordered)
@@ -224,8 +167,6 @@ class _Paths:
 
 class _GridPaths:
     """The grid chain on ``_drive``'s lanes: grid-index states from per-(atom, state) tables."""
-
-    meets = True  # paths on a finite lattice can meet under any policy
 
     def __init__(self, model: InventoryModel, seed: int, start: int, steps: np.ndarray) -> None:
         g = model.grid
@@ -265,44 +206,39 @@ class _GridPaths:
         return self.cost.take(j, out=u, mode="clip") if priced else None  # into spent uniforms
 
 
-def _run_paths(model: InventoryModel, cfg: SimConfig, atoms: np.ndarray, policy, burn: int = 0):
+def _run_paths(model: InventoryModel, cfg: SimConfig, atoms: np.ndarray, burn: int = 0):
     """Per-path totals of the continuous chain's step costs at t >= ``burn``, and the
     (s,S) check.  Each cost is the one a step-by-step evaluation gives."""
-    chain = _Paths(model, cfg.x0, policy)
+    chain = _Paths(model, cfg.x0, cfg.policy)
     return functools.reduce(np.add, _drive(chain, atoms, burn), 0.0), chain.ss_ok
 
 
 def _run_grid_chain(model: InventoryModel, cfg: SimConfig, atoms: np.ndarray, burn: int):
     """Per-path mean step cost after ``burn`` steps of the grid chain.
 
-    Returns None when x0 is not a grid point or the policy orders off the
-    lattice from some grid state.  The chain reuses the continuous chain's
-    demand draws.  Each step splits x_post - d between the two grid points
-    around it with the weights ``post_expectation_matrix`` uses, computed
-    once per (atom, state) by the same float operations; the uniforms that
-    pick the side come from a child stream of ``cfg.seed``, one per path-step.
+    Returns None when x0, s or S is not a grid point.  The chain reuses the
+    continuous chain's demand draws.  Each step splits x_post - d between the
+    two grid points around it with the weights ``post_expectation_matrix``
+    uses, computed once per (atom, state) by the same float operations; the
+    uniforms that pick the side come from a child stream of ``cfg.seed``, one
+    per path-step.
     """
-    fn, _ = policy_fn(cfg.policy, model)
     try:
         start = model.grid.index_of(cfg.x0)
-        steps = policy_order_steps(model, fn(model.grid.points))
+        steps = policy_order_steps(model, cfg.policy)
     except ModelError:
         return None
     chain = _GridPaths(model, cfg.seed, start, steps)
     return functools.reduce(np.add, _drive(chain, atoms, burn), 0.0) / (cfg.horizon - burn)
 
 
-def _mean_and_se(x: np.ndarray) -> tuple[float, float]:  # the standard error of one path is 0
-    return float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
-
-
-def _result(model: InventoryModel, cfg: SimConfig, path_stats, criterion, **extra) -> SimResult:
-    mean, se = _mean_and_se(path_stats)
+def _result(cfg: SimConfig, path_stats: np.ndarray, criterion: str, **extra) -> SimResult:
+    n = path_stats.size  # the standard error of one path is 0
     return SimResult(
-        policy_id=policy_fn(cfg.policy, model)[1],
+        policy_id=f"sS(s={float(cfg.policy.s)},S={float(cfg.policy.S)})",
         criterion=criterion,
-        mean=mean,
-        std_error=se,
+        mean=float(path_stats.mean()),
+        std_error=float(path_stats.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
         n_paths=cfg.n_paths,
         horizon=cfg.horizon,
         seed=cfg.seed,
@@ -311,68 +247,20 @@ def _result(model: InventoryModel, cfg: SimConfig, path_stats, criterion, **extr
     )
 
 
-def _average(model: InventoryModel, cfg: SimConfig, atoms: np.ndarray) -> SimResult:
-    if cfg.horizon < 1000:
-        raise ModelError("average-cost simulation needs horizon >= 1000")
-    burn = cfg.horizon // 10
-    totals, ss_ok = _run_paths(model, cfg, atoms, cfg.policy, burn=burn)
-    return _result(
-        model, cfg, totals / (cfg.horizon - burn), "average",
-        burn_in_used=burn, ss_invariant_ok=ss_ok,
-    )
-
-
 def simulate_average(model: InventoryModel, cfg: SimConfig) -> SimResult:
     """Long-run average cost per period, discarding a 10% burn-in.
 
-    The result is the continuous chain's; when the policy maps grid states
-    to grid states and x0 is a grid point, ``grid_chain`` holds the grid
-    chain's result on the same demand draws.
+    The result is the continuous chain's; when x0, s and S are grid points,
+    ``grid_chain`` holds the grid chain's result on the same demand draws.
     """
+    if cfg.horizon < 1000:
+        raise ModelError("average-cost simulation needs horizon >= 1000")
     atoms = _atom_matrix(model, cfg)
-    res = _average(model, cfg, atoms)
-    grid_means = _run_grid_chain(model, cfg, atoms, res.burn_in_used)
+    burn = cfg.horizon // 10
+    totals, ss_ok = _run_paths(model, cfg, atoms, burn)
+    res = _result(cfg, totals / (cfg.horizon - burn), "average",
+                  burn_in_used=burn, ss_invariant_ok=ss_ok)
+    grid_means = _run_grid_chain(model, cfg, atoms, burn)
     if grid_means is not None:
-        res.grid_chain = _result(
-            model, cfg, grid_means, "average_grid_chain", burn_in_used=res.burn_in_used
-        )
+        res.grid_chain = _result(cfg, grid_means, "average_grid_chain", burn_in_used=burn)
     return res
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    policy_id: str
-    mean: float
-    std_error: float
-    diff_mean: float  # this policy minus the first one, paired per path
-    diff_std_error: float
-
-
-@dataclass(eq=False)
-class ComparisonResult:
-    criterion: str
-    rows: list
-    n_paths: int
-    horizon: int
-    seed: int
-
-
-def compare_policies(
-    model: InventoryModel, policies: list, cfg: SimConfig
-) -> ComparisonResult:
-    """Evaluate several policies on common random numbers.
-
-    Every policy sees the same demand streams, so the paired per-path
-    differences against the first policy have far less variance than the
-    raw means.  The criterion is the long-run average.
-    """
-    if len(policies) < 2:
-        raise ModelError("compare_policies needs at least two policies")
-    atoms = _atom_matrix(model, cfg)
-    runs = [_average(model, replace(cfg, policy=p), atoms) for p in policies]
-    base = runs[0].path_stats
-    rows = [
-        ComparisonRow(r.policy_id, r.mean, r.std_error, *_mean_and_se(r.path_stats - base))
-        for r in runs
-    ]
-    return ComparisonResult(runs[0].criterion, rows, cfg.n_paths, cfg.horizon, cfg.seed)

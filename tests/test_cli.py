@@ -603,3 +603,37 @@ def test_coarse_tol_passes_the_g_consistency_check(tmp_path, args):
     assert manifest["notes"] == [] and manifest["checks"]
     assert all(check["passed"] for check in manifest["checks"].values())
 
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("solve", "--alpha", "0.9"),
+        ("sweep",),
+        ("verify", "--suite", "all", "--paths", "2000"),
+    ],
+)
+def test_infinite_tol_is_a_config_error(tmp_path, args):
+    # tol = inf certified nothing: solve wrote an error bound of 156.3 and exited 0
+    out = tmp_path / "inf"
+    r = run_cli(args[0], EXPONENTIAL, *args[1:], "--tol", "inf", "--out", out)
+    assert r.returncode == 2, r.stderr
+    note = "tol (--tol) must be finite and positive, got inf"
+    assert f"config error: {note}" in r.stderr and "Traceback" not in r.stderr
+    assert json.loads((out / "manifest.json").read_text())["notes"] == [f"ModelError: {note}"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("solve", "--alpha", "0.9"),
+        ("sweep",),
+        ("verify", "--suite", "renewal"),
+    ],
+)
+def test_negative_seed_is_a_usage_error(tmp_path, args):
+    # numpy's SeedSequence rejects a negative seed with a traceback and exit 1
+    r = run_cli(args[0], EXPONENTIAL, *args[1:], "--seed", "-1", "--out", tmp_path / "neg")
+    assert r.returncode == 2, r.stderr
+    assert "argument --seed: must be a non-negative integer, got '-1'" in r.stderr
+    assert "Traceback" not in r.stderr

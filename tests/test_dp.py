@@ -138,9 +138,13 @@ def test_solve_finite_monotone_in_t(instance_a):
 
 
 def test_stage_policy_index_reversal(instance_a):
-    res = solve_finite(instance_a, 5, TerminalValue.zero(instance_a.grid), 0.9)
-    assert res.stage_policy(0) is res.policies[4]  # first decision of a 5-horizon run
-    assert res.stage_policy(4) is res.policies[0]
+    # policies[t] comes from the update v_t -> v_{t+1}, so a 5-horizon run's last
+    # decision, policies[0], is a 1-horizon run's first
+    zero = TerminalValue.zero(instance_a.grid)
+    five = solve_finite(instance_a, 5, zero, 0.9).policies
+    one = solve_finite(instance_a, 1, zero, 0.9).policies
+    assert np.array_equal(five[0].chosen, one[0].chosen)
+    assert not np.array_equal(five[4].chosen, one[0].chosen)  # its first decision differs
 
 
 # ----------------------------------------------------------- solve_infinite

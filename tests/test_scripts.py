@@ -28,7 +28,7 @@ def test_instance_a_script():
     assert r.returncode == 0, r.stderr
     assert "(s,S) = (1.0, 2.0), K-convex ok = True" in r.stdout
     assert "vanishing-discount sweep (6 factors):" in r.stdout
-    assert "policy comparison (common random numbers, average cost):" in r.stdout
+    assert "policy comparison (exact average cost w(s,S) on the grid chain):" in r.stdout
 
 
 def load_bench():
@@ -120,6 +120,8 @@ def test_bench_records_the_traced_layers_of_both_sides(monkeypatch):
     argvs = []
 
     def fake_run(argv, cwd, **kwargs):
+        if "perfbench/run.py" not in argv:  # the untimed warm-up
+            return SimpleNamespace(returncode=0)
         # run.py's last two lines: the environment, then the result
         argvs.append(argv)
         metrics = {k: {"value": v, "unit": "s"} for k, v in reports[cwd.name].items()}
@@ -147,7 +149,9 @@ def test_bench_gives_every_run_of_both_sides_a_fresh_pycache_prefix(monkeypatch)
 
     def fake_run(argv, cwd, env, **kwargs):
         prefix = Path(env["PYTHONPYCACHEPREFIX"])
-        assert prefix.is_dir() and not any(prefix.iterdir())  # exists and is empty
+        if "perfbench/run.py" not in argv:  # the warm-up comes first, into an empty prefix
+            assert prefix.is_dir() and not any(prefix.iterdir())
+            return SimpleNamespace(returncode=0)
         prefixes.append((cwd.name, prefix))
         out = [json.dumps({"environment": {"python": "3.11.7"}}),
                json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {}})]
@@ -159,5 +163,37 @@ def test_bench_gives_every_run_of_both_sides_a_fresh_pycache_prefix(monkeypatch)
     assert [side for side, _ in prefixes] == ["parent", "change", "change", "parent"]
     assert len({prefix for _, prefix in prefixes}) == 4  # one per run
     assert not any(prefix.exists() for _, prefix in prefixes)  # removed after the run
-    assert all(r["environment"]["PYTHONPYCACHEPREFIX"] == "a new empty directory per run"
-               for r in runs)
+    assert all(r["environment"]["PYTHONPYCACHEPREFIX"]
+               == "a new directory per run, numpy and scipy precompiled" for r in runs)
+
+
+def test_bench_warms_each_prefix_with_numpy_and_scipy_before_the_run(monkeypatch):
+    # under PYTHONDONTWRITEBYTECODE a fresh prefix made every set-up probe compile numpy,
+    # scipy and the standard library, which hid src/ssdp's own share of setup_s
+    import json
+    from types import SimpleNamespace
+
+    bench = load_bench()
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    calls = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        calls.append((argv, cwd.name, prefix, env.get("PYTHONDONTWRITEBYTECODE"),
+                      sorted(p.name for p in prefix.iterdir())))
+        if "perfbench/run.py" not in argv:
+            (prefix / "numpy").mkdir()  # what the warm-up's imports leave behind
+            return SimpleNamespace(returncode=0)
+        out = [json.dumps({"environment": {"python": "3.11.7"}}),
+               json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {}})]
+        return SimpleNamespace(returncode=0, stdout="\n".join(out), stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    for side in ("parent", "change"):
+        bench.run_once(Path(side), "sweep_exp", 701, 0.0)
+    assert [c[1] for c in calls] == ["parent", "parent", "change", "change"]
+    for warm, run in (calls[:2], calls[2:]):
+        assert warm[0] == [bench.sys.executable, "-c", "import numpy, scipy, scipy.sparse"]
+        assert (warm[3], warm[4]) == (None, [])  # writes bytecode, into an empty prefix
+        assert "perfbench/run.py" in run[0] and run[2] == warm[2]
+        assert (run[3], run[4]) == ("1", ["numpy"])  # src/ssdp still compiles from source

@@ -1,39 +1,34 @@
 import functools
 import itertools
-from dataclasses import replace
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import ssdp
 from ssdp import simulate
 from ssdp.average import exact_average_cost
 from ssdp.dp import policy_order_steps
 from ssdp.model import ModelError
 from ssdp.policy import SsPolicy
-from ssdp.simulate import (
-    OrderUpTo,
-    SimConfig,
-    compare_policies,
-    policy_fn,
-    simulate_average,
-)
+from ssdp.simulate import SimConfig, simulate_average
 
 from conftest import make_exponential, make_instance_a, make_off_lattice, oracle_grid_chain
 
+NEVER_ORDER = SsPolicy(s=-math.inf, S=0.0)  # x < -inf holds at no state
+
 
 def test_zero_stub_costs_nothing(zero_stub):
-    cfg = SimConfig(x0=0.0, horizon=1500, n_paths=16, seed=1, policy="never_order")
+    cfg = SimConfig(x0=0.0, horizon=1500, n_paths=16, seed=1, policy=NEVER_ORDER)
     rep = simulate_average(zero_stub, cfg)
     assert rep.mean == 0.0 and rep.std_error == 0.0
 
 
 def test_single_step_cost_is_deterministic(instance_a):
     # one step: the expected-cost formulation makes the draw irrelevant
-    cfg = SimConfig(x0=0.0, horizon=1, n_paths=8, seed=2, policy="never_order")
-    totals, _ = simulate._run_paths(instance_a, cfg, simulate._atom_matrix(instance_a, cfg), cfg.policy)
+    cfg = SimConfig(x0=0.0, horizon=1, n_paths=8, seed=2, policy=NEVER_ORDER)
+    totals, _ = simulate._run_paths(instance_a, cfg, simulate._atom_matrix(instance_a, cfg))
     assert totals[0] == pytest.approx(3.0, abs=1e-12)
     assert np.all(totals == totals[0])
 
@@ -48,7 +43,7 @@ def test_degenerate_average_closed_form(degenerate_model):
 
 
 def test_order_up_to_zero_long_run_average(instance_a):
-    cfg = SimConfig(x0=0.0, horizon=4000, n_paths=200, seed=17, policy=OrderUpTo(0.0))
+    cfg = SimConfig(x0=0.0, horizon=4000, n_paths=200, seed=17, policy=SsPolicy(s=0.0, S=0.0))
     rep = simulate_average(instance_a, cfg)
     assert abs(rep.mean - 5.5) <= 3 * rep.std_error
 
@@ -56,7 +51,7 @@ def test_order_up_to_zero_long_run_average(instance_a):
 def test_average_requires_long_horizon(instance_a):
     with pytest.raises(ModelError):
         simulate_average(
-            instance_a, SimConfig(x0=0.0, horizon=500, n_paths=4, seed=1, policy="never_order")
+            instance_a, SimConfig(x0=0.0, horizon=500, n_paths=4, seed=1, policy=NEVER_ORDER)
         )
 
 
@@ -69,84 +64,34 @@ def test_ss_step_invariants_tracked(instance_a):
 
 
 def test_crn_determinism(instance_a):
-    cfg = SimConfig(x0=0.0, horizon=1000, n_paths=64, seed=31, policy=OrderUpTo(0.0))
+    cfg = SimConfig(x0=0.0, horizon=1000, n_paths=64, seed=31, policy=SsPolicy(s=0.0, S=0.0))
     a = simulate_average(instance_a, cfg)
     b = simulate_average(instance_a, cfg)
     assert a.mean == b.mean and a.std_error == b.std_error
     assert np.array_equal(a.path_stats, b.path_stats)
 
 
-def test_policy_table_policies_simulate(instance_a, solve_a_09):
-    cfg = SimConfig(x0=0.0, horizon=1000, n_paths=16, seed=37, policy=solve_a_09.policy)
-    rep = simulate_average(instance_a, cfg)
-    assert rep.policy_id == "policy_table"
-    assert rep.mean > 0
-
-
-def test_compare_identical_policies_zero_diff(instance_a):
-    pol = OrderUpTo(0.0)
-    cfg = SimConfig(x0=0.0, horizon=1500, n_paths=32, seed=41)
-    cmp = compare_policies(instance_a, [pol, OrderUpTo(0.0)], cfg)
-    assert cmp.rows[1].diff_mean == 0.0
-    assert cmp.rows[1].diff_std_error == 0.0
-
-
-def test_compare_dp_beats_heuristic(instance_a, average_a):
-    cfg = SimConfig(x0=0.0, horizon=3000, n_paths=128, seed=43)
-    cmp = compare_policies(instance_a, [average_a.policy, OrderUpTo(0.0)], cfg)
-    row = cmp.rows[1]
-    assert row.diff_mean >= -3 * max(row.diff_std_error, 1e-12)
-
-
-def test_compare_never_order_diverges_from_backlog(instance_a, average_a):
-    cfg = SimConfig(x0=-5.0, horizon=2000, n_paths=64, seed=47)
-    cmp = compare_policies(instance_a, [average_a.policy, "never_order"], cfg)
-    row = cmp.rows[1]
-    assert row.diff_mean > 100 * row.diff_std_error  # decisive domination
-
-
-def test_compare_average_runs_the_continuous_chain_alone(instance_a, average_a, monkeypatch):
-    cfg = SimConfig(x0=0.0, horizon=1500, n_paths=16, seed=53)
-    policies = [average_a.policy, OrderUpTo(0.0)]
-    alone = [simulate_average(instance_a, replace(cfg, policy=p)) for p in policies]
-    assert all(r.grid_chain is not None for r in alone)
-
-    def unread(*args):
-        raise AssertionError("compare_policies never reads the grid chain")
-
-    monkeypatch.setattr(simulate, "_run_grid_chain", unread)
-    cmp = compare_policies(instance_a, policies, cfg)
-    assert [(r.mean, r.std_error) for r in cmp.rows] == [(r.mean, r.std_error) for r in alone]
-
-
-def test_needs_two_policies(instance_a):
-    with pytest.raises(ModelError):
-        compare_policies(
-            instance_a, ["never_order"], SimConfig(x0=0, horizon=1000, n_paths=4, seed=1)
-        )
-
-
 @pytest.mark.parametrize("x0", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_x0_rejected(x0):
     with pytest.raises(ModelError, match="x0 must be finite"):
-        SimConfig(x0=x0, horizon=1000, n_paths=2, seed=1)
+        SimConfig(x0=x0, horizon=1000, n_paths=2, seed=1, policy=SsPolicy(s=0.0, S=1.0))
 
 
 def test_unknown_policy_rejected(instance_a):
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="policy must be an SsPolicy"):
         simulate_average(
             instance_a, SimConfig(x0=0, horizon=1000, n_paths=2, seed=1, policy="mystery")
         )
 
 
-def _stepwise_costs(model, cfg, demands, policy):
+def _stepwise_costs(model, cfg, demands):
     """Reference: the continuous chain with every cost evaluated step by step
     from the demand values (paths x steps), E h by ``np.interp`` on its curve."""
-    fn, _ = policy_fn(policy, model)
+    s, S = cfg.policy.pair()
     x = np.full(demands.shape[0], float(cfg.x0))
     costs = np.empty(demands.shape)
     for t in range(demands.shape[1]):
-        a = fn(x)
+        a = np.where(x < s, S - x, 0.0)
         post = x + a
         costs[:, t] = model.order_cost(a) + model.eh_curve(post)
         x = post - demands[:, t]
@@ -167,54 +112,47 @@ def _blocked_totals(costs, burn):
 
 @functools.cache
 def _chain_model(name):
-    """A model and the PolicyTable of its alpha = 0.9 solve."""
-    model = {"instance_a": make_instance_a, "off_lattice": make_off_lattice,
-             "exponential": make_exponential}[name]()
-    return model, ssdp.solve_infinite(model, 0.9, tol=1e-8).policy
+    return {"instance_a": make_instance_a, "off_lattice": make_off_lattice,
+            "exponential": make_exponential}[name]()
 
 
 @pytest.mark.parametrize(
-    "policy", [SsPolicy(s=1.0, S=2.0), OrderUpTo(0.5), "never_order", "table"]
+    "policy",
+    [SsPolicy(s=1.0, S=2.0), SsPolicy(s=0.5, S=0.5), pytest.param(NEVER_ORDER, id="never_order")],
 )
 def test_blocked_costs_equal_stepwise(policy):
     # the exponential atoms differ from their indices, so atom indices read
     # as demand values would show there (on instance_a atom k is demand k)
     # one path and two paths too: a sum over one path's steps is not pairwise either
-    for (model, table), n_paths in itertools.product(
+    for model, n_paths in itertools.product(
         (_chain_model("instance_a"), _chain_model("exponential")), (1, 2, 5)
     ):
-        pol = table if policy == "table" else policy
         # a horizon that is not a whole number of blocks
         cfg = SimConfig(x0=-3.0, horizon=simulate.BLOCK * 2 + 37, n_paths=n_paths, seed=3,
-                        policy=pol)
+                        policy=policy)
         atoms = simulate._atom_matrix(model, cfg)
-        ref = _stepwise_costs(model, cfg, model.demand.values[atoms], pol)
+        ref = _stepwise_costs(model, cfg, model.demand.values[atoms])
         # burn 300 starts inside the second block
         for burn in (0, 300):
-            totals, _ = simulate._run_paths(model, cfg, atoms, pol, burn)
+            totals, _ = simulate._run_paths(model, cfg, atoms, burn)
             want = _blocked_totals(ref, burn)
             assert np.array_equal(totals, want), (model.demand.source, n_paths, burn)
 
 
 def _chain_case(name, kind, level_at, s_at):
-    """A model and a policy of the given kind whose levels are grid points."""
-    model, table = _chain_model(name)
+    """A model and an (s,S) policy whose levels are grid points; order-up-to has s = S."""
+    model = _chain_model(name)
     point = lambda at: float(model.grid.points[int(at * (model.grid.n - 1))])  # noqa: E731
-    return model, {
-        "table": table,
-        "never_order": "never_order",
-        "order_up_to": OrderUpTo(point(level_at)),
-        "sS": SsPolicy(s=point(level_at * s_at), S=point(level_at)),
-    }[kind]
+    s = point(level_at) if kind == "order_up_to" else point(level_at * s_at)
+    return model, SsPolicy(s=s, S=point(level_at))
 
 
 # horizons of up to four blocks, so up to four segments of 1 to 6 paths step side by
-# side; never_order and table paths never meet in the continuous chain, so it steps
-# them as one segment; with no warm-up a segment starts at x0 on its boundary, and
-# the segments that miss the exact path are rerun from the first boundary
+# side; with no warm-up a segment starts at x0 on its boundary, and the segments
+# that miss the exact path are rerun from the first boundary
 CHAIN_CASES = dict(
     name=st.sampled_from(["instance_a", "off_lattice", "exponential"]),
-    kind=st.sampled_from(["sS", "table", "order_up_to", "never_order"]),
+    kind=st.sampled_from(["sS", "order_up_to"]),
     x0_at=st.floats(0.0, 1.0),
     level_at=st.floats(0.0, 1.0),
     s_at=st.floats(0.0, 1.0),
@@ -229,8 +167,6 @@ CHAIN_CASES = dict(
 @given(**CHAIN_CASES)
 @example(name="exponential", kind="sS", x0_at=0.3, level_at=0.6, s_at=0.7,
          horizon=3 * simulate.BLOCK + 40, burn_at=0.1, n_paths=6, seed=3, warmup=0)
-@example(name="instance_a", kind="table", x0_at=0.9, level_at=0.0, s_at=0.0,
-         horizon=2 * simulate.BLOCK + 1, burn_at=0.6, n_paths=1, seed=4, warmup=simulate.WARMUP)
 @settings(max_examples=60, deadline=None)
 def test_continuous_chain_equals_stepwise_oracle(
     name, kind, x0_at, level_at, s_at, horizon, burn_at, n_paths, seed, warmup
@@ -242,16 +178,13 @@ def test_continuous_chain_equals_stepwise_oracle(
     atoms = simulate._atom_matrix(model, cfg)
     burn = int(burn_at * horizon)
     with mock.patch.object(simulate, "WARMUP", warmup):
-        totals, _ = simulate._run_paths(model, cfg, atoms, policy, burn)
-    ref = _stepwise_costs(model, cfg, model.demand.values[atoms], policy)
+        totals, _ = simulate._run_paths(model, cfg, atoms, burn)
+    ref = _stepwise_costs(model, cfg, model.demand.values[atoms])
     assert np.array_equal(totals, _blocked_totals(ref, burn))
 
 
 @given(**CHAIN_CASES)
-# never ordering from near x_lo clamps within a few steps; off_lattice's
-# largest atom reaches below x_lo from every post-order state under -1.25
-@example(name="instance_a", kind="never_order", x0_at=0.05, level_at=0.0, s_at=0.0,
-         horizon=simulate.BLOCK + 7, burn_at=0.0, n_paths=4, seed=1, warmup=simulate.WARMUP)
+# off_lattice's largest atom reaches below x_lo from every post-order state under -1.25
 @example(name="off_lattice", kind="order_up_to", x0_at=0.5, level_at=0.2, s_at=0.0,
          horizon=3 * simulate.BLOCK - 1, burn_at=0.5, n_paths=3, seed=2, warmup=0)
 @settings(max_examples=60, deadline=None)
@@ -264,7 +197,8 @@ def test_grid_chain_equals_stepwise_oracle(
     cfg = SimConfig(x0=x0, horizon=horizon, n_paths=n_paths, seed=seed, policy=policy)
     atoms = simulate._atom_matrix(model, cfg)
     burn = int(burn_at * horizon)
-    steps = policy_order_steps(model, policy_fn(policy, model)[0](g.points))
+    s, S = policy.pair()  # the orders at the grid points, as steps
+    steps = policy_order_steps(model, np.where(g.points < s, S - g.points, 0.0))
     with mock.patch.object(simulate, "WARMUP", warmup):
         got = simulate._run_grid_chain(model, cfg, atoms, burn)
     ref = oracle_grid_chain(model, cfg, steps, model.demand.values[atoms], burn, simulate.BLOCK)
@@ -289,16 +223,15 @@ def _spy_segments(monkeypatch):
     return starts, segments
 
 
-@pytest.mark.parametrize("policy", [SsPolicy(s=0.25, S=2.0), "never_order"])
+@pytest.mark.parametrize("policy", [SsPolicy(s=0.25, S=2.0)])
 def test_sweep_segments_meet_within_the_warm_up(policy, monkeypatch):
     # the sweep's check at seed 3: every speculative segment start meets the exact
-    # path within WARMUP steps, so no segment is rerun; never_order's continuous
-    # paths cannot meet, so that chain steps as one segment and nothing is rerun
+    # path within WARMUP steps, so no segment is rerun
     starts, segments = _spy_segments(monkeypatch)
     cfg = SimConfig(x0=2.0, horizon=4000, n_paths=256, seed=3, policy=policy)
     assert simulate_average(make_exponential(), cfg).grid_chain is not None
     assert starts == [("_Paths", 0), ("_GridPaths", 0)]
-    assert segments == [1 if policy == "never_order" else 8, 8]
+    assert segments == [8, 8]
 
 
 def test_segments_that_miss_are_rerun_to_the_same_result(monkeypatch):
@@ -336,9 +269,9 @@ def test_grid_chain_mean_matches_exact_average_cost():
 
 
 def test_grid_chain_only_on_lattice_policies(instance_a):
-    on = SimConfig(x0=0.0, horizon=1000, n_paths=4, seed=1, policy=OrderUpTo(1.0))
+    on = SimConfig(x0=0.0, horizon=1000, n_paths=4, seed=1, policy=SsPolicy(s=1.0, S=1.0))
     assert simulate_average(instance_a, on).grid_chain is not None
-    for x0, pol in ((0.0, OrderUpTo(0.5)), (0.5, OrderUpTo(1.0))):
+    for x0, pol in ((0.0, SsPolicy(s=0.5, S=0.5)), (0.5, SsPolicy(s=1.0, S=1.0))):
         cfg = SimConfig(x0=x0, horizon=1000, n_paths=4, seed=1, policy=pol)
         assert simulate_average(instance_a, cfg).grid_chain is None
 
