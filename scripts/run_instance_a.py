@@ -49,11 +49,11 @@ def main() -> None:
           f"{sim.mean:.4f} +- {sim.std_error:.4f} (w_estimate {sw.w_estimate:.4f})")
 
     print("\npolicy comparison (exact average cost w(s,S) on the grid chain):")
-    w_limit = average.exact_average_cost(model, avg.policy)
-    for name, pol in (("limiting", avg.policy), ("order-up-to-0", ssdp.SsPolicy(0.0, 0.0))):
-        w = average.exact_average_cost(model, pol)
+    rows = [("limiting", avg.policy), ("order-up-to-0", ssdp.SsPolicy(0.0, 0.0))]
+    ws = [average.exact_average_cost(model, pol) for _, pol in rows]
+    for (name, pol), w in zip(rows, ws):
         print(f"  {name:14s} (s,S) = {str(pol.pair()):12s} w = {w:10.4f}  "
-              f"diff vs limiting = {w - w_limit:+.4f}")
+              f"diff vs limiting = {w - ws[0]:+.4f}")
 
 
 if __name__ == "__main__":
