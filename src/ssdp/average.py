@@ -20,9 +20,10 @@ from .dp import (
     ConvergenceError,
     OptimalityInequalityReport,
     _scan_cycle_blocks,
+    _update,
+    _value_iteration,
     check_optimality_inequality,
     sS_cycle_tables,
-    solve_infinite,
 )
 from .policy import CertificationError, build_G, extract_sS, is_K_convex
 
@@ -125,9 +126,7 @@ def _minimizers(v: np.ndarray, xs: np.ndarray) -> tuple[float, np.ndarray]:
     return m, xs[v <= m + eps]
 
 
-def _solve_one(model: InventoryModel, alpha: float, tol: float) -> AlphaRecord:
-    report = solve_infinite(model, alpha, tol=tol)
-    v = report.value
+def _record(model: InventoryModel, alpha: float, v, iterations: int, chosen, tol) -> AlphaRecord:
     m, mins = _minimizers(v, model.grid.points)
     s = S = None
     warn = None
@@ -148,8 +147,8 @@ def _solve_one(model: InventoryModel, alpha: float, tol: float) -> AlphaRecord:
         minimizer_states=mins,
         s=s,
         S=S,
-        iterations=report.iterations,
-        chosen=report.policy.chosen,
+        iterations=iterations,
+        chosen=chosen,
         threshold_warning=warn,
     )
 
@@ -157,10 +156,12 @@ def _solve_one(model: InventoryModel, alpha: float, tol: float) -> AlphaRecord:
 def sweep(model: InventoryModel, schedule=None, tol: float = 1e-7) -> VanishingDiscountSweep:
     """Discounted solves along an increasing schedule of factors.
 
-    Each factor's thresholds come from its certified G; where the
-    certificate or the extraction fails, they are withheld with a warning.
-    An iteration-cap failure at a high factor truncates the schedule and
-    returns a partial sweep with a warning.
+    The factors' value iterations advance as one Bellman stack (``dp._iterate``),
+    each row bitwise its ``solve_infinite``, and one stacked sweep of the values
+    gives every factor's chosen actions.  Each factor's thresholds come from its
+    certified G; where the certificate or the extraction fails, they are
+    withheld with a warning.  An iteration-cap failure at a factor truncates the
+    schedule there and returns a partial sweep with a warning.
     """
     sched = list(schedule) if schedule is not None else geometric_schedule(12)
     if not sched:
@@ -168,19 +169,15 @@ def sweep(model: InventoryModel, schedule=None, tol: float = 1e-7) -> VanishingD
     arr = np.asarray(sched, dtype=float)
     if np.any(arr < 0) or np.any(arr >= 1) or np.any(np.diff(arr) <= 0):
         raise ModelError("schedule must be strictly increasing inside [0,1)")
-    warnings: list[str] = []
-    records: list[AlphaRecord] = []
-    partial = False
-    for alpha in sched:
-        try:
-            res = _solve_one(model, alpha, tol)
-        except ConvergenceError as exc:
-            partial = True
-            warnings.append(f"alpha={alpha}: solver iteration cap hit; sweep truncated ({exc})")
-            break
-        records.append(res)
-        if res.threshold_warning:
-            warnings.append(res.threshold_warning)
+    values, iterations, _, error = _value_iteration(model, sched, tol)
+    if isinstance(error, ModelError):
+        raise error
+    chosen = _update(model, values, arr[: len(values), None])[1].chosen if len(values) else []
+    records = [_record(model, *row, tol) for row in zip(sched, values, iterations.tolist(), chosen)]
+    warnings = [r.threshold_warning for r in records if r.threshold_warning]
+    if error:
+        warnings.append(f"alpha={sched[len(records)]}: solver iteration cap hit; "
+                        f"sweep truncated ({error})")
     if not records:
         raise ConvergenceError("no schedule point converged: " + "; ".join(warnings))
     if len(records) < 3:
@@ -199,7 +196,7 @@ def sweep(model: InventoryModel, schedule=None, tol: float = 1e-7) -> VanishingD
         w_estimate=float(w_points[-1]),
         diffs=diffs,
         cauchy=cauchy,
-        partial=partial,
+        partial=error is not None,
         warnings=warnings,
         tol=tol,
     )

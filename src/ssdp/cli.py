@@ -30,6 +30,7 @@ from .dp import (
     ConvergenceError,
     TerminalValue,
     _check_alpha,
+    _check_tol,
     check_t_max,
     solve_finite,
     solve_infinite,
@@ -117,6 +118,7 @@ def cmd_solve(args) -> int:
     manifest = _manifest(args, "solve")
     with _recorded(out, manifest):
         _check_alpha(args.alpha)
+        _check_tol(args.tol)  # before any branch that never solves
         if args.horizon is not None and args.horizon < 1:
             raise ModelError("horizon must be at least 1")
         model = load_model(args.config)
@@ -192,6 +194,7 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(args, "sweep")
     with _recorded(out, manifest):
+        _check_tol(args.tol)
         schedule = _parse_schedule(args.schedule)
         model = load_model(args.config)
         if model.demand.p_positive == 0.0:
@@ -351,6 +354,7 @@ def cmd_verify(args) -> int:
     failures = 0
     with _recorded(out, manifest):
         _check_alpha(args.alpha)
+        _check_tol(args.tol)  # before any branch that never solves
         model = load_model(args.config)
         if args.suite == "all" and model.demand.p_positive == 0.0:
             # renewal theory needs P(D > 0) > 0; asked for alone, the suite still fails

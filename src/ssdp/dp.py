@@ -13,11 +13,11 @@ per demand atom in each row, so a sweep as a whole is O(n atoms).  The grid
 terms c_bar x and c_bar x + E h are ``InventoryModel.cbar_x`` and ``g_base``;
 all three are built once per model and shared by every solve.  A stage
 writes alpha W v into its g row and adds ``g_base``, accumulates the strict
-suffix minimum into its m row and adds K there, with no other temporaries;
-value iteration reuses two rows.  Each update's eps-optimal action sets are
-kept as the arrays g and m of a ``PolicyTable``.  A stage also takes a (k, n)
-stack in one kernel product, bitwise as row by row: action-convergence tracking
-so advances all of a run's terminal values against one reference solve.
+suffix minimum into its m row and adds K there, with no other temporaries.
+Each update's eps-optimal action sets are kept as the arrays g and m of a
+``PolicyTable``.  A stage also takes a (k, n) stack in one kernel product, with
+alpha a scalar or a (k, 1) column, bitwise as row by row: action tracking runs all
+terminal values so, and the sweep the value iterations of all its factors.
 """
 
 from __future__ import annotations
@@ -93,9 +93,11 @@ def _check_alpha(alpha: float) -> None:
         raise ModelError("alpha must lie in [0,1)")
 
 
-def _stage(model: InventoryModel, v: np.ndarray, alpha: float, g: np.ndarray, m: np.ndarray):
-    """One Bellman sweep from a row or (k, n) stack v: g and m written in place, T v returned."""
-    if alpha != 0.0:  # alpha E v, plus the model's c_bar x + E h
+def _stage(model: InventoryModel, v: np.ndarray, alpha, g=None, m=None):
+    """One Bellman sweep from a row or (k, n) stack v: g and m (new if None) written in
+    place, T v returned.  alpha is a scalar or, for a stack, a (k, 1) column."""
+    g, m = (np.empty_like(v), np.empty_like(v)) if g is None else (g, m)
+    if isinstance(alpha, np.ndarray) or alpha != 0.0:  # alpha E v, plus c_bar x + E h
         np.add(np.multiply(model.kernel.expect(v), alpha, out=g), model.g_base, out=g)
     else:
         g[:] = model.g_base
@@ -103,9 +105,9 @@ def _stage(model: InventoryModel, v: np.ndarray, alpha: float, g: np.ndarray, m:
     return m - model.cbar_x
 
 
-def _update(model: InventoryModel, v: np.ndarray, alpha: float) -> tuple[np.ndarray, PolicyTable]:
-    """One Bellman sweep: the updated values and the policy table of the update."""
-    g, m = np.empty((2, model.grid.n))
+def _update(model: InventoryModel, v: np.ndarray, alpha) -> tuple[np.ndarray, PolicyTable]:
+    """One Bellman sweep of a row or a stack: the updated values and the policy table."""
+    g, m = np.empty((2,) + v.shape)
     tv = _stage(model, v, alpha, g, m)
     return tv, PolicyTable(grid=model.grid, g=g, m=m, K=model.K, eps=EPS_ACT)
 
@@ -200,14 +202,15 @@ def _iteration_cap(alpha: float, tol: float) -> int:
     return 10 * math.ceil(math.log(target) / math.log(alpha)) + 100
 
 
-def _iterate(
-    update: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    alpha: float,
-    tol: float,
-    what: str,
-) -> tuple[np.ndarray, int, float]:
-    """Iterate ``v <- update(v)`` from v = 0 until the error is certified <= tol/2.
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < math.inf:
+        raise ModelError(f"tol (--tol) must be finite and positive, got {tol}")
+
+
+def _iterate(update: Callable[[np.ndarray, object], np.ndarray], n: int, alphas: list, tol: float,
+             what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[Exception]]:
+    """Iterate ``v <- update(v, alpha)`` from v = 0 at each factor of ``alphas``
+    until its error is certified <= tol/2.
 
     ``update`` must be monotone and satisfy T(v + c) = T v + alpha c for
     constants c, as the Bellman and the stationary-policy operators do.  Then
@@ -217,32 +220,50 @@ def _iterate(
     Iteration stops when that bracket is at most tol/2 wide and returns its
     lower end, which lies below the fixed point and satisfies T v >= v.
 
-    Returns (value, sweeps, certified error bound).  Raises ModelError at a
-    non-finite span, ConvergenceError past ``_iteration_cap`` sweeps.
+    One factor iterates a row of shape (n,), several the (k, n) stack of their live
+    rows at the (k, 1) column of their factors, each row bitwise as alone.  A row
+    fails at a non-finite span (ModelError) or at its ``_iteration_cap``
+    (ConvergenceError); the rows after the first failure are dropped.  Returns the
+    values, sweeps and certified error bounds of the rows before it, and its error.
     """
-    if not 0 < tol < math.inf:
-        raise ModelError(f"tol (--tol) must be finite and positive, got {tol}")
-    cap = _iteration_cap(alpha, tol)
-    scale = alpha / (1.0 - alpha)
-    v = np.zeros(n)
-    bound = math.inf
-    for sweeps in range(1, cap + 1):
-        tv = update(v)
-        diff = tv - v
-        lo = float(diff.min())
-        bound = scale * (float(diff.max()) - lo)
-        if not math.isfinite(bound):  # overflowing costs: stop now, not at the cap
-            bad = np.flatnonzero(~np.isfinite(diff))
-            i = bad[0] if bad.size else int(np.argmax(np.abs(diff)))  # or the span overflowed
-            raise ModelError(f"{what}: span bound {bound} at sweep {sweeps} (alpha={alpha}); "
-                             f"state index {i} has T v - v = {diff[i]}")
-        if bound <= tol / 2:
-            return tv + scale * lo, sweeps, bound
-        v = tv
-    raise ConvergenceError(
-        f"{what}: span bound {bound:.3e} after {cap} sweeps "
-        f"(target {tol / 2:.3e}, alpha={alpha})"
-    )
+    _check_tol(tol)
+    k, col = len(alphas), np.asarray(alphas, dtype=float)[:, None]
+    scale, caps = [a / (1.0 - a) for a in alphas], [_iteration_cap(a, tol) for a in alphas]
+    values, sweeps, bounds = np.empty((k, n)), np.zeros(k, dtype=int), np.empty(k)
+    live, first, error = list(range(k)), k, None
+    v = np.zeros(n if k == 1 else (k, n))
+    for t in range(1, max(caps) + 1):
+        tv = update(v, alphas[0] if k == 1 else col[live])
+        rows, diff = tv.reshape(-1, n), (tv - v).reshape(-1, n)
+        lo, hi, keep = diff.min(axis=1).tolist(), diff.max(axis=1).tolist(), []
+        for r, i in enumerate(live):
+            bound = scale[i] * (hi[r] - lo[r])
+            if bound <= tol / 2:
+                values[i], sweeps[i], bounds[i] = rows[r] + scale[i] * lo[r], t, bound
+            elif math.isfinite(bound) and t < caps[i]:
+                keep.append(r)
+            elif math.isfinite(bound):  # the first row to fail, as live rows ascend
+                first, error = i, ConvergenceError(
+                    f"{what}: span bound {bound:.3e} after {t} sweeps (target {tol / 2:.3e}, "
+                    f"alpha={alphas[i]})")
+                break
+            else:  # overflowing costs: stop now, not at the cap
+                bad = np.flatnonzero(~np.isfinite(diff[r]))  # or else the span overflowed
+                j = bad[0] if bad.size else int(np.argmax(np.abs(diff[r])))
+                first, error = i, ModelError(
+                    f"{what}: span bound {bound} at sweep {t} (alpha={alphas[i]}); state index "
+                    f"{j} has T v - v = {diff[r, j]}")
+                break
+        if not keep:
+            return values[:first], sweeps[:first], bounds[:first], error
+        v, live = (tv, live) if len(keep) == len(live) else (rows[keep], [live[r] for r in keep])
+
+
+def _value_iteration(model: InventoryModel, alphas: list, tol: float):
+    """``_iterate`` of the Bellman operator at each factor of ``alphas``; a row reuses g, m."""
+    g, m = np.empty((2, model.grid.n))
+    return _iterate(lambda u, a: _stage(model, u, a, g, m) if u.ndim == 1 else _stage(model, u, a),
+                    model.grid.n, alphas, tol, "value iteration")
 
 
 def solve_infinite(
@@ -257,20 +278,20 @@ def solve_infinite(
     value.  Raises ConvergenceError past the iteration cap.
     """
     _check_alpha(alpha)
-    g, m = np.empty((2, model.grid.n))
-    v, iterations, bound = _iterate(
-        lambda u: _stage(model, u, alpha, g, m), model.grid.n, alpha, tol, "value iteration"
-    )
+    values, iterations, bounds, error = _value_iteration(model, [alpha], tol)
+    if error:
+        raise error
+    v = values[0]
     tv, policy = _update(model, v, alpha)
     return SolveReport(
         value=v,
         policy=policy,
-        iterations=iterations,
+        iterations=int(iterations[0]),
         residual=float(np.max(np.abs(tv - v))),
         alpha=alpha,
         tol=tol,
         clamp_events=model.kernel.clamp_events,
-        certified_error_bound=bound,
+        certified_error_bound=float(bounds[0]),
     )
 
 
@@ -310,14 +331,11 @@ def policy_evaluation(
     j = idx + steps
     c_vec = model.one_step_cost(idx, steps)
     kernel = model.kernel
-    v, _, _ = _iterate(
-        lambda u: c_vec + alpha * kernel.expect(u)[j],
-        model.grid.n,
-        alpha,
-        tol,
-        "policy evaluation",
-    )
-    return v
+    values, _, _, error = _iterate(lambda u, a: c_vec + a * kernel.expect(u)[j], model.grid.n,
+                                   [alpha], tol, "policy evaluation")
+    if error:
+        raise error
+    return values[0]
 
 
 @dataclass(eq=False)

@@ -631,8 +631,9 @@ def post_expectation_matrix(
         pos = np.minimum(np.maximum(pos, 0.0), n - 1.0)
         i0 = np.clip(np.floor(pos).astype(int), 0, n - 2)
         w = pos - i0
-        np.add.at(band, (rows, i0 - rows + reach), p * (1.0 - w))
-        np.add.at(band, (rows, i0 - rows + reach + 1), p * w)
+        at = rows * (reach + 1) + i0 + reach  # flat band[j, i0 - j + reach]: one per row j
+        band.reshape(-1)[at] += p * (1.0 - w)
+        band.reshape(-1)[at + 1] += p * w
     keep = band != 0
     cols = (rows[:, None] + np.arange(-reach, 2)).astype(np.int32)
     indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1)))).astype(np.int32)

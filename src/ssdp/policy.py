@@ -72,6 +72,8 @@ class SsPolicy:
     S: float
 
     def __post_init__(self) -> None:
+        if math.isnan(self.s) or not math.isfinite(self.S):  # s = -inf never orders
+            raise ModelError(f"(s,S) needs s not NaN and S finite, got s={self.s}, S={self.S}")
         if self.s > self.S:
             raise ModelError(f"(s,S) needs s <= S, got ({self.s}, {self.S})")
 

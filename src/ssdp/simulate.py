@@ -158,8 +158,8 @@ class _Paths:
             ordered = a > 0
             if self.ss_ok:  # the (s,S) invariant: orders exactly below s, and never past S
                 self.ss_ok = np.array_equal(ordered, xs < s) and not np.any(post > S + 1e-9)
-            # priced over the orders, bitwise order_cost(a) + expected_h(post)
-            np.add(np.multiply(a, self.model.c_bar, out=a), self.model.K, out=a, where=ordered)
+            # priced unmasked, bitwise order_cost(a) + expected_h(post)
+            np.add(np.multiply(a, self.model.c_bar, out=a), self.model.K * ordered, out=a)
             a += self.model.expected_h(post)
         xb[0] = xb[count]
         return a

@@ -14,8 +14,9 @@ from ssdp.average import (
 )
 from ssdp.model import DemandDistribution, Grid, InventoryModel, ModelError, PiecewiseLinear
 
-from ssdp.dp import policy_order_steps
-from ssdp.policy import SsPolicy
+from ssdp import dp
+from ssdp.dp import policy_order_steps, solve_infinite
+from ssdp.policy import SsPolicy, build_G, extract_sS
 
 from conftest import (
     make_degenerate,
@@ -194,20 +195,37 @@ def test_sweep_builds_one_kernel(monkeypatch):
 
 
 def test_partial_sweep_on_iteration_cap(instance_a, monkeypatch):
-    import ssdp.average as avg
-
-    real = avg.solve_infinite
-
-    def capped(model, alpha, tol=1e-8, **kw):
-        if alpha > 0.95:
-            raise ssdp.ConvergenceError("cap")
-        return real(model, alpha, tol=tol, **kw)
-
-    monkeypatch.setattr(avg, "solve_infinite", capped)
-    sw = avg.sweep(instance_a, geometric_schedule(6), tol=1e-7)
+    # the factors above 0.95 reach a cap of 5 sweeps inside the stack; the schedule is
+    # truncated at the first of them, after the four that converged
+    real = dp._iteration_cap
+    monkeypatch.setattr(dp, "_iteration_cap", lambda a, tol: 5 if a > 0.95 else real(a, tol))
+    sw = sweep(instance_a, geometric_schedule(6), tol=1e-7)
     assert sw.partial
     assert len(sw.records) == 4
     assert any("truncated" in w for w in sw.warnings)
+    cut = [w for w in sw.warnings if "truncated" in w]
+    assert len(cut) == 1 and cut[0].startswith("alpha=0.96875: solver iteration cap hit")
+
+
+@pytest.mark.parametrize("make", [make_instance_a, make_off_lattice, make_exponential])
+def test_sweep_stack_matches_per_factor_solves(make):
+    # the factors advance as one Bellman stack; each record is bitwise its own solve
+    model = make()
+    sched, tol = [0.0, 0.3, 0.62, 0.9, 0.97, 0.995], 1e-7
+    sw = sweep(model, sched, tol=tol)
+    assert sw.alphas == sched and not sw.partial
+    pairs = 0
+    for rec, alpha in zip(sw.records, sched):
+        rep = solve_infinite(model, alpha, tol=tol)
+        m = rep.value.min()
+        assert rec.m_alpha == m and np.array_equal(rec.u, rep.value - m)
+        assert rec.iterations == rep.iterations
+        assert np.array_equal(rec.chosen, rep.policy.chosen)
+        if rec.s is not None:
+            ss = extract_sS(model.grid, build_G(model, rep.value, alpha, tol=tol), model.K)
+            assert (rec.s, rec.S) == (ss.s, ss.S)
+            pairs += 1
+    assert pairs >= 4
 
 
 @pytest.mark.parametrize(

@@ -626,6 +626,26 @@ def test_infinite_tol_is_a_config_error(tmp_path, args):
 @pytest.mark.parametrize(
     "args",
     [
+        ("verify", EXPONENTIAL, "--suite", "renewal", "--tol", "inf"),
+        ("sweep", DEGENERATE, "--tol", "nan"),
+        ("solve", EXPONENTIAL, "--alpha", "0.9", "--horizon", "3", "--terminal", "zero",
+         "--tol", "-1"),
+    ],
+)
+def test_tol_is_checked_where_no_solve_reads_it(tmp_path, args):
+    # the renewal suite, the zero-demand sweep and a zero-terminal horizon solve never
+    # reach value iteration, which alone checked --tol: each exited 0
+    out = tmp_path / "tol"
+    r = run_cli(*args, "--out", out)
+    assert r.returncode == 2, r.stderr
+    note = f"tol (--tol) must be finite and positive, got {float(args[-1])}"
+    assert f"config error: {note}" in r.stderr and "Traceback" not in r.stderr
+    assert json.loads((out / "manifest.json").read_text())["notes"] == [f"ModelError: {note}"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
         ("solve", "--alpha", "0.9"),
         ("sweep",),
         ("verify", "--suite", "renewal"),

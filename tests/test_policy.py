@@ -549,6 +549,18 @@ def test_ss_policy_validation():
     assert SsPolicy(s=-2.0, S=1.0).pair() == (-2.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "s, S, name",
+    [(float("nan"), 2.0, "s=nan"), (0.0, float("nan"), "S=nan"), (0.0, float("inf"), "S=inf"),
+     (float("-inf"), float("-inf"), "S=-inf")],
+)
+def test_ss_policy_rejects_nan_and_infinite_S(s, S, name):
+    # SsPolicy(nan, 2.0) simulated as a policy that never orders, with the (s,S) check passing
+    with pytest.raises(ModelError, match=name):
+        SsPolicy(s=s, S=S)
+    assert SsPolicy(s=float("-inf"), S=2.0).pair() == (float("-inf"), 2.0)  # never orders
+
+
 @pytest.mark.parametrize("make", [make_instance_a, make_exponential])
 def test_brute_force_matches_dense_pair_solves(make):
     model = make()
