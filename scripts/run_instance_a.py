@@ -26,7 +26,7 @@ def main() -> None:
     model = ssdp.load_model(CONFIG)
     print(f"model: K={model.K} c_bar={model.c_bar} grid=[{model.grid.x_lo},{model.grid.x_hi}]")
 
-    res = ssdp.discounted_sS(model, args.alpha, tol=1e-8)
+    res = ssdp.discounted_sS(model, ssdp.solve_infinite(model, args.alpha, tol=1e-8))
     print(f"\ndiscounted alpha={args.alpha}:")
     print(f"  (s,S) = {res.policy.pair()}, K-convex ok = {res.k_convexity.verdict}")
     print(f"  policy-evaluation gap vs v_alpha = {res.eval_gap:.2e}")

@@ -48,7 +48,6 @@ from .average import (
     geometric_schedule,
     minimizer_set_diagnostic,
     sweep,
-    track_discount_actions,
 )
 from .renewal import overshoot_bound_check, sample_renewal, wald_check
 from .simulate import SimConfig, simulate_average

@@ -20,7 +20,6 @@ from .dp import (
     ConvergenceError,
     OptimalityInequalityReport,
     _scan_cycle_blocks,
-    _update,
     _value_iteration,
     check_optimality_inequality,
     sS_cycle_tables,
@@ -41,8 +40,6 @@ __all__ = [
     "OptimalityInequalityReport",
     "exact_average_cost",
     "optimal_average_cost",
-    "track_discount_actions",
-    "DiscountActionReport",
 ]
 
 CAUCHY_REL = 0.01
@@ -65,7 +62,6 @@ class AlphaRecord:
     s: Optional[float]
     S: Optional[float]
     iterations: int
-    chosen: np.ndarray
     threshold_warning: Optional[str]
 
     @property
@@ -126,7 +122,7 @@ def _minimizers(v: np.ndarray, xs: np.ndarray) -> tuple[float, np.ndarray]:
     return m, xs[v <= m + eps]
 
 
-def _record(model: InventoryModel, alpha: float, v, iterations: int, chosen, tol) -> AlphaRecord:
+def _record(model: InventoryModel, alpha: float, v, iterations: int, tol) -> AlphaRecord:
     m, mins = _minimizers(v, model.grid.points)
     s = S = None
     warn = None
@@ -148,7 +144,6 @@ def _record(model: InventoryModel, alpha: float, v, iterations: int, chosen, tol
         s=s,
         S=S,
         iterations=iterations,
-        chosen=chosen,
         threshold_warning=warn,
     )
 
@@ -157,9 +152,8 @@ def sweep(model: InventoryModel, schedule=None, tol: float = 1e-7) -> VanishingD
     """Discounted solves along an increasing schedule of factors.
 
     The factors' value iterations advance as one Bellman stack (``dp._iterate``),
-    each row bitwise its ``solve_infinite``, and one stacked sweep of the values
-    gives every factor's chosen actions.  Each factor's thresholds come from its
-    certified G; where the certificate or the extraction fails, they are
+    each row bitwise its ``solve_infinite``.  Each factor's thresholds come from
+    its certified G; where the certificate or the extraction fails, they are
     withheld with a warning.  An iteration-cap failure at a factor truncates the
     schedule there and returns a partial sweep with a warning.
     """
@@ -167,13 +161,12 @@ def sweep(model: InventoryModel, schedule=None, tol: float = 1e-7) -> VanishingD
     if not sched:
         raise ModelError("schedule must be nonempty")
     arr = np.asarray(sched, dtype=float)
-    if np.any(arr < 0) or np.any(arr >= 1) or np.any(np.diff(arr) <= 0):
+    if not (np.all((0 <= arr) & (arr < 1)) and np.all(np.diff(arr) > 0)):  # NaN fails too
         raise ModelError("schedule must be strictly increasing inside [0,1)")
     values, iterations, _, error = _value_iteration(model, sched, tol)
     if isinstance(error, ModelError):
         raise error
-    chosen = _update(model, values, arr[: len(values), None])[1].chosen if len(values) else []
-    records = [_record(model, *row, tol) for row in zip(sched, values, iterations.tolist(), chosen)]
+    records = [_record(model, *row, tol) for row in zip(sched, values, iterations.tolist())]
     warnings = [r.threshold_warning for r in records if r.threshold_warning]
     if error:
         warnings.append(f"alpha={sched[len(records)]}: solver iteration cap hit; "
@@ -282,47 +275,3 @@ def optimal_average_cost(model: InventoryModel) -> tuple[float, tuple[float, flo
 
     w_star, S, s = min(_scan_cycle_blocks(model, 1.0, 1, block_min))
     return w_star, (float(xs[s]), float(xs[S]))
-
-
-@dataclass(eq=False)
-class DiscountActionReport:
-    actions: np.ndarray
-    action_range: float
-    settled: bool
-    settled_action: Optional[float]
-    eq_membership_ok: Optional[bool]
-
-
-def track_discount_actions(
-    sweep_result: VanishingDiscountSweep,
-    x: float,
-) -> DiscountActionReport:
-    """Chosen actions at state x across the schedule, with limit-point checks.
-
-    The sequence must stay bounded; it is "settled" when the last three
-    factors agree.  A settled action is additionally tested for membership
-    in the average-cost optimal set: w + u(x) >= c(x, a*) + E u(x') within
-    the default slack of ``sweep_result.relative_value()``.
-    """
-    model = sweep_result.model
-    i = model.grid.index_of(x)
-    actions = np.array([r.chosen[i] for r in sweep_result.records])
-    rng = float(actions.max() - actions.min())
-    tail = actions[-3:]
-    settled = tail.size == 3 and bool(np.all(tail == tail[-1]))
-    member_ok = None
-    a_star = None
-    if settled:
-        a_star = float(tail[-1])
-        rel = sweep_result.relative_value()
-        j = model.grid.index_of(x + a_star)
-        u = rel.u
-        lhs = model.order_cost(a_star) + model.eh[j] + float(model.kernel.expect(u)[j])
-        member_ok = bool(float(lhs - rel.w - u[i]) <= rel.default_slack)
-    return DiscountActionReport(
-        actions=actions,
-        action_range=rng,
-        settled=settled,
-        settled_action=a_star,
-        eq_membership_ok=member_ok,
-    )

@@ -124,7 +124,7 @@ def cmd_solve(args) -> int:
         model = load_model(args.config)
         try:
             if args.horizon is None:
-                result = policy.discounted_sS(model, args.alpha, tol=args.tol)
+                result = policy.discounted_sS(model, solve_infinite(model, args.alpha, tol=args.tol))
                 solve = result.solve
                 _output(manifest, out, "value.csv", write_solve_csv, solve.value, solve.policy)
                 _output(manifest, out, "value_meta.json", write_solve_sidecar, solve)
@@ -282,7 +282,7 @@ def cmd_sweep(args) -> int:
     return _exit_code(manifest)
 
 
-def _suite_renewal(model, args, manifest, out, zero_setup):
+def _suite_renewal(model, args, manifest, out, solved, zero_setup):
     sample = sample_renewal(model.demand, y=10.0, n_paths=args.paths, seed=args.seed)
     wald = wald_check(sample, model.demand)
     over = overshoot_bound_check(model, x=0.0, y=10.0, n_paths=args.paths, seed=args.seed, sample=sample)
@@ -301,9 +301,9 @@ def _suite_renewal(model, args, manifest, out, zero_setup):
     ]
 
 
-def _suite_sandwich(model, args, manifest, out, zero_setup):
+def _suite_sandwich(model, args, manifest, out, solved, zero_setup):
     alpha, tol, horizon = args.alpha, args.tol, 40
-    report = solve_infinite(model, alpha, tol=tol)
+    report = solved()
     zs = zero_setup()
     v0 = solve_finite(model, horizon, TerminalValue.zero(model.grid), alpha).values
     monotone = bool(np.all(np.diff(v0, axis=0) >= -1e-12))
@@ -320,7 +320,7 @@ def _suite_sandwich(model, args, manifest, out, zero_setup):
     ]
 
 
-def _suite_action_convergence(model, args, manifest, out, zero_setup):
+def _suite_action_convergence(model, args, manifest, out, solved, zero_setup):
     terminals = (TerminalValue.zero(model.grid), zero_setup().terminal())
     reports = track_action_convergence(model, args.alpha, terminals, t_max=args.t_max)
     return [(f"action_convergence.terminal_{f.id}", rep.all_settled,
@@ -329,8 +329,8 @@ def _suite_action_convergence(model, args, manifest, out, zero_setup):
             for f, rep in zip(terminals, reports)]
 
 
-def _suite_brute_force(model, args, manifest, out, zero_setup):
-    report = policy.brute_force_sS_check(model, args.alpha, tol=args.tol)
+def _suite_brute_force(model, args, manifest, out, solved, zero_setup):
+    report = policy.brute_force_sS_check(model, solved())
     return [
         (
             "brute_force_sS.no_better_pair",
@@ -365,11 +365,12 @@ def cmd_verify(args) -> int:
             check_paths(args.paths)
         if "action-convergence" in selected:
             check_t_max(args.t_max, model.grid.n)
-        # the K = 0 solve, made once for the suites that read it
+        # the discounted solve and the K = 0 solve, each made once for the suites that read it
+        solved = functools.cache(lambda: solve_infinite(model, args.alpha, tol=args.tol))
         zero_setup = functools.cache(lambda: policy.solve_zero_setup(model, args.alpha, tol=args.tol))
         try:
             for name in selected:
-                for check, passed, detail in suites[name](model, args, manifest, out, zero_setup):
+                for check, passed, detail in suites[name](model, args, manifest, out, solved, zero_setup):
                     manifest.add_check(check, passed, detail=detail)
                     print(f"{'PASS' if passed else 'FAIL'} {check}: {detail}")
                     failures += 0 if passed else 1

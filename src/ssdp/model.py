@@ -39,6 +39,7 @@ __all__ = [
 CONVEXITY_SLACK = 1e-12
 TRUNCATION_FLOOR = 1.0 - 1e-8
 EH_BUCKETS_CAP = 2**16  # most buckets in the E h knot table
+DEMAND_ATOMS_CAP = 4096  # E h sums every atom at every knot: 4,096 atoms load in about 0.5 s
 DRAW_CHUNK = 8192  # levels drawn at a time (the stream is that of one draw)
 # largest n x band work array post_expectation_matrix may allocate
 OPERATOR_BAND_BYTES_CAP = 256 * 2**20
@@ -181,6 +182,8 @@ class DemandDistribution:
             raise ModelError("demand needs at least one atom")
         if v.shape != p.shape or v.ndim != 1:
             raise ModelError("demand values/probs must be matching 1-d arrays")
+        if v.size > DEMAND_ATOMS_CAP:
+            raise ModelError(f"demand.atoms has {v.size:,} atoms, above the {DEMAND_ATOMS_CAP:,} cap")
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(p))):
             raise ModelError("demand atom values and probabilities must be finite")
         if np.any(v < 0):
@@ -387,8 +390,10 @@ def discretize_demand(spec: ContinuousDemand, n_atoms: int) -> DemandDistributio
     at its closed-form conditional mean.  By the tower property the atom
     mean equals the truncated mean exactly.
     """
-    if isinstance(n_atoms, bool) or not isinstance(n_atoms, numbers.Integral) or n_atoms < 2:
-        raise ModelError(f"demand.continuous.n_atoms must be an integer >= 2, got {n_atoms!r}")
+    if (isinstance(n_atoms, bool) or not isinstance(n_atoms, numbers.Integral)
+            or not 2 <= n_atoms <= DEMAND_ATOMS_CAP):
+        raise ModelError(f"demand.continuous.n_atoms must be an integer in [2, {DEMAND_ATOMS_CAP}], "
+                         f"got {n_atoms!r}")
     if spec.family == "point":
         value = spec.params["value"]
         return DemandDistribution.from_atoms([(value, 1.0)], source="discretized-continuous")

@@ -358,20 +358,17 @@ class DiscountedSsResult:
     explanation: Optional[str]
 
 
-def discounted_sS(
-    model: InventoryModel,
-    alpha: float,
-    tol: float = 1e-8,
-) -> DiscountedSsResult:
-    """Extract (s_alpha, S_alpha) from the converged G and cross-validate it.
+def discounted_sS(model: InventoryModel, report: SolveReport) -> DiscountedSsResult:
+    """Extract (s_alpha, S_alpha) from the G of a converged solve and cross-validate it.
 
-    The extracted policy's evaluated value must match v_alpha within
-    10 * tol gridwise.  If K-convexity certification fails (alpha too small)
-    the thresholds are withheld, with an explanation, and the raw argmin
-    policy stays in ``solve.policy``.  The finite-horizon pairs that converge
-    to these thresholds are ``finite_horizon_sS(...).policies``.
+    ``report`` is ``solve_infinite(model, alpha, tol)``; alpha and tol are
+    read from it.  The extracted policy's evaluated value must match v_alpha
+    within 10 * tol gridwise.  If K-convexity certification fails (alpha too
+    small) the thresholds are withheld, with an explanation, and the raw
+    argmin policy stays in ``solve.policy``.  The finite-horizon pairs that
+    converge to these thresholds are ``finite_horizon_sS(...).policies``.
     """
-    report = solve_infinite(model, alpha, tol=tol)
+    alpha, tol = report.alpha, report.tol
     g = build_G(model, report.value, alpha, tol=tol)
     cert = is_K_convex(model.grid, g, model.K)
     if not cert.verdict:
@@ -474,12 +471,8 @@ class BruteForceReport:
         return self.worst_gap <= self.margin
 
 
-def brute_force_sS_check(
-    model: InventoryModel,
-    alpha: float,
-    tol: float = 1e-8,
-) -> BruteForceReport:
-    """Exhaustive (s,S)-pair search against the extracted thresholds.
+def brute_force_sS_check(model: InventoryModel, report: SolveReport) -> BruteForceReport:
+    """Exhaustive (s,S)-pair search against the thresholds of ``discounted_sS(model, report)``.
 
     Every grid pair s <= S is valued exactly from ``sS_cycle_tables``, the
     extracted one from its own column (so its own gap is 0); the check
@@ -491,7 +484,7 @@ def brute_force_sS_check(
     one (worst gap <= 0) it is the extracted pair itself, not one of the
     pairs that tie with it.
     """
-    res = discounted_sS(model, alpha, tol=tol)
+    res, alpha = discounted_sS(model, report), report.alpha
     if res.policy is None:
         raise CertificationError("cannot brute-force check: thresholds were withheld")
     xs = model.grid.points

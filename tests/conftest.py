@@ -103,7 +103,7 @@ def zero_setup_a_09(instance_a):
 
 @pytest.fixture(scope="session")
 def discounted_a_09(instance_a):
-    return ssdp.discounted_sS(instance_a, 0.9, tol=1e-8)
+    return ssdp.discounted_sS(instance_a, ssdp.solve_infinite(instance_a, 0.9, tol=1e-8))
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,6 @@ from ssdp.average import (
     minimizer_set_diagnostic,
     optimal_average_cost,
     sweep,
-    track_discount_actions,
 )
 from ssdp.model import DemandDistribution, Grid, InventoryModel, ModelError, PiecewiseLinear
 
@@ -146,29 +145,6 @@ def test_h_average_function_satisfies_min_form_inequality(instance_a, sweep_a):
     assert float(resid[interior].max()) <= rel.default_slack
 
 
-def test_track_discount_actions_zero_stub(zero_stub):
-    sw = sweep(zero_stub, geometric_schedule(3), tol=1e-8)
-    rep = track_discount_actions(sw, 0.0)
-    assert np.all(rep.actions == 0.0)
-    assert rep.settled and rep.settled_action == 0.0
-    assert rep.eq_membership_ok
-
-
-def test_track_discount_actions_order_region(sweep_a, average_a):
-    s, S = average_a.policy.pair()
-    rep = track_discount_actions(sweep_a, -10.0)
-    assert rep.settled
-    assert rep.settled_action == S - (-10.0)
-    assert rep.eq_membership_ok
-    assert np.isfinite(rep.action_range)
-
-
-def test_track_discount_actions_no_order_region(sweep_a, average_a):
-    rep = track_discount_actions(sweep_a, 10.0)
-    assert rep.settled and rep.settled_action == 0.0
-    assert rep.eq_membership_ok
-
-
 def test_sweep_bellman_sweep_count(sweep_a):
     # 208,773 sweeps when value iteration stopped on the sup-norm residual alone
     assert sum(r.iterations for r in sweep_a.records) <= 1000
@@ -220,7 +196,6 @@ def test_sweep_stack_matches_per_factor_solves(make):
         m = rep.value.min()
         assert rec.m_alpha == m and np.array_equal(rec.u, rep.value - m)
         assert rec.iterations == rep.iterations
-        assert np.array_equal(rec.chosen, rep.policy.chosen)
         if rec.s is not None:
             ss = extract_sS(model.grid, build_G(model, rep.value, alpha, tol=tol), model.K)
             assert (rec.s, rec.S) == (ss.s, ss.S)

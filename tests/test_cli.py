@@ -61,6 +61,8 @@ def test_solve_alpha_out_of_range(tmp_path):
     [
         (("solve", "--alpha", "0.9", "--horizon", "0"), "horizon must be at least 1"),
         (("sweep", "--schedule", "geometric:x"), "bad schedule spec 'geometric:x'"),
+        # NaN passed the range check and crashed in dp._iteration_cap (exit 1)
+        (("sweep", "--schedule", "0.5,nan"), "schedule must be strictly increasing inside [0,1)"),
         (("verify", "--suite", "sandwich", "--alpha", "-1"), "alpha must lie in [0,1)"),
         # 32.8 GB of stage values, refused before any solve by the --t-max byte cap
         (("solve", "--alpha", "0.9", "--horizon", "100000000", "--terminal", "zero"),
@@ -561,12 +563,21 @@ def test_verify_builds_one_kernel(tmp_path, monkeypatch):
 def test_verify_all_solves_zero_setup_once_with_the_same_details(tmp_path, monkeypatch, capsys):
     from ssdp import cli, dp, policy
 
-    calls, ref_solves = [], []
+    calls, ref_solves, extractions = [], [], []
     real = policy.solve_zero_setup
     monkeypatch.setattr(policy, "solve_zero_setup", lambda *a, **k: calls.append(1) or real(*a, **k))
     real_solve = dp.solve_infinite
-    monkeypatch.setattr(dp, "solve_infinite", lambda model, alpha, tol=1e-8: ref_solves.append(
-        tol) or real_solve(model, alpha, tol=tol))
+
+    def counted(model, alpha, tol=1e-8):
+        if model.K:  # not the K = 0 companion of solve_zero_setup
+            ref_solves.append(tol)
+        return real_solve(model, alpha, tol=tol)
+
+    for mod in (cli, dp, policy):  # every module that binds the name
+        monkeypatch.setattr(mod, "solve_infinite", counted)
+    real_extract = policy.discounted_sS
+    monkeypatch.setattr(policy, "discounted_sS",
+                        lambda *a, **k: extractions.append(1) or real_extract(*a, **k))
 
     def checks(suite):
         out = tmp_path / suite
@@ -578,8 +589,12 @@ def test_verify_all_solves_zero_setup_once_with_the_same_details(tmp_path, monke
     together_lines, together = checks("all")
     assert len(calls) == 1
     assert ref_solves.count(dp.ACTION_REF_TOL) == 1  # one reference for both terminals
-    suites = [checks(s) for s in ("renewal", "sandwich", "action-convergence", "brute-force-sS")]
+    assert ref_solves.count(1e-8) == 1  # one solve at --tol for the sandwich and the brute force
+    suites = [checks(s) for s in ("renewal", "sandwich")]
+    assert len(extractions) == 1  # the brute force's alone: the sandwich reads only the solve
+    suites += [checks(s) for s in ("action-convergence", "brute-force-sS")]
     assert len(calls) == 3  # one K = 0 solve per run
+    assert ref_solves.count(1e-8) == 3  # one solve at --tol per run that reads it
     # the suites alone print the same PASS lines, in order, and record the same checks
     assert together_lines == [ln for lines, _ in suites for ln in lines] and len(together_lines) == 8
     assert together == {k: v for _, suite_checks in suites for k, v in suite_checks.items()}

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import ssdp
 from ssdp.model import (
     ContinuousDemand,
+    DEMAND_ATOMS_CAP,
     EH_BUCKETS_CAP,
     DemandDistribution,
     Grid,
@@ -187,10 +188,19 @@ def test_continuous_demand_rejects_bad_params_naming_the_field(family, params, f
         ContinuousDemand(family, params)
 
 
-@pytest.mark.parametrize("n_atoms", [1, 0, "x", 2.0, True, None])
+# 100,000,000 ended in an _ArrayMemoryError traceback under a 1.5 GB address-space limit
+@pytest.mark.parametrize("n_atoms", [1, 0, "x", 2.0, True, None, 100_000_000])
 def test_discretize_rejects_bad_n_atoms(n_atoms):
     with pytest.raises(ModelError, match="demand.continuous.n_atoms"):
         discretize_demand(ContinuousDemand("exponential", {"mean": 1}), n_atoms)
+
+
+def test_demand_atoms_above_the_cap_name_the_field():
+    # E h sums every atom at every knot: load time grows with the square of the atom count
+    atoms = [(float(k), 1.0) for k in range(DEMAND_ATOMS_CAP + 1)]
+    with pytest.raises(ModelError, match="demand.atoms has 4,097 atoms"):
+        DemandDistribution.from_atoms(atoms)
+    assert DemandDistribution.from_atoms(atoms[:-1]).n_atoms == DEMAND_ATOMS_CAP
 
 
 # --------------------------------------------------------------- h / model

@@ -488,7 +488,7 @@ def test_discounted_trace_settles(instance_a, zero_setup_a_09, discounted_a_09):
 
 def test_discounted_degenerate_thresholds_nonpositive(degenerate_model):
     for alpha in (0.5, 0.9, 0.99):
-        res = discounted_sS(degenerate_model, alpha, tol=1e-8)
+        res = discounted_sS(degenerate_model, solve_infinite(degenerate_model, alpha, tol=1e-8))
         assert res.policy.s <= res.policy.S <= 0.0
 
 
@@ -564,7 +564,7 @@ def test_ss_policy_rejects_nan_and_infinite_S(s, S, name):
 @pytest.mark.parametrize("make", [make_instance_a, make_exponential])
 def test_brute_force_matches_dense_pair_solves(make):
     model = make()
-    report = brute_force_sS_check(model, 0.9)
+    report = brute_force_sS_check(model, solve_infinite(model, 0.9))
     worst, best = oracle_brute_force(model, 0.9, report.extracted_pair)
     assert report.passes and worst <= report.margin
     assert report.best_pair == best
@@ -574,7 +574,7 @@ def test_brute_force_matches_dense_pair_solves(make):
 
 def test_brute_force_reports_extracted_pair_on_ties(degenerate_model):
     # zero demand: no pair beats the extracted one anywhere, and many tie with it
-    report = brute_force_sS_check(degenerate_model, 0.9)
+    report = brute_force_sS_check(degenerate_model, solve_infinite(degenerate_model, 0.9))
     worst, first_tied = oracle_brute_force(degenerate_model, 0.9, report.extracted_pair)
     assert worst == 0.0 and first_tied != report.extracted_pair
     assert report.worst_gap == 0.0
@@ -604,7 +604,7 @@ def test_streamed_scans_equal_full_table_scans(model, width):
     with mock.patch.object(dp, "CYCLE_BLOCK", cells):
         for alpha in (0.5, 0.9, 0.99):
             try:
-                report = brute_force_sS_check(model, alpha)
+                report = brute_force_sS_check(model, solve_infinite(model, alpha))
             except (ModelError, CertificationError):
                 continue  # no certified thresholds to check against
             worst, best, _ = oracle_cycle_table_scan(model, alpha, report.extracted_pair)
@@ -616,7 +616,7 @@ def test_streamed_scans_equal_full_table_scans(model, width):
 def test_brute_force_tie_at_a_positive_gap():
     # a rounding-level worst gap reached by 36 pairs over 3 values of s
     model = _integer_model(-17, 18, [0.08], K=0.5, c_bar=0.5, slopes=(1.5, 1.5))
-    report = brute_force_sS_check(model, 0.5)
+    report = brute_force_sS_check(model, solve_infinite(model, 0.5))
     worst, best, ties = oracle_cycle_table_scan(model, 0.5, report.extracted_pair)
     assert worst > 0 and ties == 36
     assert repr(report.worst_gap) == repr(worst) and report.best_pair == best
@@ -633,7 +633,7 @@ def test_exact_scans_memory_at_2001_points():
     model.kernel, model.eh  # built and cached before the measured calls
     for call, limit_mb in (
         (lambda: optimal_average_cost(model), 64),
-        (lambda: brute_force_sS_check(model, 0.9), 96),
+        (lambda: brute_force_sS_check(model, solve_infinite(model, 0.9)), 96),
     ):
         tracemalloc.start()
         try:
