@@ -61,13 +61,13 @@ def test_solve_alpha_out_of_range(tmp_path):
     [
         (("solve", "--alpha", "0.9", "--horizon", "0"), "horizon must be at least 1"),
         (("sweep", "--schedule", "geometric:x"), "bad schedule spec 'geometric:x'"),
-        # NaN passed the range check and crashed in dp._iteration_cap (exit 1)
-        (("sweep", "--schedule", "0.5,nan"), "schedule must be strictly increasing inside [0,1)"),
         (("verify", "--suite", "sandwich", "--alpha", "-1"), "alpha must lie in [0,1)"),
         # 32.8 GB of stage values, refused before any solve by the --t-max byte cap
         (("solve", "--alpha", "0.9", "--horizon", "100000000", "--terminal", "zero"),
          "horizon (--horizon) 100,000,000 needs a 32,800,000,000-byte value table over 41 "
          "states, above the 268,435,456-byte cap"),
+        # NaN passed the range check and crashed in dp._iteration_cap (exit 1)
+        (("sweep", "--schedule", "0.5,nan"), "schedule must be strictly increasing inside [0,1)"),
     ],
 )
 def test_bad_argument_still_writes_manifest(tmp_path, args, note):
